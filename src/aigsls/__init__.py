@@ -11,7 +11,6 @@ from .circuit import (
     DanglingReference,
     DuplicateDefinition,
     InputGateHasNoJustification,
-    Justification,
     Literal,
     build_circuit,
     enumerate_minimal_justifications,
@@ -40,13 +39,6 @@ from .search import (
     HEURISTICS,
     EmptyUnjustSet,
     SearchEngine,
-    SolveResult,
-    SolverConfig,
-    UnsoundResult,
-    count_unjust_after,
-    crsat_solve,
-    lbcp_forward,
-    select_gate,
 )
 from .harness import (
     CENSORED_STEPS,
@@ -54,7 +46,11 @@ from .harness import (
     ExperimentConfig,
     InstanceSummary,
     MismatchedInstanceSets,
+    SolveResult,
+    SolverConfig,
     TryRecord,
+    UnsoundResult,
+    crsat_solve,
     derive_seed,
     emit_cactus_csv,
     emit_scatter_csv,

@@ -48,10 +48,6 @@ class Literal(NamedTuple):
     def __invert__(self) -> "Literal":
         return Literal(self.gate, not self.complement)
 
-    def value_in(self, values) -> int:
-        """Truth value of this literal under a complete value vector."""
-        return values[self.gate] ^ self.complement
-
 
 # Marker for input gates in build_circuit definitions.
 INPUT = None
@@ -202,17 +198,34 @@ class ConstrainedCircuit:
         return f"ConstrainedCircuit({self.circuit!r}, {len(self.constraints)} constraints)"
 
 
-class Justification(NamedTuple):
-    """Child bindings that force a gate's value in every extension.
+def _unjustified(circuit: Circuit, values):
+    """Yield, in index order, every AND gate whose value differs from the AND
+    of its child literal values."""
+    for g, kids in enumerate(circuit._packed):
+        if kids is None:
+            continue
+        v = 1
+        for p in kids:
+            if not (values[p >> 1] ^ (p & 1)):
+                v = 0
+                break
+        if values[g] != v:
+            yield g
 
-    Each binding pairs a child literal with the truth value required at the
-    literal's *gate* (not at the literal itself).
-    """
 
-    bindings: tuple
-
-    def gate_values(self):
-        return tuple((lit.gate, value) for lit, value in self.bindings)
+def _evaluate_ands(circuit: Circuit, values: bytearray):
+    """Set every AND gate to the AND of its child literals, in topological order."""
+    packed = circuit._packed
+    for g in circuit.topo_order:
+        kids = packed[g]
+        if kids is None:
+            continue
+        v = 1
+        for p in kids:
+            if not (values[p >> 1] ^ (p & 1)):
+                v = 0
+                break
+        values[g] = v
 
 
 class Assignment:
@@ -233,22 +246,12 @@ class Assignment:
         self.circuit = circuit
         self.values = bytearray(values)
         self.pinned = pinned if pinned is not None else bytes(n)
-        self.ulist = []
+        self.ulist = list(_unjustified(circuit, self.values))
         self.upos = [-1] * n
+        for pos, g in enumerate(self.ulist):
+            self.upos[g] = pos
         self._stamp = [0] * n
         self._gen = 0
-        values_ = self.values
-        for g, kids in enumerate(circuit._packed):
-            if kids is None:
-                continue
-            v = 1
-            for p in kids:
-                if not (values_[p >> 1] ^ (p & 1)):
-                    v = 0
-                    break
-            if values_[g] != v:
-                self.upos[g] = len(self.ulist)
-                self.ulist.append(g)
 
     @property
     def unjust(self) -> frozenset:
@@ -258,9 +261,6 @@ class Assignment:
     @property
     def unjust_count(self) -> int:
         return len(self.ulist)
-
-    def value(self, g: int) -> int:
-        return self.values[g]
 
     def copy(self) -> "Assignment":
         return Assignment(self.circuit, self.values, self.pinned)
@@ -345,19 +345,7 @@ class Assignment:
 
     def recompute_unjust(self) -> frozenset:
         """From-scratch unjust set; the incremental one must always equal it."""
-        out = set()
-        values = self.values
-        for g, kids in enumerate(self.circuit._packed):
-            if kids is None:
-                continue
-            v = 1
-            for p in kids:
-                if not (values[p >> 1] ^ (p & 1)):
-                    v = 0
-                    break
-            if values[g] != v:
-                out.add(g)
-        return frozenset(out)
+        return frozenset(_unjustified(self.circuit, self.values))
 
 
 def evaluate(circuit: Circuit, input_values: Mapping[int, int]) -> Assignment:
@@ -370,17 +358,7 @@ def evaluate(circuit: Circuit, input_values: Mapping[int, int]) -> Assignment:
     values = bytearray(circuit.num_gates)
     for g in circuit.inputs:
         values[g] = 1 if input_values[g] else 0
-    packed = circuit._packed
-    for g in circuit.topo_order:
-        kids = packed[g]
-        if kids is None:
-            continue
-        v = 1
-        for p in kids:
-            if not (values[p >> 1] ^ (p & 1)):
-                v = 0
-                break
-        values[g] = v
+    _evaluate_ands(circuit, values)
     return Assignment(circuit, values)
 
 
@@ -391,48 +369,39 @@ def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
     return assignment._consistent(g)
 
 
+def _justifications(kids):
+    """Both polarities' subset-minimal justifications of one AND gate.
+
+    ``kids`` is the gate's child Literal tuple; the result shares its gate
+    index objects (fresh ints would cost memory per gate on large circuits).
+    Returns ``(for_one, for_zero)``, each a tuple of justifications, each a
+    tuple of (gate, value) pairs giving the value required at a child *gate*
+    (not at the child literal).  Forcing 1 binds every child literal to 1;
+    forcing 0 needs one child literal bound to 0.  Duplicate child references
+    collapse, in first-occurrence order.  A gate referencing both polarities
+    of one child is constantly 0: forcing 1 is then impossible and forcing 0
+    needs nothing (the empty justification).
+    """
+    need = {}
+    for gate, complement in kids:
+        value = 0 if complement else 1
+        if need.setdefault(gate, value) != value:
+            return (), ((),)
+    for_one = tuple(need.items())
+    return (for_one,), tuple(((gate, 1 - value),) for gate, value in for_one)
+
+
 def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
     """All subset-minimal justifications for gate g holding value v.
 
-    For an AND gate forced to 1 there is a single justification binding every
-    child literal to 1; forced to 0, one singleton justification per child
-    literal bound to 0.  Bindings are expressed as required values at the
-    child gates; duplicate child references collapse.  A gate referencing
-    both polarities of the same child is constantly 0: forcing 1 is then
-    impossible (empty result) and forcing 0 needs nothing (the empty
-    justification is the unique minimal one).
+    Each justification is a tuple of (gate, value) pairs; see
+    ``_justifications`` for their order and the constant-0 case.
     """
     kids = circuit.fanin[g]
     if kids is None:
         raise InputGateHasNoJustification(f"gate {g} is an input gate")
-    required = {}
-    contradictory = False
-    for lit in kids:
-        need = not lit.complement
-        prev = required.setdefault(lit.gate, need)
-        if prev != need:
-            contradictory = True
-            break
-    if v:
-        if contradictory:
-            return []
-        bindings = []
-        seen = set()
-        for lit in kids:
-            if lit.gate not in seen:
-                seen.add(lit.gate)
-                bindings.append((lit, not lit.complement))
-        return [Justification(tuple(bindings))]
-    if contradictory:
-        return [Justification(())]
-    seen = set()
-    out = []
-    for lit in kids:
-        key = (lit.gate, lit.complement)
-        if key not in seen:
-            seen.add(key)
-            out.append(Justification(((lit, lit.complement),)))
-    return out
+    for_one, for_zero = _justifications(kids)
+    return list(for_one if v else for_zero)
 
 
 def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
@@ -444,17 +413,7 @@ def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
     for g, v in cc.constraints.items():
         if values[g] != v:
             return False
-    for g, kids in enumerate(cc.circuit._packed):
-        if kids is None:
-            continue
-        v = 1
-        for p in kids:
-            if not (values[p >> 1] ^ (p & 1)):
-                v = 0
-                break
-        if values[g] != v:
-            return False
-    return True
+    return next(_unjustified(cc.circuit, values), None) is None
 
 
 def random_complete_extension(cc: ConstrainedCircuit, rng: random.Random) -> Assignment:
@@ -475,17 +434,7 @@ def random_complete_extension(cc: ConstrainedCircuit, rng: random.Random) -> Ass
             values[g] = constraints[g]
         else:
             values[g] = rng.getrandbits(1)
-    packed = circuit._packed
-    for g in circuit.topo_order:
-        kids = packed[g]
-        if kids is None:
-            continue
-        v = 1
-        for p in kids:
-            if not (values[p >> 1] ^ (p & 1)):
-                v = 0
-                break
-        values[g] = v
+    _evaluate_ands(circuit, values)
     for g, v in constraints.items():
         values[g] = v
     return Assignment(circuit, values, cc.pinned)

@@ -7,7 +7,8 @@ import sys
 
 from . import aiger, harness, metrics
 from .circuit import CircuitError
-from .search import HEURISTICS, SolverConfig, crsat_solve
+from .harness import SolverConfig, crsat_solve
+from .search import HEURISTICS
 
 # SAT-competition exit codes
 EXIT_SAT = 10
@@ -71,7 +72,7 @@ def _cmd_solve(args) -> int:
     result = crsat_solve(cc, profile, config)
     print(result.status)
     print(f"steps {result.steps_used}")
-    print(f"time {result.wall_time:.6f}", file=sys.stderr)
+    print(f"cpu_time {result.cpu_time:.6f}", file=sys.stderr)
     if result.status == "SAT":
         path = args.witness if args.witness is not None else args.file + ".witness"
         with open(path, "w", encoding="ascii") as fh:

@@ -11,6 +11,11 @@ and a fixed censoring constant to the step median.
 Every random choice -- per-try search seeds and protocol-level tie-breaks --
 derives from the master seed through a stable hash, so a whole experiment is
 reproducible regardless of worker scheduling.
+
+This module also holds the one try loop: ``_search`` builds a SearchEngine,
+runs it in step chunks under a CPU-time and/or step budget, and verifies
+every SAT verdict against the full circuit.  ``run_try`` (the protocol's
+seeded try) and ``crsat_solve`` (a single solve) are thin adapters over it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Optional, Sequence
 from .aiger import generate_random_sat_aig, load_aiger, serialize_ascii
 from .circuit import verify_satisfying
 from .metrics import build_profile
-from .search import HEURISTICS, SearchEngine, UnsoundResult
+from .search import HEURISTICS, SearchEngine
 
 #: Candidate noise values of the reference tuning protocol.
 DEFAULT_NOISES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -44,6 +49,34 @@ TRIVIAL_STEP_THRESHOLD = 730
 
 class MismatchedInstanceSets(ValueError):
     """Scatter requested over summary sets covering different instances."""
+
+
+class UnsoundResult(RuntimeError):
+    """A SAT verdict whose witness failed verification; indicates a bug."""
+
+
+@dataclass
+class SolverConfig:
+    heuristic: str = "rand"
+    wp: float = 0.2
+    cutoff: int = 1_000_000
+    seed: int = 0
+
+    def validate(self):
+        if self.heuristic not in HEURISTICS:
+            raise ValueError(f"unknown heuristic {self.heuristic!r}")
+        if not 0.0 <= self.wp <= 1.0:
+            raise ValueError(f"noise must be within [0, 1], got {self.wp}")
+        if self.cutoff < 0:
+            raise ValueError("cutoff must be nonnegative")
+
+
+@dataclass
+class SolveResult:
+    status: str                      # "SAT" or "UNKNOWN"
+    witness: Optional[tuple]         # gate values when SAT, else None
+    steps_used: int
+    cpu_time: float                  # process CPU seconds of the search
 
 
 @dataclass
@@ -83,6 +116,52 @@ def lower_median(values):
     return ordered[(len(ordered) - 1) // 2]
 
 
+def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
+            timeout: Optional[float] = None, cutoff: Optional[int] = None,
+            chunk: int = 4096, debug: bool = False):
+    """Run one search try; return (engine, found, timed_out, cpu_seconds).
+
+    The engine runs in chunks of at most ``chunk`` steps until it reports
+    SAT, reaches ``cutoff`` steps, or (checked between chunks) has used
+    ``timeout`` seconds of process CPU time, counted from after the engine
+    is built.  Chunking does not change the trajectory.  A SAT verdict whose
+    witness fails a full-circuit check raises UnsoundResult.
+    """
+    engine = SearchEngine(cc, profile, heuristic, wp, seed, debug=debug)
+    start = time.process_time()
+    found = timed_out = False
+    while True:
+        budget = chunk
+        if cutoff is not None:
+            budget = min(budget, cutoff - engine.steps)
+            if budget <= 0:
+                break
+        found = engine.run(budget)
+        if found:
+            break
+        if timeout is not None and time.process_time() - start >= timeout:
+            timed_out = True
+            break
+    elapsed = time.process_time() - start
+    if found and not verify_satisfying(cc, engine.assignment):
+        raise UnsoundResult("search reported SAT but the witness fails verification")
+    return engine, found, timed_out, elapsed
+
+
+def crsat_solve(cc, profile, config: SolverConfig, debug: bool = False) -> SolveResult:
+    """Run one search try up to the configured step cutoff.
+
+    Returns SAT with a verified witness, or UNKNOWN with no witness once the
+    cutoff is reached.  A SAT verdict whose assignment fails verification
+    raises UnsoundResult instead of being returned.
+    """
+    config.validate()
+    engine, found, _, elapsed = _search(cc, profile, config.heuristic, config.wp,
+                                        config.seed, cutoff=config.cutoff, debug=debug)
+    witness = tuple(engine.assignment.values) if found else None
+    return SolveResult("SAT" if found else "UNKNOWN", witness, engine.steps, elapsed)
+
+
 def run_try(cc, profile, instance: str, heuristic: str, wp: float,
             try_index: int, master_seed: int, *, timeout: Optional[float] = None,
             cutoff: Optional[int] = None, clock: str = "cpu",
@@ -104,29 +183,9 @@ def run_try(cc, profile, instance: str, heuristic: str, wp: float,
     elif timeout is None and cutoff is None:
         raise ValueError("need a timeout or a cutoff to bound the try")
     seed = derive_seed(master_seed, instance, heuristic, wp, try_index)
-    engine = SearchEngine(cc, profile, heuristic, wp, seed)
-    start = time.process_time()
-    found = False
-    timed_out = False
-    while True:
-        budget = chunk
-        if cutoff is not None:
-            budget = min(budget, cutoff - engine.steps)
-            if budget <= 0:
-                break
-        found = engine.run(budget)
-        if found:
-            break
-        if timeout is not None and time.process_time() - start >= timeout:
-            timed_out = True
-            break
-    elapsed = time.process_time() - start
-    if found:
-        if not verify_satisfying(cc, engine.assignment):
-            raise UnsoundResult(f"unverifiable witness on {instance}")
-        outcome = "SAT"
-    else:
-        outcome = "UNKNOWN"
+    engine, found, timed_out, elapsed = _search(cc, profile, heuristic, wp, seed,
+                                                timeout=timeout, cutoff=cutoff,
+                                                chunk=chunk)
     if clock == "steps":
         recorded_time = float(engine.steps)
     elif timed_out:
@@ -134,8 +193,8 @@ def run_try(cc, profile, instance: str, heuristic: str, wp: float,
     else:
         # cap at the budget: a win inside the final chunk may overshoot slightly
         recorded_time = elapsed if timeout is None else min(elapsed, float(timeout))
-    return TryRecord(instance, heuristic, wp, try_index, seed, outcome,
-                     engine.steps, recorded_time)
+    return TryRecord(instance, heuristic, wp, try_index, seed,
+                     "SAT" if found else "UNKNOWN", engine.steps, recorded_time)
 
 
 def censored_steps(record: TryRecord) -> int:
@@ -275,6 +334,34 @@ def summaries_to_csv(summaries: Sequence[InstanceSummary]) -> str:
     return out.getvalue()
 
 
+#: Accepted types of each ExperimentConfig field (bool is never accepted).
+_FIELD_TYPES = {
+    "output_dir": (str,),
+    "instances": (list, tuple),
+    "generate": (dict, type(None)),
+    "heuristics": (list, tuple),
+    "noises": (list, tuple),
+    "tries": (int,),
+    "timeout": (int, float, type(None)),
+    "cutoff": (int, type(None)),
+    "master_seed": (int,),
+    "clock": (str,),
+    "jobs": (int,),
+    "scatter_pairs": (list, tuple, type(None)),
+    "trivial_heuristic": (str, type(None)),
+    "trivial_threshold": (int,),
+}
+
+#: Required keys of a ``generate`` block; ``seed`` is optional.
+_GENERATE_KEYS = ("count", "inputs", "min_ands", "max_ands")
+
+
+def _check_type(what: str, value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ValueError(f"{what} must be {expected}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one benchmark experiment.
@@ -299,6 +386,23 @@ class ExperimentConfig:
     trivial_threshold: int = TRIVIAL_STEP_THRESHOLD
 
     def validate(self):
+        for name, types in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), types)
+        for name, items, types in (("instances", self.instances, (str,)),
+                                   ("heuristics", self.heuristics, (str,)),
+                                   ("noises", self.noises, (int, float)),
+                                   ("scatter_pairs", self.scatter_pairs or (), (list, tuple))):
+            for item in items:
+                _check_type(f"an entry of {name}", item, types)
+        if self.generate is not None:
+            unknown = set(self.generate) - set(_GENERATE_KEYS) - {"seed"}
+            if unknown:
+                raise ValueError(f"unknown generate keys: {sorted(unknown)}")
+            missing = [key for key in _GENERATE_KEYS if key not in self.generate]
+            if missing:
+                raise ValueError(f"generate needs {', '.join(missing)}")
+            for key, value in self.generate.items():
+                _check_type(f"generate {key}", value, (int,))
         for h in self.heuristics:
             if h not in HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")
@@ -329,6 +433,8 @@ def load_config(path) -> ExperimentConfig:
     """Read an experiment configuration from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     known = ExperimentConfig.__dataclass_fields__
     unknown = set(raw) - set(known)
     if unknown:
@@ -374,13 +480,9 @@ def _materialize_instances(config: ExperimentConfig):
     """Resolve configured plus generated instances to (id, path) pairs."""
     paths = list(config.instances)
     if config.generate:
-        spec = dict(config.generate)
-        unknown = set(spec) - {"count", "inputs", "min_ands", "max_ands", "seed"}
-        if unknown:
-            raise ValueError(f"unknown generate keys: {sorted(unknown)}")
-        count = int(spec["count"])
-        inputs = int(spec["inputs"])
-        lo, hi = int(spec["min_ands"]), int(spec["max_ands"])
+        spec = config.generate
+        count, inputs = spec["count"], spec["inputs"]
+        lo, hi = spec["min_ands"], spec["max_ands"]
         rng = random.Random(spec.get("seed", config.master_seed))
         gen_dir = os.path.join(config.output_dir, "instances")
         os.makedirs(gen_dir, exist_ok=True)

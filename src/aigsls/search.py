@@ -6,22 +6,16 @@ probability ``wp``, otherwise greedily minimizing the number of unjustified
 gates the step would leave behind -- flips the disagreeing child gates, and
 propagates the flips toward the outputs.  Constrained gates are never
 flipped; the search succeeds when the unjustified set empties.
+
+``SearchEngine`` is one resumable trajectory.  The try loop that budgets it,
+times it and verifies its SAT verdicts lives in ``aigsls.harness``.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass
-from typing import Optional
 
-from .circuit import (
-    Assignment,
-    ConstrainedCircuit,
-    Justification,
-    random_complete_extension,
-    verify_satisfying,
-)
+from .circuit import ConstrainedCircuit, _justifications, random_complete_extension
 from .metrics import StructuralProfile
 
 #: Recognized gate-selection heuristics.  "rand" picks uniformly from the
@@ -47,78 +41,23 @@ class EmptyUnjustSet(RuntimeError):
     """Gate selection requested while every gate is justified."""
 
 
-class UnsoundResult(RuntimeError):
-    """A SAT verdict whose witness failed verification; indicates a bug."""
-
-
-@dataclass
-class SolverConfig:
-    heuristic: str = "rand"
-    wp: float = 0.2
-    cutoff: int = 1_000_000
-    seed: int = 0
-
-    def validate(self):
-        if self.heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {self.heuristic!r}")
-        if not 0.0 <= self.wp <= 1.0:
-            raise ValueError(f"noise must be within [0, 1], got {self.wp}")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-
-
-@dataclass
-class SolveResult:
-    status: str                      # "SAT" or "UNKNOWN"
-    witness: Optional[tuple]         # gate values when SAT, else None
-    steps_used: int
-    wall_time: float                 # process CPU seconds
-
-
 def _compile_justifications(cc: ConstrainedCircuit):
     """Per-gate static justification tables, filtered against the pins.
 
-    ``tables[g] = (for_value_1, for_value_0)`` where each entry is a tuple of
-    justifications and each justification is a tuple of (gate, value) pairs.
-    Justifications that would force a constrained gate away from its required
-    value are dropped here: they can never be applied.  An AND referencing
-    both polarities of one gate is constantly 0, so it has no way to hold
-    value 1 and needs nothing (the empty justification) to hold value 0;
-    a gate whose children include the pinned constant may lose entries too.
+    ``tables[g] = (for_value_1, for_value_0)`` as built by ``_justifications``,
+    minus every justification that would force a constrained gate away from
+    its required value: those can never be applied.  Only a parent of a
+    constrained gate (in practice, of the pinned constant) can lose entries.
     """
     circuit = cc.circuit
     constraints = cc.constraints
-    tables = [None] * circuit.num_gates
-    for g, kids in enumerate(circuit.fanin):
-        if kids is None:
-            continue
-        required = {}
-        contradictory = False
-        for lit in kids:
-            need = 0 if lit.complement else 1
-            prev = required.setdefault(lit.gate, need)
-            if prev != need:
-                contradictory = True
-                break
-        admissible = not contradictory and all(
-            constraints.get(gate, value) == value for gate, value in required.items())
-        for_one = (tuple(required.items()),) if admissible else ()
-        if contradictory:
-            for_zero = ((),)
-        else:
-            seen = set()
-            for_zero = []
-            for lit in kids:
-                value = 1 if lit.complement else 0
-                key = (lit.gate, value)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if lit.gate in constraints and constraints[lit.gate] != value:
-                    continue
-                for_zero.append(((lit.gate, value),))
-            for_zero = tuple(for_zero)
-        tables[g] = (for_one, for_zero)
+    tables = [None if kids is None else _justifications(kids) for kids in circuit.fanin]
+
+    def admissible(sigma):
+        return all(constraints.get(gate, value) == value for gate, value in sigma)
+
+    for g in {p for c in constraints for p in circuit.fanout[c]}:
+        tables[g] = tuple(tuple(filter(admissible, sigmas)) for sigmas in tables[g])
     return tables
 
 
@@ -163,50 +102,6 @@ def _argbest(gates, score, want_max, rng):
     return ties[rng.randrange(len(ties))]
 
 
-def select_gate(assignment: Assignment, profile: StructuralProfile,
-                heuristic: str, rng: random.Random) -> int:
-    """Pick one unjustified gate according to the heuristic, ties uniform."""
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}")
-    gates = assignment.ulist
-    if not gates:
-        raise EmptyUnjustSet("no unjustified gates to select from")
-    if heuristic == "rand":
-        return gates[rng.randrange(len(gates))]
-    base, _, direction = heuristic.rpartition("-")
-    score = _make_scorer(profile, base, assignment.values)
-    return _argbest(gates, score, direction == "max", rng)
-
-
-def lbcp_forward(cc: ConstrainedCircuit, flipped, assignment: Assignment) -> Assignment:
-    """Propagate just-flipped gate values toward the outputs (in place)."""
-    if assignment.circuit is not cc.circuit:
-        raise ValueError("assignment belongs to a different circuit")
-    assignment.pinned = cc.pinned
-    return assignment.propagate_forward(flipped)
-
-
-def count_unjust_after(cc: ConstrainedCircuit, assignment: Assignment,
-                       justification: Justification) -> int:
-    """Unjustified-gate count after applying a justification, without keeping it.
-
-    Flips the disagreeing child gates, runs forward propagation, reads off
-    the count and rolls every flip back, leaving the assignment unchanged.
-    """
-    if assignment.circuit is not cc.circuit:
-        raise ValueError("assignment belongs to a different circuit")
-    assignment.pinned = cc.pinned
-    values = assignment.values
-    undo = []
-    flips = [g for g, v in justification.gate_values() if values[g] != v]
-    for g in flips:
-        assignment.flip(g, undo)
-    assignment.propagate_forward(flips, undo)
-    count = len(assignment.ulist)
-    assignment.rollback(undo)
-    return count
-
-
 class SearchEngine:
     """One resumable search trajectory over a constrained circuit.
 
@@ -234,13 +129,9 @@ class SearchEngine:
         self.steps = 0
         self.assignment = random_complete_extension(cc, self.rng)
         self._tables = _compile_justifications(cc)
-        if heuristic == "rand":
-            self._score = None
-            self._want_max = False
-        else:
-            base, _, direction = heuristic.rpartition("-")
-            self._score = _make_scorer(profile, base, self.assignment.values)
-            self._want_max = direction == "max"
+        measure, _, direction = heuristic.rpartition("-")
+        self._measure = measure or None      # "rand" has no measure
+        self._want_max = direction == "max"
 
     @property
     def satisfied(self) -> bool:
@@ -260,20 +151,14 @@ class SearchEngine:
         rng = self.rng
         wp = self.wp
         tables = self._tables
-        score = self._score
-        want_max = self._want_max
+        select = self._select
         debug = self.debug
         propagate = asg.propagate_forward
         flip = asg.flip
         while budget > 0:
             if not ulist:
                 return True
-            if len(ulist) == 1:
-                g = ulist[0]
-            elif score is None:
-                g = ulist[rng.randrange(len(ulist))]
-            else:
-                g = _argbest(ulist, score, want_max, rng)
+            g = select()
             for_one, for_zero = tables[g]
             sigmas = for_one if values[g] else for_zero
             n_sig = len(sigmas)
@@ -297,6 +182,22 @@ class SearchEngine:
             if debug and not self.steps & 0x3FFF:
                 self._debug_check()
         return False
+
+    def _select(self) -> int:
+        """Pick one unjustified gate per the heuristic, ties uniform.
+
+        A lone unjustified gate is taken without drawing from the RNG.  The
+        cc measure reads the current assignment's values at every call.
+        """
+        ulist = self.assignment.ulist
+        if not ulist:
+            raise EmptyUnjustSet("no unjustified gates to select from")
+        if len(ulist) == 1:
+            return ulist[0]
+        if self._measure is None:
+            return ulist[self.rng.randrange(len(ulist))]
+        score = _make_scorer(self.profile, self._measure, self.assignment.values)
+        return _argbest(ulist, score, self._want_max, self.rng)
 
     def _greedy(self, sigmas):
         best_count = None
@@ -335,24 +236,3 @@ class SearchEngine:
         for g, v in self.cc.constraints.items():
             if asg.values[g] != v:
                 raise AssertionError(f"constrained gate {g} lost its pinned value")
-
-
-def crsat_solve(cc: ConstrainedCircuit, profile: StructuralProfile,
-                config: SolverConfig, debug: bool = False) -> SolveResult:
-    """Run one search try up to the configured step cutoff.
-
-    Returns SAT with a verified witness, or UNKNOWN with no witness once the
-    cutoff is reached.  A SAT verdict whose assignment fails verification
-    raises UnsoundResult instead of being returned.
-    """
-    config.validate()
-    start = time.process_time()
-    engine = SearchEngine(cc, profile, config.heuristic, config.wp,
-                          config.seed, debug=debug)
-    found = engine.run(config.cutoff)
-    elapsed = time.process_time() - start
-    if found:
-        if not verify_satisfying(cc, engine.assignment):
-            raise UnsoundResult("search reported SAT but the witness fails verification")
-        return SolveResult("SAT", tuple(engine.assignment.values), engine.steps, elapsed)
-    return SolveResult("UNKNOWN", None, engine.steps, elapsed)

@@ -135,6 +135,26 @@ class TestBench:
         for name in ("tries.csv", "summaries.csv", "cactus.csv", "scatter.csv"):
             assert (tmp_path / "out" / name).exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tries", "3"),
+        ("generate", {"count": 2, "min_ands": 6, "max_ands": 10}),
+    ])
+    def test_mistyped_config_is_a_one_line_error(self, tmp_path, capsys, field, value):
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "generate": {"count": 2, "inputs": 4, "min_ands": 6, "max_ands": 10},
+            "timeout": None,
+            "cutoff": 2000,
+            "clock": "steps",
+            field: value,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["bench", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

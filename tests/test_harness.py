@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -28,6 +29,7 @@ from aigsls import (
     summarize,
 )
 from aigsls.harness import _rank_noises, load_config, records_to_csv
+from aigsls.search import HEURISTICS
 
 
 def record(instance="i", heuristic="rand", wp=0.2, try_index=0, outcome="SAT",
@@ -379,3 +381,31 @@ class TestExperiment:
                              instances=[str(path), str(path)])
         with pytest.raises(ValueError):
             run_experiment(config)
+
+
+class TestGoldenTrajectory:
+    def test_every_heuristic_reproduces_recorded_outputs(self, tmp_path):
+        # Steps-clock CSVs pin every search trajectory (selection, greedy
+        # ties, propagation and noise ranking) of every heuristic across code
+        # versions; a change to these digests is a behaviour change.
+        config = ExperimentConfig(
+            output_dir=str(tmp_path),
+            generate={"count": 4, "inputs": 12, "min_ands": 150, "max_ands": 300,
+                      "seed": 5},
+            heuristics=list(HEURISTICS),
+            noises=[0.1, 0.5],
+            tries=2,
+            timeout=None,
+            cutoff=5000,
+            master_seed=5,
+            clock="steps",
+        )
+        result = run_experiment(config)
+        digests = {}
+        for name in ("tries.csv", "summaries.csv"):
+            with open(result.files[name], "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == {
+            "tries.csv": "f59f9fd068ff793af97cdbfe3bd75e3ef177633ee9f97b2be5c71408d68bfd0e",
+            "summaries.csv": "c6e1e300a39f40db40a450a0250550d6cb9d3af72508fd6d8b60206d8a805819",
+        }

@@ -7,20 +7,16 @@ from aigsls import (
     INPUT,
     ConstrainedCircuit,
     EmptyUnjustSet,
-    Justification,
     Literal,
     SearchEngine,
     SolverConfig,
     build_circuit,
     build_profile,
-    count_unjust_after,
     crsat_solve,
     enumerate_minimal_justifications,
     evaluate,
     generate_random_sat_aig,
-    lbcp_forward,
     random_complete_extension,
-    select_gate,
     verify_satisfying,
 )
 from aigsls.search import HEURISTICS
@@ -37,13 +33,23 @@ def constrained_chain():
     return ConstrainedCircuit(c, {2: True})
 
 
+def engine_on(cc, asg, heuristic="rand", rng=None):
+    """A search engine whose assignment (and optionally RNG) is replaced."""
+    engine = SearchEngine(cc, build_profile(cc.circuit), heuristic)
+    engine.assignment = asg
+    if rng is not None:
+        engine.rng = rng
+    return engine
+
+
 class TestForwardPropagation:
     def test_chain_propagates_and_stops_at_constraint(self):
         cc = constrained_chain()
         asg = evaluate(cc.circuit, {0: 1})
+        asg.pinned = cc.pinned
         assert asg.unjust == frozenset()
         asg.flip(0)
-        lbcp_forward(cc, [0], asg)
+        asg.propagate_forward([0])
         # b follows the input; the constrained output must not be flipped
         assert list(asg.values) == [0, 0, 1]
         assert asg.unjust == frozenset({2})
@@ -72,7 +78,7 @@ class TestForwardPropagation:
             expected[g] ^= 1
             expected = ref_propagate(cc, expected, [g])
             asg.flip(g)
-            lbcp_forward(cc, [g], asg)
+            asg.propagate_forward([g])
             assert asg.values == expected
             assert asg.unjust == ref_unjust(circuit, asg.values)
 
@@ -88,12 +94,6 @@ class TestForwardPropagation:
             asg.propagate_forward([g], undo)
             assert len(undo) == len(set(undo))
             assert len(undo) <= circuit.num_gates
-
-    def test_wrong_circuit_rejected(self):
-        cc = constrained_chain()
-        other = evaluate(build_circuit([INPUT]), {0: 1})
-        with pytest.raises(ValueError):
-            lbcp_forward(cc, [0], other)
 
 
 def two_branch_fixture():
@@ -117,18 +117,19 @@ def two_branch_fixture():
 
 
 class TestCountUnjustAfter:
+    """The greedy trial: unjust count after a justification, rolled back."""
+
     def test_hand_traced_fixture(self):
         cc, asg = two_branch_fixture()
-        sigma_d = Justification(((lit(2, True), True),))
-        sigma_e = Justification(((lit(3, True), True),))
-        assert count_unjust_after(cc, asg, sigma_d) == 2
-        assert count_unjust_after(cc, asg, sigma_e) == 1
+        trial = engine_on(cc, asg)._trial
+        assert trial(((2, 1),)) == 2   # d -> 1
+        assert trial(((3, 1),)) == 1   # e -> 1
 
     def test_does_not_mutate_live_state(self):
         cc, asg = two_branch_fixture()
         before_values = bytes(asg.values)
         before_unjust = asg.unjust
-        count_unjust_after(cc, asg, Justification(((lit(2, True), True),)))
+        engine_on(cc, asg)._trial(((2, 1),))
         assert bytes(asg.values) == before_values
         assert asg.unjust == before_unjust
 
@@ -136,8 +137,8 @@ class TestCountUnjustAfter:
         cc = constrained_chain()
         asg = evaluate(cc.circuit, {0: 1})
         asg.pinned = cc.pinned
-        sigma = Justification(((lit(1), True),))  # already holds
-        assert count_unjust_after(cc, asg, sigma) == asg.unjust_count
+        sigma = ((1, 1),)  # already holds
+        assert engine_on(cc, asg)._trial(sigma) == asg.unjust_count
 
     def test_matches_clone_apply_oracle(self):
         rng = random.Random(19)
@@ -148,45 +149,50 @@ class TestCountUnjustAfter:
             asg = random_complete_extension(cc, rng)
             if not asg.ulist:
                 continue
+            trial = engine_on(cc, asg)._trial
             g = rng.choice(asg.ulist)
             for sigma in enumerate_minimal_justifications(circuit, g, asg.values[g]):
-                if any(cc.constraints.get(gt, v) != v for gt, v in sigma.gate_values()):
+                if any(cc.constraints.get(gt, v) != v for gt, v in sigma):
                     continue
                 clone = asg.copy()
-                flips = [gt for gt, v in sigma.gate_values() if clone.values[gt] != v]
+                flips = [gt for gt, v in sigma if clone.values[gt] != v]
                 for x in flips:
                     clone.flip(x)
                 clone.propagate_forward(flips)
-                assert count_unjust_after(cc, asg, sigma) == clone.unjust_count
+                assert trial(sigma) == clone.unjust_count
                 checked += 1
         assert checked > 20
 
 
 class TestSelectGate:
+    """The engine's gate selection, as called by every step of ``run``."""
+
     def test_empty_unjust_raises(self):
         cc = constrained_chain()
         asg = evaluate(cc.circuit, {0: 1})
-        profile = build_profile(cc.circuit)
         with pytest.raises(EmptyUnjustSet):
-            select_gate(asg, profile, "rand", random.Random(0))
+            engine_on(cc, asg)._select()
 
     def test_singleton_unjust_any_heuristic(self):
         cc, asg = two_branch_fixture()
-        profile = build_profile(cc.circuit)
         for heuristic in HEURISTICS:
-            assert select_gate(asg, profile, heuristic, random.Random(0)) == 4
+            engine = engine_on(cc, asg, heuristic, random.Random(0))
+            assert engine._select() == 4
+            # a lone candidate is taken without consuming a random draw
+            assert engine.rng.getstate() == random.Random(0).getstate()
 
     def test_strict_argmax_on_depth(self):
         # two unjustified gates at different depths: depth-max must take the deeper
         c = build_circuit([INPUT, [lit(0)], [lit(1)], [lit(2)]])
+        cc = ConstrainedCircuit(c, {})
         asg = evaluate(c, {0: 1})
         asg.flip(1)   # unjust: {1, 2}
         profile = build_profile(c)
         assert asg.unjust == frozenset({1, 2})
         assert profile.depth[1] > profile.depth[2]
         for seed in range(20):
-            assert select_gate(asg, profile, "depth-max", random.Random(seed)) == 1
-            assert select_gate(asg, profile, "depth-min", random.Random(seed)) == 2
+            assert engine_on(cc, asg, "depth-max", random.Random(seed))._select() == 1
+            assert engine_on(cc, asg, "depth-min", random.Random(seed))._select() == 2
 
     def test_cc_heuristic_uses_current_value(self):
         # one gate per polarity; cc scores must follow the gate's value
@@ -196,11 +202,32 @@ class TestSelectGate:
         asg.pinned = cc.pinned
         asg.flip(3)
         asg.flip(4)
-        profile = build_profile(c)
-        rng = random.Random(0)
         # values are 1 at both, so scores are cc1: gate3 -> 3, gate4 -> 2
-        assert select_gate(asg, profile, "cc-max", rng) == 3
-        assert select_gate(asg, profile, "cc-min", rng) == 4
+        assert engine_on(cc, asg, "cc-max")._select() == 3
+        assert engine_on(cc, asg, "cc-min")._select() == 4
+
+    def test_cc_scores_follow_a_replaced_assignment(self):
+        # a = And(0, 1, 2) scores cc0 = 2 at value 0 and cc1 = 4 at value 1;
+        # b = And(c), c = And(3) scores 3 at either value
+        c = build_circuit([INPUT, INPUT, INPUT, INPUT,
+                           [lit(0), lit(1), lit(2)], [lit(3)], [lit(5)]])
+        cc = ConstrainedCircuit(c, {})
+        profile = build_profile(c)
+        assert (profile.cc0[4], profile.cc1[4], profile.cc0[6], profile.cc1[6]) == (2, 4, 3, 3)
+        # an engine whose own first assignment has a = 1 ...
+        seed = next(s for s in range(100)
+                    if SearchEngine(cc, profile, "cc-max", seed=s).assignment.values[4])
+        engine = SearchEngine(cc, profile, "cc-max", wp=0.0, seed=seed)
+        # ... is handed one where a = 0, so a must score 2 and b (3) wins
+        asg = evaluate(c, {0: 1, 1: 1, 2: 1, 3: 1})
+        asg.flip(4)
+        asg.flip(6)
+        engine.assignment = asg
+        engine.run(1)
+        # justifying b sets c to 0, which c's input no longer supports;
+        # picking a would have flipped one of its inputs and left only b
+        assert asg.values[5] == 0
+        assert asg.unjust == frozenset({4, 5})
 
     def test_uniform_tie_breaking(self):
         # three identical unjustified branches tied on every measure
@@ -213,12 +240,11 @@ class TestSelectGate:
 
         asg = random_complete_extension(cc, ZeroBits())
         assert asg.unjust == frozenset({1, 2, 3})
-        profile = build_profile(c)
         rng = random.Random(12345)
         draws = 10_000
         for heuristic in ("rand", "flow-max", "depth-min"):
-            counts = Counter(select_gate(asg, profile, heuristic, rng)
-                             for _ in range(draws))
+            select = engine_on(cc, asg, heuristic, rng)._select
+            counts = Counter(select() for _ in range(draws))
             assert set(counts) == {1, 2, 3}
             # 3-sigma band around the uniform expectation
             sigma = (draws * (1 / 3) * (2 / 3)) ** 0.5
