@@ -102,6 +102,14 @@ _UNDEFINED = object()
 
 
 def _parse_ascii(lines, header: AigerHeader) -> ConstrainedCircuit:
+    if lines and not lines[-1]:
+        lines.pop()             # the newline that ends the last line
+    promised = header.inputs + header.outputs + header.ands
+    if len(lines) < promised:
+        # checked before allocating anything sized by the header
+        raise MalformedHeader(
+            f"truncated file: header promises {promised} lines (I={header.inputs} "
+            f"O={header.outputs} A={header.ands}), but {len(lines)} follow")
     m = header.max_var
     definitions = [INPUT] + [_UNDEFINED] * m
     pos = 0
@@ -150,7 +158,6 @@ def _parse_int(text) -> int:
 
 def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> ConstrainedCircuit:
     m, i, a = header.max_var, header.inputs, header.ands
-    definitions = [INPUT] * (i + 1) + [_UNDEFINED] * a
     pos = header_end
     output_literals = []
     for _ in range(header.outputs):
@@ -159,6 +166,12 @@ def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> Constrai
             raise MalformedHeader("unexpected end of file in output section")
         output_literals.append(_parse_int(data[pos:end]))
         pos = end + 1
+    if len(data) - pos < 2 * a:
+        # every AND takes two delta bytes at least; checked before allocating
+        raise TruncatedDeltaEncoding(
+            f"truncated file: header promises A={a} (at least {2 * a} delta bytes), "
+            f"but {len(data) - pos} follow the outputs")
+    definitions = [INPUT] * (i + 1) + [_UNDEFINED] * a
 
     def decode_delta():
         nonlocal pos

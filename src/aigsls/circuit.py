@@ -369,26 +369,26 @@ def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
     return assignment._consistent(g)
 
 
-def _justifications(kids):
-    """Both polarities' subset-minimal justifications of one AND gate.
+def _justifications(kids, value):
+    """Subset-minimal justifications of one AND gate holding ``value``.
 
-    ``kids`` is the gate's child Literal tuple; the result shares its gate
-    index objects (fresh ints would cost memory per gate on large circuits).
-    Returns ``(for_one, for_zero)``, each a tuple of justifications, each a
-    tuple of (gate, value) pairs giving the value required at a child *gate*
-    (not at the child literal).  Forcing 1 binds every child literal to 1;
-    forcing 0 needs one child literal bound to 0.  Duplicate child references
-    collapse, in first-occurrence order.  A gate referencing both polarities
-    of one child is constantly 0: forcing 1 is then impossible and forcing 0
-    needs nothing (the empty justification).
+    ``kids`` is the gate's packed child tuple (``gate * 2 + complement``).
+    Returns a tuple of justifications, each a tuple of (gate, value) pairs
+    giving the value required at a child *gate* (not at the child literal).
+    Holding 1 binds every child literal to 1; holding 0 needs one child
+    literal bound to 0.  Duplicate child references collapse, in
+    first-occurrence order.  A gate referencing both polarities of one child
+    is constantly 0: holding 1 is then impossible and holding 0 needs nothing
+    (the empty justification).
     """
-    need = {}
-    for gate, complement in kids:
-        value = 0 if complement else 1
-        if need.setdefault(gate, value) != value:
-            return (), ((),)
-    for_one = tuple(need.items())
-    return (for_one,), tuple(((gate, 1 - value),) for gate, value in for_one)
+    need = {}                       # child gate -> its value under literal 1
+    for p in kids:
+        v = (p & 1) ^ 1
+        if need.setdefault(p >> 1, v) != v:
+            return () if value else ((),)
+    if value:
+        return (tuple(need.items()),)
+    return tuple(((gate, v ^ 1),) for gate, v in need.items())
 
 
 def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
@@ -397,11 +397,10 @@ def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
     Each justification is a tuple of (gate, value) pairs; see
     ``_justifications`` for their order and the constant-0 case.
     """
-    kids = circuit.fanin[g]
+    kids = circuit._packed[g]
     if kids is None:
         raise InputGateHasNoJustification(f"gate {g} is an input gate")
-    for_one, for_zero = _justifications(kids)
-    return list(for_one if v else for_zero)
+    return list(_justifications(kids, v))
 
 
 def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:

@@ -46,6 +46,9 @@ CENSORED_STEPS = 10_000_000
 #: Instances whose median step count falls below this are considered trivial.
 TRIVIAL_STEP_THRESHOLD = 730
 
+#: Steps a try runs between CPU-time checks.
+_CHUNK = 4096
+
 
 class MismatchedInstanceSets(ValueError):
     """Scatter requested over summary sets covering different instances."""
@@ -117,25 +120,22 @@ def lower_median(values):
 
 
 def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
-            timeout: Optional[float] = None, cutoff: Optional[int] = None,
-            chunk: int = 4096, debug: bool = False):
+            timeout: Optional[float] = None, cutoff: Optional[int] = None):
     """Run one search try; return (engine, found, timed_out, cpu_seconds).
 
-    The engine runs in chunks of at most ``chunk`` steps until it reports
+    The engine runs in chunks of at most ``_CHUNK`` steps until it reports
     SAT, reaches ``cutoff`` steps, or (checked between chunks) has used
     ``timeout`` seconds of process CPU time, counted from after the engine
     is built.  Chunking does not change the trajectory.  A SAT verdict whose
     witness fails a full-circuit check raises UnsoundResult.
     """
-    engine = SearchEngine(cc, profile, heuristic, wp, seed, debug=debug)
+    engine = SearchEngine(cc, profile, heuristic, wp, seed)
     start = time.process_time()
     found = timed_out = False
     while True:
-        budget = chunk
-        if cutoff is not None:
-            budget = min(budget, cutoff - engine.steps)
-            if budget <= 0:
-                break
+        budget = _CHUNK if cutoff is None else min(_CHUNK, cutoff - engine.steps)
+        if budget <= 0:
+            break
         found = engine.run(budget)
         if found:
             break
@@ -148,7 +148,7 @@ def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
     return engine, found, timed_out, elapsed
 
 
-def crsat_solve(cc, profile, config: SolverConfig, debug: bool = False) -> SolveResult:
+def crsat_solve(cc, profile, config: SolverConfig) -> SolveResult:
     """Run one search try up to the configured step cutoff.
 
     Returns SAT with a verified witness, or UNKNOWN with no witness once the
@@ -157,15 +157,14 @@ def crsat_solve(cc, profile, config: SolverConfig, debug: bool = False) -> Solve
     """
     config.validate()
     engine, found, _, elapsed = _search(cc, profile, config.heuristic, config.wp,
-                                        config.seed, cutoff=config.cutoff, debug=debug)
+                                        config.seed, cutoff=config.cutoff)
     witness = tuple(engine.assignment.values) if found else None
     return SolveResult("SAT" if found else "UNKNOWN", witness, engine.steps, elapsed)
 
 
 def run_try(cc, profile, instance: str, heuristic: str, wp: float,
             try_index: int, master_seed: int, *, timeout: Optional[float] = None,
-            cutoff: Optional[int] = None, clock: str = "cpu",
-            chunk: int = 4096) -> TryRecord:
+            cutoff: Optional[int] = None, clock: str = "cpu") -> TryRecord:
     """One seeded search try under a wall-clock and/or step budget.
 
     With ``clock="cpu"`` the try is interrupted once its process CPU time
@@ -184,8 +183,7 @@ def run_try(cc, profile, instance: str, heuristic: str, wp: float,
         raise ValueError("need a timeout or a cutoff to bound the try")
     seed = derive_seed(master_seed, instance, heuristic, wp, try_index)
     engine, found, timed_out, elapsed = _search(cc, profile, heuristic, wp, seed,
-                                                timeout=timeout, cutoff=cutoff,
-                                                chunk=chunk)
+                                                timeout=timeout, cutoff=cutoff)
     if clock == "steps":
         recorded_time = float(engine.steps)
     elif timed_out:

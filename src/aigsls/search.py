@@ -41,26 +41,6 @@ class EmptyUnjustSet(RuntimeError):
     """Gate selection requested while every gate is justified."""
 
 
-def _compile_justifications(cc: ConstrainedCircuit):
-    """Per-gate static justification tables, filtered against the pins.
-
-    ``tables[g] = (for_value_1, for_value_0)`` as built by ``_justifications``,
-    minus every justification that would force a constrained gate away from
-    its required value: those can never be applied.  Only a parent of a
-    constrained gate (in practice, of the pinned constant) can lose entries.
-    """
-    circuit = cc.circuit
-    constraints = cc.constraints
-    tables = [None if kids is None else _justifications(kids) for kids in circuit.fanin]
-
-    def admissible(sigma):
-        return all(constraints.get(gate, value) == value for gate, value in sigma)
-
-    for g in {p for c in constraints for p in circuit.fanout[c]}:
-        tables[g] = tuple(tuple(filter(admissible, sigmas)) for sigmas in tables[g])
-    return tables
-
-
 def _make_scorer(profile: StructuralProfile, base: str, values):
     if base == "depth":
         return profile.depth.__getitem__
@@ -128,7 +108,9 @@ class SearchEngine:
         self.debug = debug
         self.steps = 0
         self.assignment = random_complete_extension(cc, self.rng)
-        self._tables = _compile_justifications(cc)
+        # Only a parent of a constrained gate (in practice, of the pinned
+        # constant) has justifications that would force a pin off its value.
+        self._pin_parents = frozenset(p for c in cc.constraints for p in cc.circuit.fanout[c])
         measure, _, direction = heuristic.rpartition("-")
         self._measure = measure or None      # "rand" has no measure
         self._want_max = direction == "max"
@@ -150,7 +132,9 @@ class SearchEngine:
         values = asg.values
         rng = self.rng
         wp = self.wp
-        tables = self._tables
+        packed = self.cc.circuit._packed
+        pins = self.cc.constraints
+        pin_parents = self._pin_parents
         select = self._select
         debug = self.debug
         propagate = asg.propagate_forward
@@ -159,8 +143,10 @@ class SearchEngine:
             if not ulist:
                 return True
             g = select()
-            for_one, for_zero = tables[g]
-            sigmas = for_one if values[g] else for_zero
+            sigmas = _justifications(packed[g], values[g])
+            if g in pin_parents:
+                # drop every justification that would flip a pinned gate
+                sigmas = [s for s in sigmas if all(pins.get(gt, v) == v for gt, v in s)]
             n_sig = len(sigmas)
             if n_sig == 0:
                 # every justification would violate a pin; burn the step

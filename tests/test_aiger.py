@@ -1,4 +1,9 @@
+import io
+import os
 import random
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +30,7 @@ from aigsls import (
     serialize_ascii,
     serialize_binary,
 )
+from aigsls.cli import run_cli
 from oracles import brute_force_sat, dpll, parse_dimacs
 
 SMALLEST_AND = b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
@@ -213,3 +219,67 @@ class TestGenerator:
         cc = generate_random_sat_aig(inputs, ands, random.Random(seed))
         assert parse_aiger(serialize_ascii(cc).encode()) == cc
         assert parse_aiger(serialize_binary(cc)) == cc
+
+
+def _seed_files():
+    rng = random.Random(3)
+    files = [SMALLEST_AND]
+    for inputs, ands in ((3, 8), (5, 20)):
+        cc = generate_random_sat_aig(inputs, ands, rng)
+        files += [serialize_ascii(cc).encode(), serialize_binary(cc)]
+    return files
+
+
+SEED_FILES = _seed_files()
+
+
+@st.composite
+def mutated_aiger(draw):
+    """A small valid AIGER file with flipped bytes, cut spans and huge header counts."""
+    data = bytearray(draw(st.sampled_from(SEED_FILES)))
+    for cut in draw(st.lists(st.booleans(), max_size=3)):
+        if cut:
+            start = draw(st.integers(0, len(data)))
+            del data[start:draw(st.integers(start, len(data)))]
+        elif data:
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    # Header counts go last: a binary file lists no inputs, so its input count
+    # is a real size, and no later flip may turn "aag" with a huge one into "aig".
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    fields = data[:end].split()
+    if len(fields) == 6 and all(f.isdigit() for f in fields[1:]) and draw(st.booleans()):
+        _, i, l, o, a = (int(f) for f in fields[1:])
+        huge = st.integers(10**6, 10**9)
+        if fields[0] == b"aag" and draw(st.booleans()):
+            i = draw(huge)
+        if draw(st.booleans()):
+            o = draw(huge)
+        if draw(st.booleans()):
+            a = draw(huge)
+        data[:end] = b"%s %d %d %d %d %d" % (fields[0], i + l + a, i, l, o, a)
+    return bytes(data)
+
+
+class TestHostileInput:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_aiger())
+    def test_mutated_files_fail_cleanly_in_bounded_memory(self, data):
+        assert len(data) < 1024
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.aig")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            tracemalloc.start()
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run_cli(["export-cnf", path])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert peak < 2_000_000, f"{peak} bytes traced for a {len(data)}-byte file"

@@ -14,12 +14,15 @@ from aigsls import (
     InstanceSummary,
     Literal,
     MismatchedInstanceSets,
+    SolverConfig,
     TryRecord,
     build_circuit,
     build_profile,
+    crsat_solve,
     derive_seed,
     emit_cactus_csv,
     emit_scatter_csv,
+    evaluate,
     filter_trivial,
     generate_random_sat_aig,
     lower_median,
@@ -409,3 +412,41 @@ class TestGoldenTrajectory:
             "tries.csv": "f59f9fd068ff793af97cdbfe3bd75e3ef177633ee9f97b2be5c71408d68bfd0e",
             "summaries.csv": "c6e1e300a39f40db40a450a0250550d6cb9d3af72508fd6d8b60206d8a805819",
         }
+
+    def test_readers_of_the_constant_gate_reproduce_recorded_outputs(self):
+        # Generated instances never read gate 0, so the digest above cannot
+        # see the pin filter.  Here about a third of the ANDs read the pinned
+        # constant, in both polarities: a justification forcing it to 0 must
+        # be dropped at either value of the selected gate.
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        for _ in range(4):
+            cc = const_reader_instance(rng, inputs=5, ands=40)
+            profile = build_profile(cc.circuit)
+            for heuristic in HEURISTICS:
+                for seed in (1, 2):
+                    result = crsat_solve(cc, profile,
+                                         SolverConfig(heuristic, 0.3, 2000, seed))
+                    digest.update(repr((result.status, result.steps_used,
+                                        result.witness)).encode())
+        assert digest.hexdigest() == (
+            "f3cbc8a77789fe39efe1ac39139bd8f8e4625258c6d238fea6095bbd4fe2e097")
+
+
+def const_reader_instance(rng, inputs, ands):
+    """Planted-witness 2-ary AND DAG whose ANDs often read the constant gate 0."""
+    definitions = [INPUT] * (1 + inputs)
+    for g in range(1 + inputs, 1 + inputs + ands):
+        a = 0 if rng.random() < 0.3 else rng.randrange(1, g)
+        b = rng.randrange(1, g)
+        definitions.append([Literal(a, bool(rng.getrandbits(1))),
+                            Literal(b, bool(rng.getrandbits(1)))])
+    circuit = build_circuit(definitions)
+    hidden = {g: rng.getrandbits(1) for g in circuit.inputs}
+    hidden[0] = 1
+    witness = evaluate(circuit, hidden)
+    constraints = {0: True}
+    for g in circuit.outputs:
+        if not circuit.is_input(g):
+            constraints[g] = bool(witness.values[g])
+    return ConstrainedCircuit(circuit, constraints, const_gate=0)
