@@ -56,11 +56,8 @@ class AigerHeader(NamedTuple):
 def _decode_literal(lit: int, max_var: int) -> Literal:
     if lit < 0 or lit > 2 * max_var + 1:
         raise LiteralOutOfRange(f"literal {lit} out of range for {max_var} variables")
-    var, neg = lit >> 1, bool(lit & 1)
-    if var == 0:
-        # constant gate holds 1, so the TRUE literal (1) is uncomplemented
-        return Literal(0, not neg)
-    return Literal(var, neg)
+    lit ^= lit < 2          # gate 0 holds 1 while AIGER variable 0 is FALSE
+    return Literal(lit >> 1, lit & 1)
 
 
 def _parse_header(line: bytes) -> tuple[str, AigerHeader]:
@@ -228,10 +225,8 @@ def _var_map(cc: ConstrainedCircuit):
 
 
 def _encode_literal(lit: Literal, var_of) -> int:
-    var = var_of(lit.gate)
-    if var == 0:
-        return 0 if lit.complement else 1
-    return 2 * var + lit.complement
+    code = 2 * var_of(lit.gate) + lit.complement
+    return code ^ (code < 2)
 
 
 def _output_literals(cc: ConstrainedCircuit, var_of):
@@ -349,8 +344,7 @@ def generate_random_sat_aig(num_inputs: int, num_ands: int,
         kids = (Literal(a, bool(rng.getrandbits(1))),
                 Literal(b, bool(rng.getrandbits(1))))
         # larger literal first, matching the binary form's operand order
-        definitions.append(tuple(sorted(kids, key=lambda k: (k.gate, k.complement),
-                                        reverse=True)))
+        definitions.append(tuple(sorted(kids, reverse=True)))
     circuit = build_circuit(definitions)
     hidden = {0: 1}
     for g in range(1, num_inputs + 1):

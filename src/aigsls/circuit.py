@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class CircuitError(ValueError):
@@ -39,14 +39,32 @@ class InputGateHasNoJustification(CircuitError):
     pass
 
 
-class Literal(NamedTuple):
-    """Reference to a gate, optionally through an inverter."""
+class Literal(int):
+    """Reference to a gate, optionally through an inverter.
 
-    gate: int
-    complement: bool = False
+    The value is the packed literal ``gate * 2 + complement``, the AIGER
+    literal encoding, so hot loops read ``p >> 1`` and ``p & 1`` directly.
+    """
 
-    def __invert__(self) -> "Literal":
-        return Literal(self.gate, not self.complement)
+    __slots__ = ()
+
+    def __new__(cls, gate: int, complement: bool = False):
+        return super().__new__(cls, gate * 2 + bool(complement))
+
+    def __getnewargs__(self):
+        # int's version would pass the packed value as ``gate``
+        return self >> 1, bool(self & 1)
+
+    @property
+    def gate(self) -> int:
+        return self >> 1
+
+    @property
+    def complement(self) -> bool:
+        return bool(self & 1)
+
+    def __repr__(self):
+        return f"Literal({self >> 1}, {bool(self & 1)})"
 
 
 # Marker for input gates in build_circuit definitions.
@@ -57,21 +75,22 @@ class Circuit:
     """Immutable gate graph with fanout adjacency and a fixed topological order.
 
     Gates are densely indexed from 0.  ``fanin[g]`` is None for input gates
-    and a tuple of child Literals for AND gates.  ``fanout[g]`` lists the
-    distinct parent gates of g.  ``topo_order`` places every gate strictly
-    after all of its children; ``topo_pos[g]`` is g's position in it.
+    and a tuple of child Literals (packed ints) for AND gates.  ``fanout[g]``
+    lists the distinct parent gates of g in index order and its mirror
+    ``fanin_gates[g]`` the distinct child gates, without polarity, for the
+    level, flow and closure walks.  ``topo_order`` places every gate
+    strictly after all of its children; ``topo_pos[g]`` is g's position in it.
     """
 
     __slots__ = ("fanin", "fanin_gates", "fanout", "topo_order", "topo_pos",
-                 "inputs", "outputs", "_packed")
+                 "inputs", "outputs")
 
-    def __init__(self, fanin, fanin_gates, fanout, topo_order, topo_pos, packed):
+    def __init__(self, fanin, fanin_gates, fanout, topo_order, topo_pos):
         self.fanin = fanin
         self.fanin_gates = fanin_gates
         self.fanout = fanout
         self.topo_order = topo_order
         self.topo_pos = topo_pos
-        self._packed = packed
         self.inputs = tuple(g for g, kids in enumerate(fanin) if kids is None)
         self.outputs = tuple(g for g in range(len(fanin)) if not fanout[g])
 
@@ -96,44 +115,33 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
     """Build and validate a Circuit from positional gate definitions.
 
     Each entry is either ``INPUT`` (None) for an input gate or a nonempty
-    iterable of Literals (or (gate, complement) pairs) for an AND gate.
-    Children may reference any gate index as long as the graph stays acyclic.
+    iterable of Literals for an AND gate.  Children may reference any gate
+    index as long as the graph stays acyclic.
 
     Raises DanglingReference for out-of-range children, CircuitError for
     childless AND gates and CycleDetected when no topological order exists.
     """
     n = len(definitions)
-    fanin = []
-    for g, record in enumerate(definitions):
-        if record is None:
-            fanin.append(None)
+    fanin = tuple(None if record is None else tuple(record) for record in definitions)
+    fanin_gates = [None] * n
+    fanout = [[] for _ in range(n)]
+    remaining = [0] * n             # distinct children not yet placed, for Kahn
+    for g, kids in enumerate(fanin):
+        if kids is None:
             continue
-        kids = tuple(Literal(int(k[0]), bool(k[1])) for k in record)
         if not kids:
             raise CircuitError(f"gate {g}: AND gate must have at least one child")
         for lit in kids:
             if not 0 <= lit.gate < n:
                 raise DanglingReference(f"gate {g} references undefined gate {lit.gate}")
-        fanin.append(kids)
-    fanin = tuple(fanin)
-
-    parent_sets = [set() for _ in range(n)]
-    for g, kids in enumerate(fanin):
-        if kids is not None:
-            for lit in kids:
-                parent_sets[lit.gate].add(g)
-    fanout = tuple(tuple(sorted(s)) for s in parent_sets)
-
-    fanin_gates = tuple(
-        None if kids is None else tuple(dict.fromkeys(lit.gate for lit in kids))
-        for kids in fanin
-    )
+        fanin_gates[g] = gates = tuple(dict.fromkeys(p >> 1 for p in kids))
+        remaining[g] = len(gates)
+        # parents arrive in index order, so every fanout list is sorted and distinct
+        for c in gates:
+            fanout[c].append(g)
+    fanout = tuple(map(tuple, fanout))
 
     # Kahn's algorithm; every gate must be placed after its children.
-    remaining = [0] * n
-    for g, kids in enumerate(fanin_gates):
-        if kids is not None:
-            remaining[g] = len(kids)
     ready = deque(g for g in range(n) if remaining[g] == 0)
     topo_order = []
     while ready:
@@ -149,11 +157,7 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
     for pos, g in enumerate(topo_order):
         topo_pos[g] = pos
 
-    packed = tuple(
-        None if kids is None else tuple(lit.gate * 2 + lit.complement for lit in kids)
-        for kids in fanin
-    )
-    return Circuit(fanin, fanin_gates, fanout, tuple(topo_order), tuple(topo_pos), packed)
+    return Circuit(fanin, tuple(fanin_gates), fanout, tuple(topo_order), tuple(topo_pos))
 
 
 class ConstrainedCircuit:
@@ -201,7 +205,7 @@ class ConstrainedCircuit:
 def _unjustified(circuit: Circuit, values):
     """Yield, in index order, every AND gate whose value differs from the AND
     of its child literal values."""
-    for g, kids in enumerate(circuit._packed):
+    for g, kids in enumerate(circuit.fanin):
         if kids is None:
             continue
         v = 1
@@ -215,9 +219,9 @@ def _unjustified(circuit: Circuit, values):
 
 def _evaluate_ands(circuit: Circuit, values: bytearray):
     """Set every AND gate to the AND of its child literals, in topological order."""
-    packed = circuit._packed
+    fanin = circuit.fanin
     for g in circuit.topo_order:
-        kids = packed[g]
+        kids = fanin[g]
         if kids is None:
             continue
         v = 1
@@ -266,7 +270,7 @@ class Assignment:
         return Assignment(self.circuit, self.values, self.pinned)
 
     def _consistent(self, g: int) -> bool:
-        kids = self.circuit._packed[g]
+        kids = self.circuit.fanin[g]
         values = self.values
         v = 1
         for p in kids:
@@ -277,7 +281,7 @@ class Assignment:
 
     def _refresh(self, g: int):
         # recompute g's membership in the unjust set after a nearby flip
-        if self.circuit._packed[g] is None:
+        if self.circuit.fanin[g] is None:
             return
         pos = self.upos[g]
         if self._consistent(g):
@@ -372,7 +376,7 @@ def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
 def _justifications(kids, value):
     """Subset-minimal justifications of one AND gate holding ``value``.
 
-    ``kids`` is the gate's packed child tuple (``gate * 2 + complement``).
+    ``kids`` is the gate's ``fanin`` tuple, read as packed literals.
     Returns a tuple of justifications, each a tuple of (gate, value) pairs
     giving the value required at a child *gate* (not at the child literal).
     Holding 1 binds every child literal to 1; holding 0 needs one child
@@ -397,7 +401,7 @@ def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
     Each justification is a tuple of (gate, value) pairs; see
     ``_justifications`` for their order and the constant-0 case.
     """
-    kids = circuit._packed[g]
+    kids = circuit.fanin[g]
     if kids is None:
         raise InputGateHasNoJustification(f"gate {g} is an input gate")
     return list(_justifications(kids, v))

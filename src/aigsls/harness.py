@@ -70,8 +70,6 @@ class SolverConfig:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
         if not 0.0 <= self.wp <= 1.0:
             raise ValueError(f"noise must be within [0, 1], got {self.wp}")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
 
 
 @dataclass
@@ -127,8 +125,13 @@ def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
     SAT, reaches ``cutoff`` steps, or (checked between chunks) has used
     ``timeout`` seconds of process CPU time, counted from after the engine
     is built.  Chunking does not change the trajectory.  A SAT verdict whose
-    witness fails a full-circuit check raises UnsoundResult.
+    witness fails a full-circuit check raises UnsoundResult.  A timeout must
+    be positive and finite and a cutoff nonnegative (ValueError otherwise).
     """
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be a positive, finite number of seconds, got {timeout}")
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     engine = SearchEngine(cc, profile, heuristic, wp, seed)
     start = time.process_time()
     found = timed_out = False

@@ -109,9 +109,9 @@ def compute_scoap_cc(circuit: Circuit):
     n = circuit.num_gates
     cc0 = [1] * n
     cc1 = [1] * n
-    packed = circuit._packed
+    fanin = circuit.fanin
     for g in circuit.topo_order:
-        kids = packed[g]
+        kids = fanin[g]
         if kids is None:
             continue
         cc0[g] = 1 + min((cc1[p >> 1] if p & 1 else cc0[p >> 1]) for p in kids)
@@ -127,7 +127,7 @@ def compute_scoap_co(circuit: Circuit, cc0, cc1) -> list[int]:
     """
     n = circuit.num_gates
     co = [0] * n
-    packed = circuit._packed
+    fanin = circuit.fanin
     fanout = circuit.fanout
     for g in reversed(circuit.topo_order):
         parents = fanout[g]
@@ -136,7 +136,7 @@ def compute_scoap_co(circuit: Circuit, cc0, cc1) -> list[int]:
         best = None
         for p in parents:
             total = co[p]
-            for q in packed[p]:
+            for q in fanin[p]:
                 if q >> 1 != g:
                     total += cc0[q >> 1] if q & 1 else cc1[q >> 1]
             if best is None or total < best:

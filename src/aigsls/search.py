@@ -132,7 +132,7 @@ class SearchEngine:
         values = asg.values
         rng = self.rng
         wp = self.wp
-        packed = self.cc.circuit._packed
+        fanin = self.cc.circuit.fanin
         pins = self.cc.constraints
         pin_parents = self._pin_parents
         select = self._select
@@ -143,7 +143,7 @@ class SearchEngine:
             if not ulist:
                 return True
             g = select()
-            sigmas = _justifications(packed[g], values[g])
+            sigmas = _justifications(fanin[g], values[g])
             if g in pin_parents:
                 # drop every justification that would flip a pinned gate
                 sigmas = [s for s in sigmas if all(pins.get(gt, v) == v for gt, v in s)]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -86,6 +88,21 @@ class TestBuildCircuit:
                 if kids is not None:
                     for l in kids:
                         assert g in c.fanout[l.gate]
+
+
+class TestLiteral:
+    def test_int_value_and_fields(self):
+        x = Literal(5, True)
+        assert x == 11 and isinstance(x, int)
+        assert (x.gate, x.complement) == (5, True)
+        assert (Literal(5).gate, Literal(5).complement) == (5, False)
+
+    def test_pickle_and_deepcopy_keep_gate_and_complement(self):
+        # int's own __getnewargs__ would rebuild Literal(11, False)
+        c = random_dag(random.Random(13), 40)
+        assert pickle.loads(pickle.dumps(c.fanin)) == c.fanin
+        x = copy.deepcopy(Literal(5, True))
+        assert (x.gate, x.complement) == (5, True)
 
 
 class TestEvaluate:

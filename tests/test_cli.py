@@ -1,6 +1,14 @@
+import csv
+import io
 import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aigsls import Assignment, parse_aiger, verify_satisfying
 from aigsls.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, run_cli
@@ -115,6 +123,15 @@ class TestTune:
         run_cli(argv)
         assert capsys.readouterr().out == first
 
+    def test_nan_timeout_is_a_one_line_error(self, aag, capsys):
+        path = aag("bad.aag", VIOLATED)
+        argv = ["tune", path, "--tries", "1", "--noises", "0.2",
+                "--timeout", "nan", "--cutoff", "2000"]
+        assert run_cli(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
 
 class TestBench:
     def test_runs_config(self, tmp_path, capsys):
@@ -135,18 +152,22 @@ class TestBench:
         for name in ("tries.csv", "summaries.csv", "cactus.csv", "scatter.csv"):
             assert (tmp_path / "out" / name).exists()
 
-    @pytest.mark.parametrize("field, value", [
-        ("tries", "3"),
-        ("generate", {"count": 2, "min_ands": 6, "max_ands": 10}),
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"tries": "3"}, id="tries-3"),
+        pytest.param({"generate": {"count": 2, "min_ands": 6, "max_ands": 10}},
+                     id="generate-value1"),
+        pytest.param({"clock": "cpu", "timeout": math.nan}, id="timeout-nan"),
+        pytest.param({"clock": "cpu", "timeout": -1}, id="timeout-negative"),
+        pytest.param({"cutoff": -1}, id="cutoff-negative"),
     ])
-    def test_mistyped_config_is_a_one_line_error(self, tmp_path, capsys, field, value):
+    def test_mistyped_config_is_a_one_line_error(self, tmp_path, capsys, overrides):
         config = {
             "output_dir": str(tmp_path / "out"),
             "generate": {"count": 2, "inputs": 4, "min_ands": 6, "max_ands": 10},
             "timeout": None,
             "cutoff": 2000,
             "clock": "steps",
-            field: value,
+            **overrides,
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -154,6 +175,62 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+
+#: Values swapped into a mutated config field; none of them enlarges the work.
+HOSTILE = (math.nan, math.inf, -math.inf, -1, 0, 0.5, "x", True, None, [], {})
+
+
+@st.composite
+def hostile_config(draw):
+    """A tiny valid bench config with one to three keys dropped or swapped.
+
+    ``output_dir`` and ``jobs`` are never touched (a mutated ``jobs`` would
+    ask for that many worker processes), ``tries`` and ``cutoff`` are never
+    dropped and ``cutoff`` never becomes null, so no mutant runs longer than
+    the original: one 10-20 AND instance, one try of at most 200 steps.
+    """
+    generate = {"count": 1, "inputs": 4, "min_ands": 10, "max_ands": 20, "seed": 1}
+    config = {"instances": [], "generate": generate, "heuristics": ["rand"],
+              "noises": [0.2], "tries": 1, "timeout": None, "cutoff": 200,
+              "master_seed": 0, "clock": "steps", "scatter_pairs": [["rand", "rand"]],
+              "trivial_heuristic": "rand", "trivial_threshold": 730}
+    slots = [(block, key) for block in (config, generate) for key in block]
+    for _ in range(draw(st.integers(1, 3))):
+        block, key = draw(st.sampled_from(slots))
+        value = block.get(key)
+        swaps = [v for v in HOSTILE if not (key == "cutoff" and v is None)]
+        if isinstance(value, list):
+            swaps += [value * 2] + [[v] for v in HOSTILE]
+        if key == "clock":
+            swaps.append("cpu")
+        if key not in ("tries", "cutoff") and draw(st.booleans()):
+            block.pop(key, None)
+        else:
+            block[key] = draw(st.sampled_from(swaps))
+    return config
+
+
+class TestHostileConfig:
+    @settings(max_examples=100, deadline=None)
+    @given(hostile_config())
+    def test_mutated_configs_fail_cleanly(self, config):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config["output_dir"] = os.path.join(tmp, "out")
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run_cli(["bench", path])
+            assert code in (0, EXIT_ERROR)
+            if code == EXIT_ERROR:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            else:
+                with open(os.path.join(tmp, "out", "tries.csv"), newline="") as fh:
+                    times = [float(row["time"]) for row in csv.DictReader(fh)]
+                assert all(math.isfinite(t) and t >= 0 for t in times), times
 
 
 class TestErrors:
