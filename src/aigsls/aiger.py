@@ -109,30 +109,21 @@ def _parse_ascii(lines, header: AigerHeader) -> ConstrainedCircuit:
             f"O={header.outputs} A={header.ands}), but {len(lines)} follow")
     m = header.max_var
     definitions = [INPUT] + [_UNDEFINED] * m
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        if pos >= len(lines):
-            raise MalformedHeader("unexpected end of file")
-        line = lines[pos]
-        pos += 1
-        return line
-
+    body = iter(lines)      # holds all I+O+A lines, checked above
     for _ in range(header.inputs):
-        lit = _parse_int(next_line())
+        lit = _parse_int(next(body))
         if lit & 1 or not 2 <= lit <= 2 * m:
             raise MalformedHeader(f"invalid input literal {lit}")
         var = lit >> 1
         if definitions[var] is not _UNDEFINED:
             raise DuplicateDefinition(f"variable {var} defined twice")
         definitions[var] = INPUT
-    output_literals = [_parse_int(next_line()) for _ in range(header.outputs)]
+    output_literals = [_parse_int(next(body)) for _ in range(header.outputs)]
     for out in output_literals:
         if not 0 <= out <= 2 * m + 1:
             raise LiteralOutOfRange(f"output literal {out} out of range")
     for _ in range(header.ands):
-        fields = next_line().split()
+        fields = next(body).split()
         if len(fields) != 3:
             raise MalformedHeader(f"AND line needs three literals: {fields}")
         lhs, rhs0, rhs1 = (_parse_int(f) for f in fields)

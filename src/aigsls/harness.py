@@ -20,9 +20,8 @@ seeded try) and ``crsat_solve`` (a single solve) are thin adapters over it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
+import itertools
 import json
 import math
 import os
@@ -34,8 +33,8 @@ from typing import Optional, Sequence
 
 from .aiger import generate_random_sat_aig, load_aiger, serialize_ascii
 from .circuit import verify_satisfying
-from .metrics import build_profile
-from .search import HEURISTICS, SearchEngine
+from .metrics import build_profile, csv_text
+from .search import SearchEngine, check_settings
 
 #: Candidate noise values of the reference tuning protocol.
 DEFAULT_NOISES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -64,12 +63,6 @@ class SolverConfig:
     wp: float = 0.2
     cutoff: int = 1_000_000
     seed: int = 0
-
-    def validate(self):
-        if self.heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {self.heuristic!r}")
-        if not 0.0 <= self.wp <= 1.0:
-            raise ValueError(f"noise must be within [0, 1], got {self.wp}")
 
 
 @dataclass
@@ -117,6 +110,35 @@ def lower_median(values):
     return ordered[(len(ordered) - 1) // 2]
 
 
+def _check_budget(clock: str, timeout: Optional[float], cutoff: Optional[int]):
+    """Check the clock, timeout and cutoff of a try; ValueError otherwise."""
+    if clock not in ("cpu", "steps"):
+        raise ValueError(f"unknown clock {clock!r}")
+    if clock == "steps" and (cutoff is None or timeout is not None):
+        raise ValueError("steps clock needs a cutoff and no wall timeout")
+    if timeout is None and cutoff is None:
+        raise ValueError("need a timeout or a cutoff to bound the try")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be a positive, finite number of seconds, got {timeout}")
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+
+
+def _check_protocol(heuristics, noises, tries: int):
+    """Reject missing, repeated (by value) or invalid heuristics and noises, or no tries."""
+    if not heuristics:
+        raise ValueError("no heuristics configured")
+    if not noises:
+        raise ValueError("no noise candidates configured")
+    for name, values in (("heuristics", heuristics), ("noises", noises)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
+    for heuristic, wp in itertools.product(heuristics, noises):
+        check_settings(heuristic, wp)
+    if tries < 1:
+        raise ValueError("tries must be at least 1")
+
+
 def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
             timeout: Optional[float] = None, cutoff: Optional[int] = None):
     """Run one search try; return (engine, found, timed_out, cpu_seconds).
@@ -125,13 +147,9 @@ def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
     SAT, reaches ``cutoff`` steps, or (checked between chunks) has used
     ``timeout`` seconds of process CPU time, counted from after the engine
     is built.  Chunking does not change the trajectory.  A SAT verdict whose
-    witness fails a full-circuit check raises UnsoundResult.  A timeout must
-    be positive and finite and a cutoff nonnegative (ValueError otherwise).
+    witness fails a full-circuit check raises UnsoundResult.  Callers check
+    the budget with ``_check_budget`` first.
     """
-    if timeout is not None and not 0 < timeout < math.inf:
-        raise ValueError(f"timeout must be a positive, finite number of seconds, got {timeout}")
-    if cutoff is not None and cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     engine = SearchEngine(cc, profile, heuristic, wp, seed)
     start = time.process_time()
     found = timed_out = False
@@ -158,7 +176,7 @@ def crsat_solve(cc, profile, config: SolverConfig) -> SolveResult:
     cutoff is reached.  A SAT verdict whose assignment fails verification
     raises UnsoundResult instead of being returned.
     """
-    config.validate()
+    _check_budget("cpu", None, config.cutoff)
     engine, found, _, elapsed = _search(cc, profile, config.heuristic, config.wp,
                                         config.seed, cutoff=config.cutoff)
     witness = tuple(engine.assignment.values) if found else None
@@ -177,13 +195,7 @@ def run_try(cc, profile, instance: str, heuristic: str, wp: float,
     statistic reproducible bit for bit; a step cutoff is then required and
     no wall timeout is allowed.
     """
-    if clock not in ("cpu", "steps"):
-        raise ValueError(f"unknown clock {clock!r}")
-    if clock == "steps":
-        if cutoff is None or timeout is not None:
-            raise ValueError("steps clock needs a cutoff and no wall timeout")
-    elif timeout is None and cutoff is None:
-        raise ValueError("need a timeout or a cutoff to bound the try")
+    _check_budget(clock, timeout, cutoff)
     seed = derive_seed(master_seed, instance, heuristic, wp, try_index)
     engine, found, timed_out, elapsed = _search(cc, profile, heuristic, wp, seed,
                                                 timeout=timeout, cutoff=cutoff)
@@ -202,12 +214,21 @@ def censored_steps(record: TryRecord) -> int:
     return record.steps if record.outcome == "SAT" else CENSORED_STEPS
 
 
-def _rank_noises(per_wp: dict, master_seed: int, instance: str, heuristic: str) -> float:
-    """Best noise by success rate, then median time; residual ties uniform."""
+def _rank_noises(records: Sequence[TryRecord], master_seed: int, instance: str,
+                 heuristic: str) -> float:
+    """Best noise by success rate, then median time; residual ties uniform.
+
+    ``records`` hold the same number of tries at each candidate noise, and
+    the candidates keep the order of their first records.
+    """
+    per_wp = {}
+    for record in records:
+        per_wp.setdefault(record.wp, []).append(record)
+
     def key(wp):
-        records = per_wp[wp]
-        successes = sum(r.outcome == "SAT" for r in records)
-        return (-successes, lower_median([r.time for r in records]))
+        group = per_wp[wp]
+        successes = sum(r.outcome == "SAT" for r in group)
+        return (-successes, lower_median([r.time for r in group]))
 
     best = min(key(wp) for wp in per_wp)
     ties = [wp for wp in per_wp if key(wp) == best]
@@ -227,20 +248,11 @@ def optimize_noise(cc, profile, instance: str, heuristic: str, *, tries: int,
     Runs ``tries`` seeded tries per candidate (the reference protocol uses a
     wall timeout and no step limit) and returns (best_wp, all records).
     """
-    if not candidates:
-        raise ValueError("need at least one candidate noise value")
-    if tries < 1:
-        raise ValueError("need at least one try")
-    records = []
-    per_wp = {}
-    for wp in candidates:
-        recs = [run_try(cc, profile, instance, heuristic, wp, i, master_seed,
-                        timeout=timeout, cutoff=cutoff, clock=clock)
-                for i in range(tries)]
-        per_wp[wp] = recs
-        records.extend(recs)
-    best = _rank_noises(per_wp, master_seed, instance, heuristic)
-    return best, records
+    _check_protocol([heuristic], candidates, tries)
+    records = [run_try(cc, profile, instance, heuristic, wp, i, master_seed,
+                       timeout=timeout, cutoff=cutoff, clock=clock)
+               for wp in candidates for i in range(tries)]
+    return _rank_noises(records, master_seed, instance, heuristic), records
 
 
 def summarize(records: Sequence[TryRecord], tries: int) -> InstanceSummary:
@@ -271,15 +283,12 @@ def summarize(records: Sequence[TryRecord], tries: int) -> InstanceSummary:
 
 def emit_cactus_csv(summaries: Sequence[InstanceSummary]) -> str:
     """Solved instances per heuristic, sorted by median time, ranked 1..k."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["heuristic", "rank", "median_time"])
+    rows = []
     for heuristic in sorted({s.heuristic for s in summaries}):
         solved = [s for s in summaries if s.heuristic == heuristic and s.solved]
         solved.sort(key=lambda s: (s.median_time, s.instance))
-        for rank, s in enumerate(solved, start=1):
-            writer.writerow([heuristic, rank, s.median_time])
-    return out.getvalue()
+        rows += [[heuristic, rank, s.median_time] for rank, s in enumerate(solved, start=1)]
+    return csv_text(["heuristic", "rank", "median_time"], rows)
 
 
 def emit_scatter_csv(summaries_a: Sequence[InstanceSummary],
@@ -291,17 +300,12 @@ def emit_scatter_csv(summaries_a: Sequence[InstanceSummary],
         raise MismatchedInstanceSets("summary sets cover different instances")
     name_a = summaries_a[0].heuristic if summaries_a else "a"
     name_b = summaries_b[0].heuristic if summaries_b else "b"
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["instance", name_a, name_b])
-    for instance in sorted(by_a):
-        sa, sb = by_a[instance], by_b[instance]
-        writer.writerow([
-            instance,
-            sa.median_steps if sa.solved else CENSORED_STEPS,
-            sb.median_steps if sb.solved else CENSORED_STEPS,
-        ])
-    return out.getvalue()
+
+    def steps(s):
+        return s.median_steps if s.solved else CENSORED_STEPS
+
+    return csv_text(["instance", name_a, name_b],
+                    [[i, steps(by_a[i]), steps(by_b[i])] for i in sorted(by_a)])
 
 
 def filter_trivial(summaries: Sequence[InstanceSummary],
@@ -313,26 +317,20 @@ def filter_trivial(summaries: Sequence[InstanceSummary],
 
 
 def records_to_csv(records: Sequence[TryRecord]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["instance", "heuristic", "wp", "try", "seed", "outcome",
-                     "steps", "time"])
-    for r in sorted(records, key=lambda r: (r.instance, r.heuristic, r.wp, r.try_index)):
-        writer.writerow([r.instance, r.heuristic, r.wp, r.try_index, r.seed,
-                         r.outcome, r.steps, r.time])
-    return out.getvalue()
+    ordered = sorted(records, key=lambda r: (r.instance, r.heuristic, r.wp, r.try_index))
+    return csv_text(["instance", "heuristic", "wp", "try", "seed", "outcome",
+                     "steps", "time"],
+                    [[r.instance, r.heuristic, r.wp, r.try_index, r.seed,
+                      r.outcome, r.steps, r.time] for r in ordered])
 
 
 def summaries_to_csv(summaries: Sequence[InstanceSummary]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["instance", "heuristic", "best_wp", "success_rate",
-                     "median_time", "median_steps", "solved"])
-    for s in sorted(summaries, key=lambda s: (s.heuristic, s.instance)):
-        writer.writerow([s.instance, s.heuristic, s.best_wp, s.success_rate,
-                         s.median_time, s.median_steps,
-                         "true" if s.solved else "false"])
-    return out.getvalue()
+    ordered = sorted(summaries, key=lambda s: (s.heuristic, s.instance))
+    return csv_text(["instance", "heuristic", "best_wp", "success_rate",
+                     "median_time", "median_steps", "solved"],
+                    [[s.instance, s.heuristic, s.best_wp, s.success_rate,
+                      s.median_time, s.median_steps,
+                      "true" if s.solved else "false"] for s in ordered])
 
 
 #: Accepted types of each ExperimentConfig field (bool is never accepted).
@@ -404,23 +402,8 @@ class ExperimentConfig:
                 raise ValueError(f"generate needs {', '.join(missing)}")
             for key, value in self.generate.items():
                 _check_type(f"generate {key}", value, (int,))
-        for h in self.heuristics:
-            if h not in HEURISTICS:
-                raise ValueError(f"unknown heuristic {h!r}")
-        if not self.heuristics:
-            raise ValueError("no heuristics configured")
-        if not self.noises:
-            raise ValueError("no noise candidates configured")
-        if any(not 0.0 <= wp <= 1.0 for wp in self.noises):
-            raise ValueError("noise values must lie within [0, 1]")
-        if self.tries < 1:
-            raise ValueError("tries must be at least 1")
-        if self.clock not in ("cpu", "steps"):
-            raise ValueError(f"unknown clock {self.clock!r}")
-        if self.clock == "steps" and (self.cutoff is None or self.timeout is not None):
-            raise ValueError("steps clock needs a cutoff and no wall timeout")
-        if self.clock == "cpu" and self.timeout is None and self.cutoff is None:
-            raise ValueError("need a timeout or a cutoff")
+        _check_protocol(self.heuristics, self.noises, self.tries)
+        _check_budget(self.clock, self.timeout, self.cutoff)
         if not self.instances and not self.generate:
             raise ValueError("no instances configured")
         if self.trivial_heuristic is not None and self.trivial_heuristic not in self.heuristics:
@@ -456,7 +439,7 @@ class ExperimentResult:
     files: dict
 
 
-# per-process parsed-instance cache for worker reuse
+# parsed and profiled instances of the running experiment, per process
 _INSTANCE_CACHE = {}
 
 
@@ -478,33 +461,35 @@ def _run_job(args):
 
 
 def _materialize_instances(config: ExperimentConfig):
-    """Resolve configured plus generated instances to (id, path) pairs."""
-    paths = list(config.instances)
-    if config.generate:
-        spec = config.generate
-        count, inputs = spec["count"], spec["inputs"]
-        lo, hi = spec["min_ands"], spec["max_ands"]
-        rng = random.Random(spec.get("seed", config.master_seed))
-        gen_dir = os.path.join(config.output_dir, "instances")
-        os.makedirs(gen_dir, exist_ok=True)
-        for k in range(count):
-            cc = generate_random_sat_aig(inputs, rng.randint(lo, hi), rng)
-            path = os.path.join(gen_dir, f"gen-{k:04d}.aag")
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(serialize_ascii(cc))
-            paths.append(path)
-    pairs = [(os.path.basename(p), p) for p in paths]
-    ids = [i for i, _ in pairs]
+    """Resolve configured plus generated instances to (id, path) pairs.
+
+    Instance names are checked before the generated files are written.
+    """
+    spec = config.generate or {"count": 0}
+    gen_dir = os.path.join(config.output_dir, "instances")
+    generated = [os.path.join(gen_dir, f"gen-{k:04d}.aag") for k in range(spec["count"])]
+    paths = list(config.instances) + generated
+    ids = [os.path.basename(p) for p in paths]
     if len(set(ids)) != len(ids):
         raise ValueError("instance file names must be unique")
-    return pairs
+    if generated:
+        rng = random.Random(spec.get("seed", config.master_seed))
+        os.makedirs(gen_dir, exist_ok=True)
+        for path in generated:
+            ands = rng.randint(spec["min_ands"], spec["max_ands"])
+            cc = generate_random_sat_aig(spec["inputs"], ands, rng)
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(serialize_ascii(cc))
+    return list(zip(ids, paths))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full protocol and write tries/summaries/cactus/scatter CSVs."""
+    # an earlier experiment may have written other instances to the same paths
+    _INSTANCE_CACHE.clear()
     config.validate()
-    os.makedirs(config.output_dir, exist_ok=True)
     pairs = _materialize_instances(config)
+    os.makedirs(config.output_dir, exist_ok=True)
     jobs = [
         (path, instance, heuristic, wp, try_index, config.master_seed,
          config.timeout, config.cutoff, config.clock)
@@ -518,17 +503,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             records = pool.map(_run_job, jobs, chunksize=1)
     else:
         records = [_run_job(job) for job in jobs]
+    _INSTANCE_CACHE.clear()
 
     grouped = {}
     for record in records:
-        grouped.setdefault((record.instance, record.heuristic), {}) \
-               .setdefault(record.wp, []).append(record)
+        grouped.setdefault((record.instance, record.heuristic), []).append(record)
     summaries = []
-    for instance, _ in pairs:
-        for heuristic in config.heuristics:
-            per_wp = grouped[(instance, heuristic)]
-            best = _rank_noises(per_wp, config.master_seed, instance, heuristic)
-            summaries.append(summarize(per_wp[best], config.tries))
+    for (instance, heuristic), group in grouped.items():
+        best = _rank_noises(group, config.master_seed, instance, heuristic)
+        summaries.append(summarize([r for r in group if r.wp == best], config.tries))
 
     trivial, retained = [], summaries
     if config.trivial_heuristic is not None:
@@ -566,43 +549,39 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def _report(summaries, heuristics) -> str:
     """Plain-text digest: solved counts, median steps, pairwise comparisons."""
-    by_heuristic = {h: {s.instance: s for s in summaries if s.heuristic == h}
-                    for h in heuristics}
+    solved = {h: {s.instance: s for s in summaries if s.heuristic == h and s.solved}
+              for h in heuristics}
     instances = sorted({s.instance for s in summaries})
+
+    def solved_by_both(a, b):
+        return [i for i in instances if i in solved[a] and i in solved[b]]
+
     lines = [f"instances: {len(instances)}"]
     for h in heuristics:
-        entries = by_heuristic[h]
-        solved = [s for s in entries.values() if s.solved]
-        med = lower_median([s.median_steps for s in solved]) if solved else "n/a"
-        lines.append(f"{h}: solved {len(solved)}/{len(instances)}, median steps {med}")
+        steps = [s.median_steps for s in solved[h].values()]
+        med = lower_median(steps) if steps else "n/a"
+        lines.append(f"{h}: solved {len(steps)}/{len(instances)}, median steps {med}")
     lines.append("")
     lines.append("pairwise median-step comparison (instances solved by both):")
     for a in heuristics:
         for b in heuristics:
             if a == b:
                 continue
-            common = [i for i in instances
-                      if by_heuristic[a].get(i, _UNSOLVED).solved
-                      and by_heuristic[b].get(i, _UNSOLVED).solved]
-            wins = sum(by_heuristic[a][i].median_steps <= by_heuristic[b][i].median_steps
+            common = solved_by_both(a, b)
+            wins = sum(solved[a][i].median_steps <= solved[b][i].median_steps
                        for i in common)
             lines.append(f"  {a} <= {b}: {wins}/{len(common)}")
     base = heuristics[0]
     lines.append("")
     lines.append(f"median-step ratio vs {base} (geometric mean, solved by both):")
     for h in heuristics[1:]:
-        common = [i for i in instances
-                  if by_heuristic[h].get(i, _UNSOLVED).solved
-                  and by_heuristic[base].get(i, _UNSOLVED).solved]
+        common = solved_by_both(h, base)
         if not common:
             lines.append(f"  {h}: n/a")
             continue
         log_sum = sum(
-            math.log(max(1, by_heuristic[h][i].median_steps)
-                     / max(1, by_heuristic[base][i].median_steps))
+            math.log(max(1, solved[h][i].median_steps)
+                     / max(1, solved[base][i].median_steps))
             for i in common)
         lines.append(f"  {h}: {math.exp(log_sum / len(common)):.4f}")
     return "\n".join(lines) + "\n"
-
-
-_UNSOLVED = InstanceSummary("", "", 0.0, 0.0, 0.0, 0.0, False)

@@ -36,6 +36,7 @@ Connectivity measures:
 from __future__ import annotations
 
 import csv
+import io
 
 from .circuit import Circuit
 
@@ -170,6 +171,15 @@ def compute_flow(circuit: Circuit, flow_mode: str = "conserving") -> list[float]
     return flow
 
 
+def csv_text(header, rows) -> str:
+    """A header row and data rows as CSV text with newline line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 class StructuralProfile:
     """All per-gate measures of one circuit, ready for constant-time lookup.
 
@@ -234,14 +244,13 @@ class StructuralProfile:
     def write_csv(self, fh):
         """One row per gate with every measure; closures are materialized."""
         self.materialize_closures()
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gate", "depth", "level", "llevel", "alevel", "fo",
-                         "tfo", "tfi", "cc0", "cc1", "co", "flow"])
-        for g in range(self.circuit.num_gates):
-            writer.writerow([g, self.depth[g], self.level[g], self.llevel[g],
-                             repr(self.alevel[g]), self.fanout_size[g],
-                             self._tfo[g], self._tfi[g], self.cc0[g],
-                             self.cc1[g], self.co[g], repr(self.flow[g])])
+        fh.write(csv_text(["gate", "depth", "level", "llevel", "alevel", "fo",
+                           "tfo", "tfi", "cc0", "cc1", "co", "flow"],
+                          ([g, self.depth[g], self.level[g], self.llevel[g],
+                            repr(self.alevel[g]), self.fanout_size[g],
+                            self._tfo[g], self._tfi[g], self.cc0[g],
+                            self.cc1[g], self.co[g], repr(self.flow[g])]
+                           for g in range(self.circuit.num_gates))))
 
 
 def build_profile(circuit: Circuit, alevel_mode: str = "self",

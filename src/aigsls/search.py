@@ -41,6 +41,14 @@ class EmptyUnjustSet(RuntimeError):
     """Gate selection requested while every gate is justified."""
 
 
+def check_settings(heuristic: str, wp: float):
+    """ValueError unless the heuristic is in HEURISTICS and 0 <= wp <= 1."""
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+    if not 0.0 <= wp <= 1.0:
+        raise ValueError(f"noise must be within [0, 1], got {wp}")
+
+
 def _make_scorer(profile: StructuralProfile, base: str, values):
     if base == "depth":
         return profile.depth.__getitem__
@@ -92,12 +100,8 @@ class SearchEngine:
     """
 
     def __init__(self, cc: ConstrainedCircuit, profile: StructuralProfile,
-                 heuristic: str = "rand", wp: float = 0.2, seed: int = 0,
-                 debug: bool = False):
-        if heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {heuristic!r}")
-        if not 0.0 <= wp <= 1.0:
-            raise ValueError(f"noise must be within [0, 1], got {wp}")
+                 heuristic: str = "rand", wp: float = 0.2, seed: int = 0):
+        check_settings(heuristic, wp)
         if profile.circuit is not cc.circuit:
             raise ValueError("profile was built for a different circuit")
         self.cc = cc
@@ -105,7 +109,6 @@ class SearchEngine:
         self.heuristic = heuristic
         self.wp = wp
         self.rng = random.Random(seed)
-        self.debug = debug
         self.steps = 0
         self.assignment = random_complete_extension(cc, self.rng)
         # Only a parent of a constrained gate (in practice, of the pinned
@@ -136,7 +139,6 @@ class SearchEngine:
         pins = self.cc.constraints
         pin_parents = self._pin_parents
         select = self._select
-        debug = self.debug
         propagate = asg.propagate_forward
         flip = asg.flip
         while budget > 0:
@@ -165,8 +167,6 @@ class SearchEngine:
             propagate(flips)
             self.steps += 1
             budget -= 1
-            if debug and not self.steps & 0x3FFF:
-                self._debug_check()
         return False
 
     def _select(self) -> int:
@@ -195,10 +195,6 @@ class SearchEngine:
                 ties = [sigma]
             elif count == best_count:
                 ties.append(sigma)
-        if self.debug:
-            rescan = min(self._trial(s) for s in sigmas)
-            if rescan != best_count:
-                raise AssertionError("greedy choice is not minimal")
         if len(ties) == 1:
             return ties[0]
         return ties[self.rng.randrange(len(ties))]
@@ -214,11 +210,3 @@ class SearchEngine:
         count = len(asg.ulist)
         asg.rollback(undo)
         return count
-
-    def _debug_check(self):
-        asg = self.assignment
-        if frozenset(asg.ulist) != asg.recompute_unjust():
-            raise AssertionError("incremental unjust set diverged from recomputation")
-        for g, v in self.cc.constraints.items():
-            if asg.values[g] != v:
-                raise AssertionError(f"constrained gate {g} lost its pinned value")

@@ -9,27 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigsls import (
-    INPUT,
-    ConstrainedCircuit,
-    ConstraintNotOnOutput,
-    DuplicateDefinition,
+from aigsls.aiger import (
     LatchesUnsupported,
-    Literal,
     LiteralOutOfRange,
     MalformedHeader,
-    SolverConfig,
     TruncatedDeltaEncoding,
     UnsatisfiableConstraints,
-    build_circuit,
-    build_profile,
-    crsat_solve,
     export_dimacs,
     generate_random_sat_aig,
     parse_aiger,
     serialize_ascii,
     serialize_binary,
 )
+from aigsls.circuit import (
+    INPUT,
+    ConstrainedCircuit,
+    ConstraintNotOnOutput,
+    DuplicateDefinition,
+    Literal,
+    build_circuit,
+)
+from aigsls.harness import SolverConfig, crsat_solve
+from aigsls.metrics import build_profile
 from aigsls.cli import run_cli
 from oracles import brute_force_sat, dpll, parse_dimacs
 

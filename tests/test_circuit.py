@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigsls import (
+from aigsls.circuit import (
     INPUT,
     Assignment,
     CircuitError,

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigsls import Assignment, parse_aiger, verify_satisfying
+from aigsls.aiger import parse_aiger
+from aigsls.circuit import Assignment, verify_satisfying
 from aigsls.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, run_cli
 from oracles import dpll, parse_dimacs
 
@@ -159,6 +160,8 @@ class TestBench:
         pytest.param({"clock": "cpu", "timeout": math.nan}, id="timeout-nan"),
         pytest.param({"clock": "cpu", "timeout": -1}, id="timeout-negative"),
         pytest.param({"cutoff": -1}, id="cutoff-negative"),
+        pytest.param({"heuristics": ["rand", "rand"]}, id="heuristics-duplicate"),
+        pytest.param({"noises": [1, 1.0]}, id="noises-duplicate"),
     ])
     def test_mistyped_config_is_a_one_line_error(self, tmp_path, capsys, overrides):
         config = {
@@ -175,6 +178,7 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out" / "instances").exists()
 
 
 #: Values swapped into a mutated config field; none of them enlarges the work.

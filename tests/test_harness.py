@@ -5,33 +5,31 @@ import random
 
 import pytest
 
-from aigsls import (
+from aigsls.aiger import generate_random_sat_aig, serialize_ascii
+from aigsls.circuit import INPUT, ConstrainedCircuit, Literal, build_circuit, evaluate
+from aigsls.harness import (
     CENSORED_STEPS,
     DEFAULT_NOISES,
-    ConstrainedCircuit,
     ExperimentConfig,
-    INPUT,
     InstanceSummary,
-    Literal,
     MismatchedInstanceSets,
     SolverConfig,
     TryRecord,
-    build_circuit,
-    build_profile,
+    _rank_noises,
     crsat_solve,
     derive_seed,
     emit_cactus_csv,
     emit_scatter_csv,
-    evaluate,
     filter_trivial,
-    generate_random_sat_aig,
+    load_config,
     lower_median,
     optimize_noise,
+    records_to_csv,
     run_experiment,
     run_try,
     summarize,
 )
-from aigsls.harness import _rank_noises, load_config, records_to_csv
+from aigsls.metrics import build_profile
 from aigsls.search import HEURISTICS
 
 
@@ -130,26 +128,20 @@ class TestOptimizeNoise:
         assert len(records) == 2 * len(DEFAULT_NOISES)
 
     def test_dominant_candidate_always_wins(self):
-        per_wp = {
-            0.1: [record(wp=0.1, outcome="UNKNOWN", steps=500, time=9.0)] * 3,
-            0.2: [record(wp=0.2, outcome="SAT", steps=10, time=1.0)] * 3,
-        }
+        records = ([record(wp=0.1, outcome="UNKNOWN", steps=500, time=9.0)] * 3
+                   + [record(wp=0.2, outcome="SAT", steps=10, time=1.0)] * 3)
         for master in range(50):
-            assert _rank_noises(per_wp, master, "i", "rand") == 0.2
+            assert _rank_noises(records, master, "i", "rand") == 0.2
 
     def test_median_time_breaks_success_ties(self):
-        per_wp = {
-            0.1: [record(wp=0.1, outcome="SAT", time=5.0)] * 3,
-            0.2: [record(wp=0.2, outcome="SAT", time=2.0)] * 3,
-        }
-        assert _rank_noises(per_wp, 0, "i", "rand") == 0.2
+        records = ([record(wp=0.1, outcome="SAT", time=5.0)] * 3
+                   + [record(wp=0.2, outcome="SAT", time=2.0)] * 3)
+        assert _rank_noises(records, 0, "i", "rand") == 0.2
 
     def test_full_tie_breaks_roughly_evenly(self):
-        per_wp = {
-            0.1: [record(wp=0.1, outcome="SAT", time=1.0)] * 3,
-            0.2: [record(wp=0.2, outcome="SAT", time=1.0)] * 3,
-        }
-        picks = [_rank_noises(per_wp, master, "i", "rand") for master in range(200)]
+        records = ([record(wp=0.1, outcome="SAT", time=1.0)] * 3
+                   + [record(wp=0.2, outcome="SAT", time=1.0)] * 3)
+        picks = [_rank_noises(records, master, "i", "rand") for master in range(200)]
         share = picks.count(0.1) / len(picks)
         assert 0.3 < share < 0.7
 
@@ -160,6 +152,9 @@ class TestOptimizeNoise:
         with pytest.raises(ValueError):
             optimize_noise(cc, profile, "u", "rand", tries=1, timeout=0.01,
                            candidates=[])
+        with pytest.raises(ValueError):
+            optimize_noise(cc, profile, "u", "rand", tries=1, timeout=0.01,
+                           candidates=[0.2, 0.2])
 
 
 class TestSummarize:
@@ -309,6 +304,17 @@ class TestExperiment:
         res_b = run_experiment(base_config(tmp_path / "b", jobs=2))
         assert records_to_csv(res_a.records) == records_to_csv(res_b.records)
 
+    def test_second_run_in_one_process_reads_its_own_instances(self, tmp_path):
+        # both runs write gen-0000.aag and gen-0001.aag into shared/instances
+        def rows(seed, directory):
+            generate = {"count": 2, "inputs": 5, "min_ands": 8, "max_ands": 16, "seed": seed}
+            result = run_experiment(base_config(directory, generate=generate))
+            return [(r.instance, r.heuristic, r.wp, r.try_index, r.outcome, r.steps)
+                    for r in result.records]
+
+        rows(1, tmp_path / "shared")
+        assert rows(2, tmp_path / "shared") == rows(2, tmp_path / "fresh")
+
     def test_trivial_filter_routing(self, tmp_path):
         config = base_config(tmp_path, trivial_heuristic="rand",
                              trivial_threshold=10**9)
@@ -365,7 +371,6 @@ class TestExperiment:
         assert "median-step ratio" in text
 
     def test_explicit_instance_files(self, tmp_path):
-        from aigsls import generate_random_sat_aig, serialize_ascii
         paths = []
         for k in range(2):
             cc = generate_random_sat_aig(4, 6 + k, random.Random(k))
@@ -377,13 +382,13 @@ class TestExperiment:
         assert {s.instance for s in result.summaries} == {"inst0.aag", "inst1.aag"}
 
     def test_duplicate_instance_names_rejected(self, tmp_path):
-        from aigsls import generate_random_sat_aig, serialize_ascii
         path = tmp_path / "same.aag"
         path.write_text(serialize_ascii(generate_random_sat_aig(3, 4, random.Random(0))))
         config = base_config(tmp_path, generate=None,
                              instances=[str(path), str(path)])
         with pytest.raises(ValueError):
             run_experiment(config)
+        assert not os.path.exists(config.output_dir)
 
 
 class TestGoldenTrajectory:

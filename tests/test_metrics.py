@@ -4,8 +4,10 @@ import time
 
 import pytest
 
-from aigsls import INPUT, Literal, build_circuit, build_profile, generate_random_sat_aig
+from aigsls.aiger import generate_random_sat_aig
+from aigsls.circuit import INPUT, Literal, build_circuit
 from aigsls.metrics import (
+    build_profile,
     compute_depths,
     compute_fanout_tfo_tfi,
     compute_flow,

@@ -3,23 +3,20 @@ from collections import Counter
 
 import pytest
 
-from aigsls import (
+from aigsls.aiger import generate_random_sat_aig
+from aigsls.circuit import (
     INPUT,
     ConstrainedCircuit,
-    EmptyUnjustSet,
     Literal,
-    SearchEngine,
-    SolverConfig,
     build_circuit,
-    build_profile,
-    crsat_solve,
     enumerate_minimal_justifications,
     evaluate,
-    generate_random_sat_aig,
     random_complete_extension,
     verify_satisfying,
 )
-from aigsls.search import HEURISTICS
+from aigsls.harness import SolverConfig, crsat_solve
+from aigsls.metrics import build_profile
+from aigsls.search import HEURISTICS, EmptyUnjustSet, SearchEngine
 from oracles import random_constrained, random_dag, ref_propagate, ref_unjust
 
 
@@ -302,17 +299,22 @@ class TestCrsatSolve:
                 assert engine.assignment.values[g] == v
 
     def test_debug_mode_checks_pass(self):
-        # conflicting constraints keep the search running across the debug checkpoint
+        # conflicting constraints keep the search running; after every chunk
+        # the incremental unjust set matches a recomputation and pins hold
         base = generate_random_sat_aig(12, 120, random.Random(6))
         constraints = dict(base.constraints)
         for g in list(constraints):
             if g != 0:
                 constraints[g] = not constraints[g]
         cc = ConstrainedCircuit(base.circuit, constraints, const_gate=0)
-        engine = SearchEngine(cc, build_profile(cc.circuit), "depth-max", 0.2,
-                              seed=1, debug=True)
-        engine.run(0x4000 + 10)
-        assert engine.steps == 0x4000 + 10
+        engine = SearchEngine(cc, build_profile(cc.circuit), "depth-max", 0.2, seed=1)
+        asg = engine.assignment
+        total = 0x4000 + 10
+        while engine.steps < total:
+            assert not engine.run(min(0x400, total - engine.steps))
+            assert frozenset(asg.ulist) == asg.recompute_unjust()
+            assert all(asg.values[g] == v for g, v in cc.constraints.items())
+        assert engine.steps == total
 
     def test_every_heuristic_solves_a_small_instance(self):
         cc = generate_random_sat_aig(8, 50, random.Random(7))
