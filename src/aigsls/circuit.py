@@ -10,9 +10,12 @@ is consistent with its children and every required value holds.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
+
+from . import _kernel
 
 
 class CircuitError(ValueError):
@@ -80,10 +83,11 @@ class Circuit:
     ``fanin_gates[g]`` the distinct child gates, without polarity, for the
     level, flow and closure walks.  ``topo_order`` places every gate
     strictly after all of its children; ``topo_pos[g]`` is g's position in it.
+    ``_csr`` caches the search kernel's flat copies of these (``_kernel.csr``).
     """
 
     __slots__ = ("fanin", "fanin_gates", "fanout", "topo_order", "topo_pos",
-                 "inputs", "outputs")
+                 "inputs", "outputs", "_csr")
 
     def __init__(self, fanin, fanin_gates, fanout, topo_order, topo_pos):
         self.fanin = fanin
@@ -93,6 +97,7 @@ class Circuit:
         self.topo_pos = topo_pos
         self.inputs = tuple(g for g, kids in enumerate(fanin) if kids is None)
         self.outputs = tuple(g for g in range(len(fanin)) if not fanout[g])
+        self._csr = None
 
     @property
     def num_gates(self) -> int:
@@ -219,6 +224,9 @@ def _unjustified(circuit: Circuit, values):
 
 def _evaluate_ands(circuit: Circuit, values: bytearray):
     """Set every AND gate to the AND of its child literals, in topological order."""
+    if _kernel.lib is not None:
+        _kernel.evaluate(circuit, values)
+        return
     fanin = circuit.fanin
     for g in circuit.topo_order:
         kids = fanin[g]
@@ -232,6 +240,11 @@ def _evaluate_ands(circuit: Circuit, values: bytearray):
         values[g] = v
 
 
+#: A propagation generation above this restarts the stamps at 0; the kernel
+#: uses two generations a call, the Python path one, and both stay int32.
+_GEN_LIMIT = 0x7FFFFFFD
+
+
 class Assignment:
     """Complete truth assignment with an incrementally maintained unjust set.
 
@@ -239,9 +252,17 @@ class Assignment:
     when its value differs from the AND of its child literal values; input
     gates are always justified.  ``pinned[g]`` marks gates that forward
     propagation must never flip (the constrained gates).
+
+    The state lives in flat buffers that the C kernel (``aigsls._kernel``)
+    shares: the first ``unjust_count`` entries of ``ubuf`` are the
+    unjustified gates, ``upos[g]`` is g's index there or -1, and ``_meta``
+    holds the unjust count and the propagation generation of ``_stamp``.
+    Every method runs in the kernel when it is loaded and in Python
+    otherwise; both paths leave the buffers identical.
     """
 
-    __slots__ = ("circuit", "values", "pinned", "ulist", "upos", "_stamp", "_gen")
+    __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "_meta", "_stamp",
+                 "_state")
 
     def __init__(self, circuit: Circuit, values, pinned=None):
         n = circuit.num_gates
@@ -250,24 +271,75 @@ class Assignment:
         self.circuit = circuit
         self.values = bytearray(values)
         self.pinned = pinned if pinned is not None else bytes(n)
-        self.ulist = list(_unjustified(circuit, self.values))
-        self.upos = [-1] * n
-        for pos, g in enumerate(self.ulist):
-            self.upos[g] = pos
-        self._stamp = [0] * n
-        self._gen = 0
+        self.ubuf = array("i", [0]) * n
+        self.upos = array("i", [-1]) * n
+        self._meta = array("i", [0, 0])
+        self._stamp = array("i", [0]) * n
+        if _kernel.lib is not None:
+            _kernel.lib.scan(self._kernel_state())
+        else:
+            unjust = array("i", _unjustified(circuit, self.values))
+            self.ubuf[:len(unjust)] = unjust
+            for pos, g in enumerate(unjust):
+                self.upos[g] = pos
+            self._meta[0] = len(unjust)
+
+    @property
+    def pinned(self):
+        """Gates that forward propagation never flips, one byte per gate."""
+        return self._pinned
+
+    @pinned.setter
+    def pinned(self, pinned):
+        if len(pinned) != self.circuit.num_gates:
+            raise CircuitError("pin vector length does not match gate count")
+        self._pinned = bytes(pinned)
+        self._state = None          # the kernel holds a copy of the old pins
+
+    @property
+    def ulist(self) -> list:
+        """The unjustified gates, in the order the search draws from."""
+        return self.ubuf[:self._meta[0]].tolist()
 
     @property
     def unjust(self) -> frozenset:
         """Current set of unjustified gates."""
-        return frozenset(self.ulist)
+        return frozenset(self.ubuf[:self._meta[0]])
 
     @property
     def unjust_count(self) -> int:
-        return len(self.ulist)
+        return self._meta[0]
 
     def copy(self) -> "Assignment":
         return Assignment(self.circuit, self.values, self.pinned)
+
+    def __getstate__(self):
+        # the kernel's state holds raw addresses; a copy builds its own
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_state"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._state = None
+
+    def _kernel_state(self) -> int:
+        state = self._state
+        if state is None:
+            state = self._state = _kernel.State(self.circuit, self.values, self._pinned,
+                                                self.ubuf, self.upos, self._meta,
+                                                self._stamp)
+        return state.addr
+
+    def _kernel_call(self, fn, gates) -> int:
+        """Call a kernel entry point on a gate list; IndexError when it
+        reports a gate out of range."""
+        arg = array("i", gates)
+        result = fn(self._kernel_state(), arg.buffer_info()[0], len(arg))
+        if result < 0:
+            raise IndexError("gate index out of range")
+        return result
+
+    # -- pure-Python path: the reference the kernel must match --
 
     def _consistent(self, g: int) -> bool:
         kids = self.circuit.fanin[g]
@@ -283,53 +355,46 @@ class Assignment:
         # recompute g's membership in the unjust set after a nearby flip
         if self.circuit.fanin[g] is None:
             return
-        pos = self.upos[g]
+        upos = self.upos
+        pos = upos[g]
         if self._consistent(g):
             if pos >= 0:
-                ulist = self.ulist
-                last = ulist[-1]
-                ulist[pos] = last
-                self.upos[last] = pos
-                ulist.pop()
-                self.upos[g] = -1
+                meta = self._meta
+                count = meta[0] - 1
+                last = self.ubuf[count]
+                self.ubuf[pos] = last
+                upos[last] = pos
+                meta[0] = count
+                upos[g] = -1
         elif pos < 0:
-            self.upos[g] = len(self.ulist)
-            self.ulist.append(g)
+            meta = self._meta
+            count = meta[0]
+            upos[g] = count
+            self.ubuf[count] = g
+            meta[0] = count + 1
 
-    def flip(self, g: int, undo: Optional[list] = None):
-        """Flip one gate value, updating the unjust set of g and its parents."""
+    def _flip(self, g: int):
         self.values[g] ^= 1
-        if undo is not None:
-            undo.append(g)
         self._refresh(g)
         for p in self.circuit.fanout[g]:
             self._refresh(p)
 
-    def rollback(self, undo: list):
-        """Reverse a sequence of recorded flips, newest first."""
-        for g in reversed(undo):
-            self.flip(g)
-
-    def propagate_forward(self, flipped, undo: Optional[list] = None) -> "Assignment":
-        """Limited forward propagation of just-flipped gate values.
-
-        Processes gates in topological order through a no-duplicates priority
-        queue seeded with ``flipped``.  A popped origin gate only forwards to
-        its parents; any other popped gate that is unjustified and not pinned
-        is flipped (which justifies it, since its children are already final)
-        and its parents are enqueued in turn.  Propagation stops along a path
-        as soon as a popped gate is found justified.
-        """
+    def _propagate(self, flipped, undo: Optional[list]) -> int:
+        # returns the number of gates it flipped
         circuit = self.circuit
         order = circuit.topo_order
         topo_pos = circuit.topo_pos
         fanout = circuit.fanout
-        pinned = self.pinned
+        pinned = self._pinned
         upos = self.upos
-        self._gen += 1
-        gen = self._gen
         stamp = self._stamp
+        meta = self._meta
+        if meta[1] > _GEN_LIMIT:
+            stamp[:] = array("i", [0]) * len(stamp)
+            meta[1] = 0
+        gen = meta[1] = meta[1] + 1
         origins = frozenset(flipped)
+        count = 0
         heap = []
         for g in origins:
             stamp[g] = gen
@@ -340,12 +405,83 @@ class Assignment:
             if g not in origins:
                 if upos[g] < 0 or pinned[g]:
                     continue
-                self.flip(g, undo)
+                self._flip(g)
+                count += 1
+                if undo is not None:
+                    undo.append(g)
             for p in fanout[g]:
                 if stamp[p] != gen:
                     stamp[p] = gen
                     heappush(heap, topo_pos[p])
+        return count
+
+    # -- public operations, on whichever path is loaded --
+
+    def flip(self, g: int, undo: Optional[list] = None):
+        """Flip one gate value, updating the unjust set of g and its parents."""
+        lib = _kernel.lib
+        if lib is None:
+            self._flip(g)
+        elif 0 <= g < self.circuit.num_gates:
+            lib.flip(self._kernel_state(), g)
+        else:
+            raise IndexError(f"gate {g} out of range")
+        if undo is not None:
+            undo.append(g)
+
+    def rollback(self, undo: list):
+        """Reverse a sequence of recorded flips, newest first."""
+        lib = _kernel.lib
+        if lib is None:
+            for g in reversed(undo):
+                self._flip(g)
+        else:
+            self._kernel_call(lib.rollback, undo)
+
+    def propagate_forward(self, flipped, undo: Optional[list] = None) -> "Assignment":
+        """Limited forward propagation of just-flipped gate values.
+
+        Processes gates in topological order through a no-duplicates priority
+        queue seeded with ``flipped``.  A popped origin gate only forwards to
+        its parents; any other popped gate that is unjustified and not pinned
+        is flipped (which justifies it, since its children are already final)
+        and its parents are enqueued in turn.  Propagation stops along a path
+        as soon as a popped gate is found justified.  Every gate it flips is
+        appended to ``undo`` when given.
+        """
+        lib = _kernel.lib
+        if lib is None:
+            self._propagate(flipped, undo)
+            return self
+        count = self._kernel_call(lib.propagate, flipped)
+        if undo is not None:
+            undo.extend(self._state.undo[:count])
         return self
+
+    def _trial(self, flips) -> int:
+        """Unjust count after flipping the gates ``flips`` and propagating
+        them; the assignment is restored afterwards."""
+        lib = _kernel.lib
+        if lib is not None:
+            return self._kernel_call(lib.trial, flips)
+        undo = []
+        for g in flips:
+            self._flip(g)
+            undo.append(g)
+        self._propagate(flips, undo)
+        count = self._meta[0]
+        self.rollback(undo)
+        return count
+
+    def _move(self, flips) -> int:
+        """Flip the gates ``flips`` and propagate them; returns the number of
+        gates flipped."""
+        lib = _kernel.lib
+        if lib is not None:
+            return self._kernel_call(lib.move, flips)
+        for g in flips:
+            self._flip(g)
+        return len(flips) + self._propagate(flips, None)
 
     def recompute_unjust(self) -> frozenset:
         """From-scratch unjust set; the incremental one must always equal it."""

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from . import aiger, harness, metrics
+from . import _kernel, aiger, harness, metrics
 from .circuit import CircuitError
 from .harness import SolverConfig, crsat_solve
 from .search import HEURISTICS
@@ -73,6 +74,9 @@ def _cmd_solve(args) -> int:
     print(result.status)
     print(f"steps {result.steps_used}")
     print(f"cpu_time {result.cpu_time:.6f}", file=sys.stderr)
+    counts = " ".join(f"{k}={v}" for k, v in dataclasses.asdict(result.stats).items())
+    kernel = "python" if _kernel.lib is None else "c"
+    print(f"search kernel={kernel} {counts}", file=sys.stderr)
     if result.status == "SAT":
         path = args.witness if args.witness is not None else args.file + ".witness"
         with open(path, "w", encoding="ascii") as fh:

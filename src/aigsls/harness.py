@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .aiger import generate_random_sat_aig, load_aiger, serialize_ascii
 from .circuit import verify_satisfying
 from .metrics import build_profile, csv_text
-from .search import SearchEngine, check_settings
+from .search import SearchEngine, SearchStats, check_settings
 
 #: Candidate noise values of the reference tuning protocol.
 DEFAULT_NOISES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -71,6 +71,7 @@ class SolveResult:
     witness: Optional[tuple]         # gate values when SAT, else None
     steps_used: int
     cpu_time: float                  # process CPU seconds of the search
+    stats: SearchStats               # the search's steps by kind, trials, flips
 
 
 @dataclass
@@ -180,7 +181,8 @@ def crsat_solve(cc, profile, config: SolverConfig) -> SolveResult:
     engine, found, _, elapsed = _search(cc, profile, config.heuristic, config.wp,
                                         config.seed, cutoff=config.cutoff)
     witness = tuple(engine.assignment.values) if found else None
-    return SolveResult("SAT" if found else "UNKNOWN", witness, engine.steps, elapsed)
+    return SolveResult("SAT" if found else "UNKNOWN", witness, engine.steps, elapsed,
+                       engine.stats)
 
 
 def run_try(cc, profile, instance: str, heuristic: str, wp: float,
@@ -402,6 +404,15 @@ class ExperimentConfig:
                 raise ValueError(f"generate needs {', '.join(missing)}")
             for key, value in self.generate.items():
                 _check_type(f"generate {key}", value, (int,))
+            # generate_random_sat_aig's own rules, checked before any file is written
+            count, inputs, min_ands, max_ands = (self.generate[k] for k in _GENERATE_KEYS)
+            if count < 0:
+                raise ValueError(f"generate count must be nonnegative, got {count}")
+            if inputs < 1:
+                raise ValueError(f"generate inputs must be at least 1, got {inputs}")
+            if not 1 <= min_ands <= max_ands:
+                raise ValueError("generate needs 1 <= min_ands <= max_ands, "
+                                 f"got {min_ands} and {max_ands}")
         _check_protocol(self.heuristics, self.noises, self.tries)
         _check_budget(self.clock, self.timeout, self.cutoff)
         if not self.instances and not self.generate:

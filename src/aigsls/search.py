@@ -14,6 +14,7 @@ times it and verifies its SAT verdicts lives in ``aigsls.harness``.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from .circuit import ConstrainedCircuit, _justifications, random_complete_extension
 from .metrics import StructuralProfile
@@ -39,6 +40,24 @@ HEURISTICS = (
 
 class EmptyUnjustSet(RuntimeError):
     """Gate selection requested while every gate is justified."""
+
+
+@dataclass(slots=True)
+class SearchStats:
+    """What a trajectory's steps did, counted the same on both kernel paths.
+
+    Every step is exactly one of: a random-walk move, a greedy move, a
+    forced move (the gate had one justification) or a burned step (no
+    justification keeps every pin).  ``trials`` counts the justifications
+    scored by greedy moves, ``flips`` the gates flipped by applied moves,
+    propagation included.
+    """
+    walk: int = 0
+    greedy: int = 0
+    forced: int = 0
+    burned: int = 0
+    trials: int = 0
+    flips: int = 0
 
 
 def check_settings(heuristic: str, wp: float):
@@ -110,6 +129,7 @@ class SearchEngine:
         self.wp = wp
         self.rng = random.Random(seed)
         self.steps = 0
+        self.stats = SearchStats()
         self.assignment = random_complete_extension(cc, self.rng)
         # Only a parent of a constrained gate (in practice, of the pinned
         # constant) has justifications that would force a pin off its value.
@@ -120,7 +140,7 @@ class SearchEngine:
 
     @property
     def satisfied(self) -> bool:
-        return not self.assignment.ulist
+        return not self.assignment.unjust_count
 
     def run(self, budget: int) -> bool:
         """Advance up to ``budget`` steps; True as soon as the circuit is satisfied.
@@ -131,7 +151,6 @@ class SearchEngine:
         immediately.
         """
         asg = self.assignment
-        ulist = asg.ulist
         values = asg.values
         rng = self.rng
         wp = self.wp
@@ -139,10 +158,9 @@ class SearchEngine:
         pins = self.cc.constraints
         pin_parents = self._pin_parents
         select = self._select
-        propagate = asg.propagate_forward
-        flip = asg.flip
+        stats = self.stats
         while budget > 0:
-            if not ulist:
+            if not asg.unjust_count:
                 return True
             g = select()
             sigmas = _justifications(fanin[g], values[g])
@@ -150,23 +168,23 @@ class SearchEngine:
                 # drop every justification that would flip a pinned gate
                 sigmas = [s for s in sigmas if all(pins.get(gt, v) == v for gt, v in s)]
             n_sig = len(sigmas)
-            if n_sig == 0:
-                # every justification would violate a pin; burn the step
-                self.steps += 1
-                budget -= 1
-                continue
-            if n_sig == 1:
-                sigma = sigmas[0]
-            elif rng.random() < wp:
-                sigma = sigmas[rng.randrange(n_sig)]       # random walk
-            else:
-                sigma = self._greedy(sigmas)               # downward move
-            flips = [gt for gt, v in sigma if values[gt] != v]
-            for gt in flips:
-                flip(gt)
-            propagate(flips)
             self.steps += 1
             budget -= 1
+            if n_sig == 0:
+                # every justification would violate a pin; burn the step
+                stats.burned += 1
+                continue
+            if n_sig == 1:
+                stats.forced += 1
+                sigma = sigmas[0]
+            elif rng.random() < wp:
+                stats.walk += 1
+                sigma = sigmas[rng.randrange(n_sig)]       # random walk
+            else:
+                stats.greedy += 1
+                stats.trials += n_sig
+                sigma = self._greedy(sigmas)               # downward move
+            stats.flips += asg._move([gt for gt, v in sigma if values[gt] != v])
         return False
 
     def _select(self) -> int:
@@ -175,15 +193,16 @@ class SearchEngine:
         A lone unjustified gate is taken without drawing from the RNG.  The
         cc measure reads the current assignment's values at every call.
         """
-        ulist = self.assignment.ulist
-        if not ulist:
+        asg = self.assignment
+        count = asg.unjust_count
+        if not count:
             raise EmptyUnjustSet("no unjustified gates to select from")
-        if len(ulist) == 1:
-            return ulist[0]
+        if count == 1:
+            return asg.ubuf[0]
         if self._measure is None:
-            return ulist[self.rng.randrange(len(ulist))]
-        score = _make_scorer(self.profile, self._measure, self.assignment.values)
-        return _argbest(ulist, score, self._want_max, self.rng)
+            return asg.ubuf[self.rng.randrange(count)]
+        score = _make_scorer(self.profile, self._measure, asg.values)
+        return _argbest(asg.ulist, score, self._want_max, self.rng)
 
     def _greedy(self, sigmas):
         best_count = None
@@ -200,13 +219,6 @@ class SearchEngine:
         return ties[self.rng.randrange(len(ties))]
 
     def _trial(self, sigma) -> int:
-        asg = self.assignment
-        values = asg.values
-        undo = []
-        flips = [gt for gt, v in sigma if values[gt] != v]
-        for gt in flips:
-            asg.flip(gt, undo)
-        asg.propagate_forward(flips, undo)
-        count = len(asg.ulist)
-        asg.rollback(undo)
-        return count
+        """Unjust count the justification ``sigma`` would leave, after propagation."""
+        values = self.assignment.values
+        return self.assignment._trial([gt for gt, v in sigma if values[gt] != v])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aigsls import _kernel
 from aigsls.aiger import parse_aiger
 from aigsls.circuit import Assignment, verify_satisfying
 from aigsls.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, run_cli
@@ -66,6 +67,18 @@ class TestSolve:
         capsys.readouterr()
         import os
         assert os.path.exists(path + ".witness")
+
+    def test_stderr_reports_the_search_counts(self, aag, capsys):
+        # And(x, not x) held at 1 has no justification: every step is burned
+        path = aag("bad.aag", VIOLATED)
+        assert run_cli(["solve", path, "--cutoff", "50"]) == EXIT_UNKNOWN
+        out, err = capsys.readouterr()
+        assert out == "UNKNOWN\nsteps 50\n"
+        cpu_time, search = err.splitlines()
+        assert cpu_time.startswith("cpu_time ")
+        kernel = "python" if _kernel.lib is None else "c"
+        assert search == (f"search kernel={kernel} walk=0 greedy=0 forced=0 burned=50 "
+                          "trials=0 flips=0")
 
     def test_stdout_byte_identical_across_runs(self, aag, capsys):
         path = aag("free2.aag", "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
@@ -162,6 +175,14 @@ class TestBench:
         pytest.param({"cutoff": -1}, id="cutoff-negative"),
         pytest.param({"heuristics": ["rand", "rand"]}, id="heuristics-duplicate"),
         pytest.param({"noises": [1, 1.0]}, id="noises-duplicate"),
+        pytest.param({"generate": {"count": 20, "inputs": 4, "min_ands": 0, "max_ands": 3,
+                                   "seed": 1}}, id="generate-min-ands-0"),
+        pytest.param({"generate": {"count": 2, "inputs": 4, "min_ands": 9, "max_ands": 3}},
+                     id="generate-max-below-min"),
+        pytest.param({"generate": {"count": 2, "inputs": 0, "min_ands": 6, "max_ands": 10}},
+                     id="generate-no-inputs"),
+        pytest.param({"generate": {"count": -1, "inputs": 4, "min_ands": 6, "max_ands": 10}},
+                     id="generate-count-negative"),
     ])
     def test_mistyped_config_is_a_one_line_error(self, tmp_path, capsys, overrides):
         config = {
