@@ -1,13 +1,15 @@
-"""The C search kernel: flips, forward propagation and greedy trials.
+"""The C search kernel: flips, forward propagation, greedy trials and selection.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
 unjustified list, its positions and the propagation stamps ``array('i')``),
 and every circuit gets CSR ``array('i')`` copies of its fanin, fanout and
 topological order the first time the kernel runs on it.  The C code below
 reads and writes those buffers in place, so the kernel and the pure-Python
-methods of ``Assignment`` can take turns on one assignment.  Gate selection,
-the choice of justification and every random draw stay in Python, so both
-paths follow the same trajectory.
+methods of ``Assignment`` can take turns on one assignment.  Gate selection
+scans the unjustified list for the least int32 score (the profile's dense
+ranks, or closure sizes that it walks the CSR for on first need) and returns
+the ties; the choice among them, the choice of justification and every
+random draw stay in Python, so both paths follow the same trajectory.
 
 The library is compiled with ``cc`` when this module is first imported and
 cached under ``$XDG_CACHE_HOME/aigsls`` (default ``~/.cache/aigsls``), keyed
@@ -40,7 +42,9 @@ typedef struct {
     const int *fin_off, *fin, *fout_off, *fout, *order, *tpos;
     unsigned char *val;
     const unsigned char *pin;
-    int *ulist, *upos, *meta, *stamp, *heap, *undo;  /* meta: unjust count, generation */
+    int *ulist, *upos, *meta, *stamp, *heap, *undo;
+    int *ties, *wstamp, *wstack;
+    /* meta: unjust count, propagation generation, closure-walk generation */
 } State;
 
 /* 1 iff g is an AND gate whose value differs from the AND of its child literals */
@@ -160,6 +164,58 @@ static int in_range(const State *s, const int *gates, int k)
     return 1;
 }
 
+/* size of g's transitive closure over the CSR (off, adj), g excluded; adj
+   entries are shifted right by shift, so 1 reads packed literals as gates */
+static int reach(State *s, const int *off, const int *adj, int shift, int g)
+{
+    int *stamp = s->wstamp, *stack = s->wstack, top = 0, count = 0;
+    if (s->meta[2] == INT_MAX) {
+        memset(stamp, 0, sizeof(int) * (size_t)s->n);
+        s->meta[2] = 0;
+    }
+    int gen = ++s->meta[2];
+    stamp[g] = gen;
+    stack[top++] = g;
+    while (top > 0) {
+        int x = stack[--top];
+        for (int i = off[x]; i < off[x + 1]; i++) {
+            int y = adj[i] >> shift;
+            if (stamp[y] != gen) {
+                stamp[y] = gen;
+                stack[top++] = y;
+                count++;
+            }
+        }
+    }
+    return count;
+}
+
+/* Gate selection: writes the unjustified gates of least score to ties, in
+   ulist order, and returns how many there are.  A gate scores lo[g] while
+   at 0 and hi[g] while at 1, negated when neg.  walk 1 (fanin) or 2
+   (fanout) makes lo a closure-size cache: a candidate's negative entry is
+   first filled by a walk over that CSR. */
+int aigsls_select(State *s, int *lo, const int *hi, int neg, int walk)
+{
+    int count = s->meta[0], k = 0, best = INT_MAX;
+    for (int i = 0; i < count; i++) {
+        int g = s->ulist[i];
+        if (walk && lo[g] < 0)
+            lo[g] = walk == 1 ? reach(s, s->fin_off, s->fin, 1, g)
+                              : reach(s, s->fout_off, s->fout, 0, g);
+        int v = s->val[g] ? hi[g] : lo[g];
+        if (neg)
+            v = -v;
+        if (v < best) {
+            best = v;
+            k = 0;
+        }
+        if (v == best)
+            s->ties[k++] = g;
+    }
+    return k;
+}
+
 /* The entry points below that take a gate list return -1, and change
    nothing, when a gate is out of range. */
 
@@ -233,6 +289,9 @@ void aigsls_scan(State *s)
 
 FLAGS = ("-O2", "-shared", "-fPIC")
 
+#: ``aigsls_select``'s walk argument for the closure measures
+WALKS = {"tfi": 1, "tfo": 2}
+
 _P, _I = ctypes.c_void_p, ctypes.c_int
 _SIGNATURES = {
     "flip": (None, [_P, _I]),
@@ -242,10 +301,12 @@ _SIGNATURES = {
     "move": (_I, [_P, _P, _I]),
     "evaluate": (None, [_I, _P, _P, _P, _P]),
     "scan": (None, [_P]),
+    "select": (_I, [_P, _P, _P, _I, _I]),
 }
 
 _CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos")
-_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo")
+_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo",
+                  "ties", "wstamp", "wstack")
 
 
 class _StateStruct(ctypes.Structure):
@@ -357,18 +418,19 @@ class State:
 
     ``addr`` is passed to every kernel call.  The object keeps each buffer
     it points into alive; ``pinned`` is copied, so a new State is needed
-    when the assignment's pins are replaced.
+    when the assignment's pins are replaced.  ``undo`` receives the gates a
+    propagation flipped and ``ties`` the gates a selection tied on.
     """
 
-    __slots__ = ("_keep", "_struct", "addr", "undo")
+    __slots__ = ("_keep", "_struct", "addr", "undo", "ties")
 
     def __init__(self, circuit, values, pinned, ulist, upos, meta, stamp):
         n = circuit.num_gates
         arrays = csr(circuit)
-        heap = array("i", [0]) * n
-        self.undo = array("i", [0]) * n
+        heap, self.undo, self.ties, wstamp, wstack = (array("i", [0]) * n for _ in range(5))
         views = (_view(values), (ctypes.c_char * n).from_buffer_copy(pinned),
-                 *map(_view, (ulist, upos, meta, stamp, heap, self.undo)))
+                 *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties,
+                              wstamp, wstack)))
         self._keep = (arrays, views)
         self._struct = _StateStruct(n, *(a.buffer_info()[0] for a in arrays),
                                     *map(ctypes.addressof, views))

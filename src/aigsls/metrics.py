@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 
 from .circuit import Circuit
 
@@ -171,6 +172,22 @@ def compute_flow(circuit: Circuit, flow_mode: str = "conserving") -> list[float]
     return flow
 
 
+def dense_ranks(*columns) -> tuple:
+    """Each column as int32 ranks in one rank space shared by all columns.
+
+    Equal values share a rank and a larger value gets a larger rank, so the
+    ranks compare exactly as the values do, floats and integers past 2**63
+    included.
+    """
+    rank = {v: r for r, v in enumerate(sorted(set().union(*columns)))}
+    return tuple(array("i", map(rank.__getitem__, column)) for column in columns)
+
+
+#: the profile attribute holding each value-independent measure
+COLUMNS = {"depth": "depth", "fo": "fanout_size", "co": "co", "flow": "flow",
+           "level": "level", "llevel": "llevel", "alevel": "alevel"}
+
+
 def csv_text(header, rows) -> str:
     """A header row and data rows as CSV text with newline line ends."""
     out = io.StringIO()
@@ -186,12 +203,13 @@ class StructuralProfile:
     The cheap measures are precomputed eagerly in O(gates + edges).  The
     transitive closure sizes are computed on first request per gate (a plain
     reachability walk) and cached, since a search typically queries only the
-    gates that ever become unjustified.
+    gates that ever become unjustified.  ``scores`` gives the C kernel's
+    int32 form of each measure, built on first request.
     """
 
     __slots__ = ("circuit", "depth", "level", "llevel", "alevel", "fanout_size",
                  "cc0", "cc1", "co", "flow", "alevel_mode", "flow_mode",
-                 "_tfo", "_tfi")
+                 "_tfo", "_tfi", "_scores")
 
     def __init__(self, circuit: Circuit, alevel_mode: str = "self",
                  flow_mode: str = "conserving"):
@@ -206,6 +224,29 @@ class StructuralProfile:
         self.flow = compute_flow(circuit, flow_mode)
         self._tfo = [-1] * circuit.num_gates
         self._tfi = [-1] * circuit.num_gates
+        self._scores = {}
+
+    def scores(self, measure: str) -> tuple:
+        """(lo, hi): int32 scores of ``measure`` for gates at value 0 and at 1.
+
+        They order the gates exactly as the measure does: dense ranks, with
+        cc0 and cc1 ranked in one space for ``cc`` and one array serving as
+        both for the value-independent measures.  ``tfi``/``tfo`` give the
+        kernel's closure-size cache instead, -1 until the kernel walks a
+        gate; it sits beside the lists behind ``tfi_size``/``tfo_size``.
+        """
+        pair = self._scores.get(measure)
+        if pair is None:
+            if measure == "cc":
+                pair = dense_ranks(self.cc0, self.cc1)
+            elif measure in ("tfi", "tfo"):
+                sizes = array("i", [-1]) * self.circuit.num_gates
+                pair = sizes, sizes
+            else:
+                ranks, = dense_ranks(getattr(self, COLUMNS[measure]))
+                pair = ranks, ranks
+            self._scores[measure] = pair
+        return pair
 
     def tfo_size(self, g: int) -> int:
         cached = self._tfo[g]

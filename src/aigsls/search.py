@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import _kernel
 from .circuit import ConstrainedCircuit, _justifications, random_complete_extension
-from .metrics import StructuralProfile
+from .metrics import COLUMNS, StructuralProfile
 
 #: Recognized gate-selection heuristics.  "rand" picks uniformly from the
 #: unjustified set; "<measure>-max"/"<measure>-min" pick uniformly among the
@@ -50,7 +51,8 @@ class SearchStats:
     forced move (the gate had one justification) or a burned step (no
     justification keeps every pin).  ``trials`` counts the justifications
     scored by greedy moves, ``flips`` the gates flipped by applied moves,
-    propagation included.
+    propagation included.  ``min_unjust`` is the smallest unjust count seen
+    at the top of a step (0 once the search is satisfied).
     """
     walk: int = 0
     greedy: int = 0
@@ -58,6 +60,7 @@ class SearchStats:
     burned: int = 0
     trials: int = 0
     flips: int = 0
+    min_unjust: int = 0
 
 
 def check_settings(heuristic: str, wp: float):
@@ -69,28 +72,14 @@ def check_settings(heuristic: str, wp: float):
 
 
 def _make_scorer(profile: StructuralProfile, base: str, values):
-    if base == "depth":
-        return profile.depth.__getitem__
-    if base == "fo":
-        return profile.fanout_size.__getitem__
     if base == "tfo":
         return profile.tfo_size
     if base == "tfi":
         return profile.tfi_size
-    if base == "co":
-        return profile.co.__getitem__
-    if base == "flow":
-        return profile.flow.__getitem__
-    if base == "level":
-        return profile.level.__getitem__
-    if base == "llevel":
-        return profile.llevel.__getitem__
-    if base == "alevel":
-        return profile.alevel.__getitem__
     if base == "cc":
         cc0, cc1 = profile.cc0, profile.cc1
         return lambda g: cc1[g] if values[g] else cc0[g]
-    raise ValueError(f"unknown measure {base!r}")
+    return getattr(profile, COLUMNS[base]).__getitem__
 
 
 def _argbest(gates, score, want_max, rng):
@@ -129,8 +118,8 @@ class SearchEngine:
         self.wp = wp
         self.rng = random.Random(seed)
         self.steps = 0
-        self.stats = SearchStats()
         self.assignment = random_complete_extension(cc, self.rng)
+        self.stats = SearchStats(min_unjust=self.assignment.unjust_count)
         # Only a parent of a constrained gate (in practice, of the pinned
         # constant) has justifications that would force a pin off its value.
         self._pin_parents = frozenset(p for c in cc.constraints for p in cc.circuit.fanout[c])
@@ -160,7 +149,10 @@ class SearchEngine:
         select = self._select
         stats = self.stats
         while budget > 0:
-            if not asg.unjust_count:
+            count = asg.unjust_count
+            if count < stats.min_unjust:
+                stats.min_unjust = count
+            if not count:
                 return True
             g = select()
             sigmas = _justifications(fanin[g], values[g])
@@ -190,8 +182,10 @@ class SearchEngine:
     def _select(self) -> int:
         """Pick one unjustified gate per the heuristic, ties uniform.
 
-        A lone unjustified gate is taken without drawing from the RNG.  The
-        cc measure reads the current assignment's values at every call.
+        A lone unjustified gate, or a lone best one, is taken without
+        drawing from the RNG.  The cc measure reads the current assignment's
+        values at every call.  The kernel finds the best gates when it is
+        loaded; ``_argbest`` over the raw measures is the reference.
         """
         asg = self.assignment
         count = asg.unjust_count
@@ -199,10 +193,15 @@ class SearchEngine:
             raise EmptyUnjustSet("no unjustified gates to select from")
         if count == 1:
             return asg.ubuf[0]
-        if self._measure is None:
+        measure = self._measure
+        if measure is None:
             return asg.ubuf[self.rng.randrange(count)]
-        score = _make_scorer(self.profile, self._measure, asg.values)
-        return _argbest(asg.ulist, score, self._want_max, self.rng)
+        if _kernel.lib is None:
+            score = _make_scorer(self.profile, measure, asg.values)
+            return _argbest(asg.ulist, score, self._want_max, self.rng)
+        ties, best = asg._select(*self.profile.scores(measure), self._want_max,
+                                 _kernel.WALKS.get(measure, 0))
+        return best[0] if ties == 1 else best[self.rng.randrange(ties)]
 
     def _greedy(self, sigmas):
         best_count = None

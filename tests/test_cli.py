@@ -78,7 +78,7 @@ class TestSolve:
         assert cpu_time.startswith("cpu_time ")
         kernel = "python" if _kernel.lib is None else "c"
         assert search == (f"search kernel={kernel} walk=0 greedy=0 forced=0 burned=50 "
-                          "trials=0 flips=0")
+                          "trials=0 flips=0 min_unjust=1")
 
     def test_stdout_byte_identical_across_runs(self, aag, capsys):
         path = aag("free2.aag", "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")

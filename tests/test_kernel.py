@@ -12,17 +12,18 @@ import pickle
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 import test_circuit
 import test_harness
 import test_search
-from aigsls import _kernel
+from aigsls import INPUT, Literal, _kernel, build_circuit
 from aigsls.aiger import generate_random_sat_aig
 from aigsls.circuit import random_complete_extension
 from aigsls.harness import SolverConfig, crsat_solve
-from aigsls.metrics import build_profile
+from aigsls.metrics import build_profile, compute_fanout_tfo_tfi
 from aigsls.search import HEURISTICS, SearchEngine
 from oracles import random_constrained, random_dag
 
@@ -99,6 +100,7 @@ def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
         assert _snapshot(fast) == _snapshot(slow)
         stats = fast.stats
         assert stats.walk + stats.greedy + stats.forced + stats.burned == fast.steps
+        assert (stats.min_unjust == 0) == found
         if found:
             break
 
@@ -122,6 +124,74 @@ def test_constant_readers_match_on_both_paths(monkeypatch):
         cc = test_harness.const_reader_instance(rng, inputs=5, ands=40)
         for heuristic in ("rand", "depth-max", "cc-min"):
             _run_both(monkeypatch, cc, heuristic, 0.3, rng.randrange(10**6), (50, 500))
+
+
+def _fibonacci_chain(rng, length):
+    """Each chain gate ANDs the two before it, so cc1 grows like Fibonacci
+    numbers; side gates read chain gates through complemented edges."""
+    definitions = [INPUT, INPUT]
+    for g in range(2, length):
+        definitions.append((Literal(g - 1), Literal(g - 2)))
+    for _ in range(length // 3):
+        definitions.append((Literal(rng.randrange(length)),
+                            Literal(rng.randrange(len(definitions)), True)))
+    return build_circuit(definitions)
+
+
+@needs_kernel
+def test_measures_past_int64_rank_exactly(monkeypatch):
+    rng = random.Random(77)
+    for _ in range(3):
+        circuit = _fibonacci_chain(rng, 120)
+        profile = build_profile(circuit)
+        assert max(profile.cc1) > 2**63 and max(profile.co) > 2**63
+        cc = random_constrained(rng, circuit)
+        for heuristic in ("cc-min", "cc-max", "co-min", "co-max"):
+            _run_both(monkeypatch, cc, heuristic, 0.3, rng.randrange(10**6), (1, 7, 40, 200))
+
+
+@needs_kernel
+def test_kernel_closure_sizes_match_the_bulk_closures():
+    rng = random.Random(78)
+    for k in range(20):
+        circuit = random_dag(rng, rng.randint(2, 300))
+        n = circuit.num_gates
+        profile = build_profile(circuit)
+        asg = random_complete_extension(random_constrained(rng, circuit), rng)
+        if k % 2:
+            asg._meta[2] = 0x7FFFFFFF - 5      # the walk stamps restart midway
+        # offer every gate as a candidate, so the kernel walks them all
+        asg.ubuf[:] = array("i", range(n))
+        asg._meta[0] = n
+        for measure in ("tfi", "tfo"):
+            asg._select(*profile.scores(measure), False, _kernel.WALKS[measure])
+        if k % 2:
+            assert 0 < asg._meta[2] <= 2 * n
+        _, tfo, tfi = compute_fanout_tfo_tfi(circuit)
+        assert profile.scores("tfo")[0].tolist() == tfo
+        assert profile.scores("tfi")[0].tolist() == tfi
+        assert [profile.tfo_size(g) for g in range(n)] == tfo
+        assert [profile.tfi_size(g) for g in range(n)] == tfi
+        profile.materialize_closures()
+        assert (type(profile._tfo), type(profile._tfi)) == (list, list)
+        assert (profile._tfo, profile._tfi) == (tfo, tfi)
+
+
+@needs_kernel
+def test_selection_rejects_short_score_arrays():
+    circuit = random_dag(random.Random(79), 30)
+    asg = random_complete_extension(random_constrained(random.Random(0), circuit),
+                                    random.Random(0))
+    full = array("i", range(30))
+    before = (bytes(asg.values), asg.ulist)
+    for lo, hi in ((full[:29], full), (full, full[:29]), (array("i"), array("i")),
+                   (list(full), full), (array("q", full), full)):
+        with pytest.raises(ValueError):
+            asg._select(lo, hi, False)
+        with pytest.raises(ValueError):
+            asg._select(lo, hi, True, 1)
+    assert (bytes(asg.values), asg.ulist) == before
+    assert full.tolist() == list(range(30))
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
