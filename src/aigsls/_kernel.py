@@ -1,15 +1,20 @@
-"""The C search kernel: flips, forward propagation, greedy trials and selection.
+"""The C kernel: circuit topology, structural profile and the search steps.
+
+At load time ``build_circuit`` hands the child literals to
+``aigsls_topology``, which builds the circuit's CSR ``array('i')`` buffers
+(``CSR``: fanin, distinct child gates, fanout, topological order and
+positions); the circuit's tuples are made from them.  ``aigsls_profile``
+then fills every column of ``StructuralProfile`` from those buffers.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
-unjustified list, its positions and the propagation stamps ``array('i')``),
-and every circuit gets CSR ``array('i')`` copies of its fanin, fanout and
-topological order the first time the kernel runs on it.  The C code below
-reads and writes those buffers in place, so the kernel and the pure-Python
-methods of ``Assignment`` can take turns on one assignment.  Gate selection
-scans the unjustified list for the least int32 score (the profile's dense
-ranks, or closure sizes that it walks the CSR for on first need) and returns
-the ties; the choice among them, the choice of justification and every
-random draw stay in Python, so both paths follow the same trajectory.
+unjustified list, its positions and the propagation stamps ``array('i')``).
+The C code below reads and writes those buffers and the circuit's CSR in
+place, so the kernel and the pure-Python methods of ``Assignment`` can take
+turns on one assignment.  Gate selection scans the unjustified list for the
+least int32 score (the profile's dense ranks, or closure sizes that it walks
+the CSR for on first need) and returns the ties; the choice among them, the
+choice of justification and every random draw stay in Python, so both paths
+follow the same trajectory.
 
 The library is compiled with ``cc`` when this module is first imported and
 cached under ``$XDG_CACHE_HOME/aigsls`` (default ``~/.cache/aigsls``), keyed
@@ -31,6 +36,7 @@ import tempfile
 import types
 from array import array
 from itertools import accumulate, chain
+from typing import NamedTuple, Optional
 
 SOURCE = r"""
 #include <limits.h>
@@ -285,6 +291,169 @@ void aigsls_scan(State *s)
             s->ulist[s->meta[0]++] = g;
         }
 }
+
+/* build_circuit's topology from the packed child literals (fin_off, fin)
+   of n gates: each gate's distinct child gates in first-occurrence order
+   (kid_off, kid), its parents in index order (fout_off, fout), and Kahn's
+   topological order, seeded in index order, with each gate's position in
+   it.  kid and fout need room for fin_off[n] entries.  Returns the number
+   of distinct child edges, or -1 when a literal names no gate or some
+   gates lie on a cycle. */
+int aigsls_topology(int n, const int *fin_off, const int *fin, int *kid_off, int *kid,
+                    int *fout_off, int *fout, int *order, int *tpos)
+{
+    int edges = 0, tail = 0;
+    /* tpos[c] == g + 1 marks c as a child gate of g already seen */
+    for (int g = 0; g < n; g++)
+        tpos[g] = 0;
+    for (int g = 0; g < n; g++) {
+        kid_off[g] = edges;
+        for (int i = fin_off[g]; i < fin_off[g + 1]; i++) {
+            if (fin[i] < 0 || fin[i] >> 1 >= n)
+                return -1;
+            int c = fin[i] >> 1;
+            if (tpos[c] != g + 1) {
+                tpos[c] = g + 1;
+                kid[edges++] = c;
+            }
+        }
+    }
+    kid_off[n] = edges;
+    /* fanout by counting sort; tpos[c] is the next free slot of c's row */
+    for (int g = 0; g <= n; g++)
+        fout_off[g] = 0;
+    for (int i = 0; i < edges; i++)
+        fout_off[kid[i] + 1]++;
+    for (int g = 0; g < n; g++) {
+        fout_off[g + 1] += fout_off[g];
+        tpos[g] = fout_off[g];
+    }
+    for (int g = 0; g < n; g++)
+        for (int i = kid_off[g]; i < kid_off[g + 1]; i++)
+            fout[tpos[kid[i]]++] = g;
+    /* Kahn's algorithm, order doubling as its queue; tpos[g] counts the
+       children of g not yet placed */
+    for (int g = 0; g < n; g++) {
+        tpos[g] = kid_off[g + 1] - kid_off[g];
+        if (tpos[g] == 0)
+            order[tail++] = g;
+    }
+    for (int head = 0; head < tail; head++) {
+        int g = order[head];
+        for (int i = fout_off[g]; i < fout_off[g + 1]; i++)
+            if (--tpos[fout[i]] == 0)
+                order[tail++] = fout[i];
+    }
+    if (tail != n)
+        return -1;
+    for (int i = 0; i < n; i++)
+        tpos[order[i]] = i;
+    return edges;
+}
+
+/* aigsls_profile's flags: cc0/cc1 or co left int64, a gate with three or
+   more distinct children */
+#define CC_OVERFLOW 1
+#define CO_OVERFLOW 2
+#define WIDE 4
+
+/* a literal's cost of driving it to 1: its gate's cc1, or cc0 through an
+   inverter */
+static long long to_one(const long long *cc0, const long long *cc1, int lit)
+{
+    return lit & 1 ? cc0[lit >> 1] : cc1[lit >> 1];
+}
+
+/* Every column of StructuralProfile in two passes over the topological
+   order, with the same operations in the same order as the pure-Python
+   compute_* functions, so integers and floats come out identical.
+   Children first: level, llevel, alevel (averaging child alevel, or child
+   level when level_sum), cc0, cc1.  Parents first: depth, fanout size, co
+   and flow (split by the parent's distinct children, or by its fanout when
+   fanout_split).  Returns the flags above; a column whose overflow flag is
+   set holds no meaningful values, and co is not computed after a cc
+   overflow. */
+int aigsls_profile(int n, const int *order, const int *fin_off, const int *fin,
+                   const int *fout_off, const int *fout, const int *kid_off, const int *kid,
+                   int level_sum, int fanout_split,
+                   int *depth, int *level, int *llevel, double *alevel, int *fo,
+                   long long *cc0, long long *cc1, long long *co, double *flow)
+{
+    int flags = 0;
+    for (int i = 0; i < n; i++) {
+        int g = order[i], a = kid_off[g], b = kid_off[g + 1];
+        if (a == b) {
+            level[g] = llevel[g] = 0;
+            alevel[g] = 0.0;
+            cc0[g] = cc1[g] = 1;
+            continue;
+        }
+        if (b - a >= 3)
+            flags |= WIDE;
+        int hi = level[kid[a]], lo = llevel[kid[a]];
+        long long levels = 0;
+        double sum = 0.0;
+        for (int j = a; j < b; j++) {
+            int c = kid[j];
+            if (level[c] > hi)
+                hi = level[c];
+            if (llevel[c] < lo)
+                lo = llevel[c];
+            levels += level[c];
+            sum += alevel[c];
+        }
+        level[g] = 1 + hi;
+        llevel[g] = 1 + lo;
+        alevel[g] = 1.0 + (level_sum ? (double)levels : sum) / (b - a);
+        long long least = LLONG_MAX, total = 0;
+        for (int j = fin_off[g]; j < fin_off[g + 1]; j++) {
+            int p = fin[j];
+            long long zero = p & 1 ? cc1[p >> 1] : cc0[p >> 1];
+            if (zero < least)
+                least = zero;
+            if (__builtin_add_overflow(total, to_one(cc0, cc1, p), &total))
+                flags |= CC_OVERFLOW;
+        }
+        if (__builtin_add_overflow(least, 1, &cc0[g]) || __builtin_add_overflow(total, 1, &cc1[g]))
+            flags |= CC_OVERFLOW;
+    }
+    if (flags & CC_OVERFLOW)
+        flags |= CO_OVERFLOW;
+    for (int i = n - 1; i >= 0; i--) {
+        int g = order[i], a = fout_off[g], b = fout_off[g + 1];
+        fo[g] = b - a;
+        if (a == b) {
+            depth[g] = 0;
+            co[g] = 0;
+            flow[g] = 1.0;
+            continue;
+        }
+        int deepest = 0;
+        long long best = LLONG_MAX;
+        double total = 0.0;
+        for (int j = a; j < b; j++) {
+            int p = fout[j];
+            if (depth[p] > deepest)
+                deepest = depth[p];
+            if (!(flags & CO_OVERFLOW)) {
+                /* observe g through p: p's co plus driving every sibling edge to 1 */
+                long long cost = co[p];
+                for (int k = fin_off[p]; k < fin_off[p + 1]; k++)
+                    if (fin[k] >> 1 != g && __builtin_add_overflow(cost, to_one(cc0, cc1, fin[k]), &cost))
+                        flags |= CO_OVERFLOW;
+                if (cost < best)
+                    best = cost;
+            }
+            int split = fanout_split ? fout_off[p + 1] - fout_off[p] : kid_off[p + 1] - kid_off[p];
+            total += flow[p] / (split ? split : 1);
+        }
+        depth[g] = 1 + deepest;
+        if (!(flags & CO_OVERFLOW) && __builtin_add_overflow(best, 1, &co[g]))
+            flags |= CO_OVERFLOW;
+        flow[g] = total;
+    }
+    return flags;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -302,7 +471,12 @@ _SIGNATURES = {
     "evaluate": (None, [_I, _P, _P, _P, _P]),
     "scan": (None, [_P]),
     "select": (_I, [_P, _P, _P, _I, _I]),
+    "topology": (_I, [_I] + [_P] * 8),
+    "profile": (_I, [_I] + [_P] * 7 + [_I, _I] + [_P] * 9),
 }
+
+#: ``aigsls_profile``'s flags
+CC_OVERFLOW, CO_OVERFLOW, WIDE = 1, 2, 4
 
 _CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos")
 _BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo",
@@ -379,26 +553,73 @@ def load():
         return None
 
 
-def _offsets(rows) -> array:
-    offsets = array("i", [0])
-    offsets.extend(accumulate(map(len, rows)))
-    return offsets
+class CSR(NamedTuple):
+    """A circuit's topology as flat ``array('i')`` buffers.
 
-
-def csr(circuit) -> tuple:
-    """The circuit's CSR arrays, built once and kept on the circuit.
-
-    fanin offsets and packed child literals, fanout offsets and parents,
-    ``topo_order`` and ``topo_pos``.
+    Row g of a CSR pair (offsets, entries) is ``entries[offsets[g]:offsets[g + 1]]``:
+    the packed child literals of g (``fin``), its parents (``fout``) and its
+    distinct child gates (``kid``).  ``order`` is ``topo_order`` and ``tpos``
+    is ``topo_pos``.
     """
+
+    fin_off: array
+    fin: array
+    fout_off: array
+    fout: array
+    order: array
+    tpos: array
+    kid_off: array
+    kid: array
+
+
+def topology(fanin) -> Optional[CSR]:
+    """The CSR of a ``Circuit.fanin`` tuple, built by ``aigsls_topology``.
+
+    An empty row reads as an input gate, so the caller rules out childless
+    AND gates.  None when a literal does not fit an int32 or names no gate,
+    or when some gates lie on a cycle; ``build_circuit`` then leaves the
+    diagnosis to its pure-Python path.
+    """
+    n = len(fanin)
+    rows = [() if kids is None else kids for kids in fanin]
+    try:
+        fin = array("i", chain.from_iterable(rows))
+    except OverflowError:
+        return None
+    fin_off = array("i", [0])
+    fin_off.extend(accumulate(map(len, rows)))
+    kid_off, fout_off = array("i", [0]) * (n + 1), array("i", [0]) * (n + 1)
+    kid, fout = array("i", [0]) * len(fin), array("i", [0]) * len(fin)
+    order, tpos = array("i", [0]) * n, array("i", [0]) * n
+    arrays = CSR(fin_off, fin, fout_off, fout, order, tpos, kid_off, kid)
+    edges = lib.topology(n, *(a.buffer_info()[0] for a in (
+        fin_off, fin, kid_off, kid, fout_off, fout, order, tpos)))
+    if edges < 0:
+        return None
+    del kid[edges:], fout[edges:]
+    return arrays
+
+
+def csr(circuit) -> CSR:
+    """The circuit's CSR arrays; ``build_circuit`` fills them when the kernel
+    is loaded, and a circuit built without it gets them on first use."""
     arrays = circuit._csr
     if arrays is None:
-        kids = [k if k is not None else () for k in circuit.fanin]
-        arrays = circuit._csr = (
-            _offsets(kids), array("i", chain.from_iterable(kids)),
-            _offsets(circuit.fanout), array("i", chain.from_iterable(circuit.fanout)),
-            array("i", circuit.topo_order), array("i", circuit.topo_pos))
+        arrays = circuit._csr = topology(circuit.fanin)
     return arrays
+
+
+def profile(circuit, level_sum: bool, fanout_split: bool) -> tuple:
+    """``aigsls_profile``'s flags and columns: depth, level, llevel, alevel,
+    fanout size, cc0, cc1, co and flow, each an array of one entry per gate."""
+    n = circuit.num_gates
+    arrays = csr(circuit)
+    inputs = (arrays.order, arrays.fin_off, arrays.fin, arrays.fout_off, arrays.fout,
+              arrays.kid_off, arrays.kid)
+    columns = tuple(array(code, [0]) * n for code in "iiidiqqqd")
+    flags = lib.profile(n, *(a.buffer_info()[0] for a in inputs), level_sum, fanout_split,
+                        *(c.buffer_info()[0] for c in columns))
+    return flags, columns
 
 
 def _view(buf):
@@ -408,9 +629,9 @@ def _view(buf):
 
 def evaluate(circuit, values: bytearray):
     """Set every AND gate of ``values`` to the AND of its child literals."""
-    fin_off, fin, _, _, order, _ = csr(circuit)
-    lib.evaluate(circuit.num_gates, order.buffer_info()[0], fin_off.buffer_info()[0],
-                 fin.buffer_info()[0], _view(values))
+    arrays = csr(circuit)
+    lib.evaluate(circuit.num_gates, arrays.order.buffer_info()[0],
+                 arrays.fin_off.buffer_info()[0], arrays.fin.buffer_info()[0], _view(values))
 
 
 class State:
@@ -432,7 +653,8 @@ class State:
                  *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties,
                               wstamp, wstack)))
         self._keep = (arrays, views)
-        self._struct = _StateStruct(n, *(a.buffer_info()[0] for a in arrays),
+        self._struct = _StateStruct(n, *(getattr(arrays, name).buffer_info()[0]
+                                         for name in _CSR_FIELDS),
                                     *map(ctypes.addressof, views))
         self.addr = ctypes.addressof(self._struct)
 

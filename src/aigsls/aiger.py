@@ -57,7 +57,8 @@ def _decode_literal(lit: int, max_var: int) -> Literal:
     if lit < 0 or lit > 2 * max_var + 1:
         raise LiteralOutOfRange(f"literal {lit} out of range for {max_var} variables")
     lit ^= lit < 2          # gate 0 holds 1 while AIGER variable 0 is FALSE
-    return Literal(lit >> 1, lit & 1)
+    # the packed value is the literal itself; skip Literal's (gate, complement) form
+    return int.__new__(Literal, lit)
 
 
 def _parse_header(line: bytes) -> tuple[str, AigerHeader]:

@@ -13,6 +13,7 @@ import random
 from array import array
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernel
@@ -83,13 +84,15 @@ class Circuit:
     ``fanin_gates[g]`` the distinct child gates, without polarity, for the
     level, flow and closure walks.  ``topo_order`` places every gate
     strictly after all of its children; ``topo_pos[g]`` is g's position in it.
-    ``_csr`` caches the search kernel's flat copies of these (``_kernel.csr``).
+    ``_csr`` holds the C kernel's flat copies of these (``_kernel.CSR``):
+    ``build_circuit`` fills it when the kernel is loaded, having made the
+    tuples from it, and ``_kernel.csr`` fills it on first use otherwise.
     """
 
     __slots__ = ("fanin", "fanin_gates", "fanout", "topo_order", "topo_pos",
                  "inputs", "outputs", "_csr")
 
-    def __init__(self, fanin, fanin_gates, fanout, topo_order, topo_pos):
+    def __init__(self, fanin, fanin_gates, fanout, topo_order, topo_pos, csr=None):
         self.fanin = fanin
         self.fanin_gates = fanin_gates
         self.fanout = fanout
@@ -97,7 +100,7 @@ class Circuit:
         self.topo_pos = topo_pos
         self.inputs = tuple(g for g, kids in enumerate(fanin) if kids is None)
         self.outputs = tuple(g for g in range(len(fanin)) if not fanout[g])
-        self._csr = None
+        self._csr = csr
 
     @property
     def num_gates(self) -> int:
@@ -125,9 +128,39 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
 
     Raises DanglingReference for out-of-range children, CircuitError for
     childless AND gates and CycleDetected when no topological order exists.
+
+    With the C kernel loaded, ``aigsls_topology`` builds the CSR arrays and
+    the tuples are made from them; the pure-Python path below is the
+    reference, and it judges every definition list the kernel declines.
     """
-    n = len(definitions)
     fanin = tuple(None if record is None else tuple(record) for record in definitions)
+    if _kernel.lib is not None and () not in fanin and set(
+            map(type, chain.from_iterable(filter(None, fanin)))) <= {Literal}:
+        csr = _kernel.topology(fanin)
+        if csr is not None:
+            return _from_csr(fanin, csr)
+    return _build_python(fanin)
+
+
+def _rows(offsets, entries, ints) -> list:
+    """The rows of a CSR pair as tuples of the int objects in ``ints``."""
+    entries = tuple(map(ints.__getitem__, entries))
+    offsets = offsets.tolist()
+    return [entries[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def _from_csr(fanin, csr) -> Circuit:
+    # one int object per gate index, shared by every tuple below
+    ints = list(range(len(fanin)))
+    fanin_gates = tuple(None if kids is None else row
+                        for kids, row in zip(fanin, _rows(csr.kid_off, csr.kid, ints)))
+    return Circuit(fanin, fanin_gates, tuple(_rows(csr.fout_off, csr.fout, ints)),
+                   tuple(map(ints.__getitem__, csr.order)),
+                   tuple(map(ints.__getitem__, csr.tpos)), csr)
+
+
+def _build_python(fanin) -> Circuit:
+    n = len(fanin)
     fanin_gates = [None] * n
     fanout = [[] for _ in range(n)]
     remaining = [0] * n             # distinct children not yet placed, for Kahn

@@ -37,12 +37,23 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from array import array
 
+from . import _kernel
 from .circuit import Circuit
 
 ALEVEL_MODES = ("self", "level-sum")
 FLOW_MODES = ("conserving", "fanout-split")
+
+#: CPython 3.12 and later sum floats with compensation, which the C
+#: kernel's left-to-right sum matches only for sums of at most two terms
+COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _check_mode(kind: str, mode: str, modes: tuple):
+    if mode not in modes:
+        raise ValueError(f"unknown {kind} {mode!r}")
 
 
 def compute_depths(circuit: Circuit) -> list[int]:
@@ -57,8 +68,7 @@ def compute_depths(circuit: Circuit) -> list[int]:
 
 def compute_levels(circuit: Circuit, alevel_mode: str = "self"):
     """Per-gate (level, llevel, alevel) distances from the input side."""
-    if alevel_mode not in ALEVEL_MODES:
-        raise ValueError(f"unknown alevel_mode {alevel_mode!r}")
+    _check_mode("alevel_mode", alevel_mode, ALEVEL_MODES)
     n = circuit.num_gates
     level = [0] * n
     llevel = [0] * n
@@ -148,8 +158,7 @@ def compute_scoap_co(circuit: Circuit, cc0, cc1) -> list[int]:
 
 
 def compute_flow(circuit: Circuit, flow_mode: str = "conserving") -> list[float]:
-    if flow_mode not in FLOW_MODES:
-        raise ValueError(f"unknown flow_mode {flow_mode!r}")
+    _check_mode("flow_mode", flow_mode, FLOW_MODES)
     n = circuit.num_gates
     flow = [0.0] * n
     fanout = circuit.fanout
@@ -200,11 +209,18 @@ def csv_text(header, rows) -> str:
 class StructuralProfile:
     """All per-gate measures of one circuit, ready for constant-time lookup.
 
-    The cheap measures are precomputed eagerly in O(gates + edges).  The
-    transitive closure sizes are computed on first request per gate (a plain
-    reachability walk) and cached, since a search typically queries only the
-    gates that ever become unjustified.  ``scores`` gives the C kernel's
-    int32 form of each measure, built on first request.
+    The cheap measures are precomputed eagerly in O(gates + edges): by the
+    C kernel's ``aigsls_profile`` when it is loaded, else by the compute_*
+    functions above, which stay the reference.  Either way every column is
+    a list of Python ints or floats with the same values.  Where the kernel
+    cannot match them exactly it hands the column back to its function:
+    cc0/cc1 and co when they outgrow int64, and alevel where the
+    interpreter's float ``sum`` is compensated and some gate has three or
+    more distinct children.  The transitive closure sizes are computed on
+    first request per gate (a plain reachability walk) and cached, since a
+    search typically queries only the gates that ever become unjustified.
+    ``scores`` gives the C kernel's int32 form of each measure, built on
+    first request.
     """
 
     __slots__ = ("circuit", "depth", "level", "llevel", "alevel", "fanout_size",
@@ -216,15 +232,33 @@ class StructuralProfile:
         self.circuit = circuit
         self.alevel_mode = alevel_mode
         self.flow_mode = flow_mode
-        self.depth = compute_depths(circuit)
-        self.level, self.llevel, self.alevel = compute_levels(circuit, alevel_mode)
-        self.fanout_size = [len(circuit.fanout[g]) for g in range(circuit.num_gates)]
-        self.cc0, self.cc1 = compute_scoap_cc(circuit)
-        self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
-        self.flow = compute_flow(circuit, flow_mode)
+        if _kernel.lib is not None:
+            self._kernel_columns()
+        else:
+            self.depth = compute_depths(circuit)
+            self.level, self.llevel, self.alevel = compute_levels(circuit, alevel_mode)
+            self.fanout_size = [len(circuit.fanout[g]) for g in range(circuit.num_gates)]
+            self.cc0, self.cc1 = compute_scoap_cc(circuit)
+            self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
+            self.flow = compute_flow(circuit, flow_mode)
         self._tfo = [-1] * circuit.num_gates
         self._tfi = [-1] * circuit.num_gates
         self._scores = {}
+
+    def _kernel_columns(self):
+        circuit = self.circuit
+        _check_mode("alevel_mode", self.alevel_mode, ALEVEL_MODES)
+        _check_mode("flow_mode", self.flow_mode, FLOW_MODES)
+        flags, columns = _kernel.profile(circuit, self.alevel_mode == "level-sum",
+                                         self.flow_mode == "fanout-split")
+        (self.depth, self.level, self.llevel, self.alevel, self.fanout_size,
+         self.cc0, self.cc1, self.co, self.flow) = (column.tolist() for column in columns)
+        if flags & _kernel.CC_OVERFLOW:
+            self.cc0, self.cc1 = compute_scoap_cc(circuit)
+        if flags & _kernel.CO_OVERFLOW:
+            self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
+        if flags & _kernel.WIDE and COMPENSATED_SUM and self.alevel_mode == "self":
+            self.alevel = compute_levels(circuit)[2]
 
     def scores(self, measure: str) -> tuple:
         """(lo, hi): int32 scores of ``measure`` for gates at value 0 and at 1.

@@ -1,29 +1,34 @@
-"""The C search kernel against the pure-Python reference.
+"""The C kernel against the pure-Python reference.
 
 Both paths work on the same buffers of an ``Assignment``; ``_kernel.lib`` is
-None on the pure-Python path.  The classes below rerun the flip, rollback,
-unjust-set, propagation, trial and golden-hash tests with the kernel turned
-off; their originals run on the kernel wherever it builds.
+None on the pure-Python path.  The classes below rerun the circuit-building,
+metric, flip, rollback, unjust-set, propagation, trial and golden-hash tests
+with the kernel turned off; their originals run on the kernel wherever it
+builds.
 """
 
 import copy
 import os
 import pickle
 import random
+import shutil
 import subprocess
 import sys
 from array import array
+from itertools import accumulate, chain
 
 import pytest
 
 import test_circuit
 import test_harness
+import test_metrics
 import test_search
-from aigsls import INPUT, Literal, _kernel, build_circuit
-from aigsls.aiger import generate_random_sat_aig
-from aigsls.circuit import random_complete_extension
+from aigsls import INPUT, Literal, _kernel, build_circuit, metrics
+from aigsls.aiger import generate_random_sat_aig, serialize_ascii
+from aigsls.circuit import Circuit, random_complete_extension
+from aigsls.cli import run_cli
 from aigsls.harness import SolverConfig, crsat_solve
-from aigsls.metrics import build_profile, compute_fanout_tfo_tfi
+from aigsls.metrics import ALEVEL_MODES, FLOW_MODES, build_profile, compute_fanout_tfo_tfi
 from aigsls.search import HEURISTICS, SearchEngine
 from oracles import random_constrained, random_dag
 
@@ -35,6 +40,41 @@ needs_kernel = pytest.mark.skipif(_kernel.lib is None, reason="no working C comp
 @pytest.fixture
 def python_path(monkeypatch):
     monkeypatch.setattr(_kernel, "lib", None)
+
+
+@pytest.mark.usefixtures("python_path")
+class TestBuildCircuitPython(test_circuit.TestBuildCircuit):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestDepthPython(test_metrics.TestDepth):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestLevelsPython(test_metrics.TestLevels):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestClosuresPython(test_metrics.TestClosures):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestScoapPython(test_metrics.TestScoap):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestFlowPython(test_metrics.TestFlow):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestProfilePython(test_metrics.TestProfile):
+    pass
 
 
 @pytest.mark.usefixtures("python_path")
@@ -76,6 +116,207 @@ class TestGoldenTrajectoryPython(test_harness.TestGoldenTrajectory):
 @pytest.mark.usefixtures("python_path")
 class TestCrsatSolvePython:
     test_debug_mode_checks_pass = test_search.TestCrsatSolve.test_debug_mode_checks_pass
+
+
+def _on_both_paths(monkeypatch, make):
+    """``make()`` on the kernel, then on the pure-Python path."""
+    lib = _kernel.lib
+    fast = make()
+    monkeypatch.setattr(_kernel, "lib", None)
+    slow = make()
+    monkeypatch.setattr(_kernel, "lib", lib)
+    return fast, slow
+
+
+def _random_definitions(rng, n):
+    """Gate definitions that reference gates of either higher or lower index:
+    1 to 6 children, with repeated children and complement pairs."""
+    gate_at = list(range(n))        # gate_at[rank]; ANDs read lower ranks
+    rng.shuffle(gate_at)
+    definitions = [INPUT] * n
+    for rank in range(1, n):
+        if rng.random() < 0.3:
+            continue
+        kids = [Literal(gate_at[rng.randrange(rank)], rng.random() < 0.5)
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            kids.append(kids[0])
+        if rng.random() < 0.3:
+            kids.append(Literal(kids[0].gate, not kids[0].complement))
+        rng.shuffle(kids)
+        definitions[gate_at[rank]] = tuple(kids)
+    return definitions
+
+
+def _reference_csr(circuit):
+    """The CSR arrays built from the circuit's tuples in Python."""
+    def pair(rows):
+        rows = [row or () for row in rows]
+        return array("i", [0, *accumulate(map(len, rows))]), array("i", chain(*rows))
+
+    return _kernel.CSR(*pair(circuit.fanin), *pair(circuit.fanout),
+                       array("i", circuit.topo_order), array("i", circuit.topo_pos),
+                       *pair(circuit.fanin_gates))
+
+
+PROFILE_COLUMNS = ("depth", "level", "llevel", "alevel", "fanout_size", "cc0", "cc1",
+                   "co", "flow")
+
+
+def _assert_same_profiles(fast, slow):
+    for column in PROFILE_COLUMNS:
+        # repr tells 1 from 1.0 and 0.0 from -0.0
+        assert repr(getattr(fast, column)) == repr(getattr(slow, column)), column
+
+
+@needs_kernel
+def test_topology_and_profile_match_on_both_paths(monkeypatch):
+    rng = random.Random(80)
+    for k in range(40):
+        definitions = _random_definitions(rng, rng.randint(1, 150) if k else 0)
+        fast, slow = _on_both_paths(monkeypatch, lambda: build_circuit(definitions))
+        for name in Circuit.__slots__:
+            if name != "_csr":
+                assert getattr(fast, name) == getattr(slow, name), name
+        assert slow._csr is None
+        assert fast._csr == _reference_csr(slow)
+        assert _kernel.csr(slow) == fast._csr
+        for alevel_mode in ALEVEL_MODES:
+            for flow_mode in FLOW_MODES:
+                _assert_same_profiles(*_on_both_paths(
+                    monkeypatch, lambda: build_profile(fast, alevel_mode, flow_mode)))
+
+
+def _outcome(definitions):
+    try:
+        build_circuit(definitions)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@needs_kernel
+def test_malformed_definitions_fail_alike_on_both_paths(monkeypatch):
+    lit = Literal
+    cases = [
+        [INPUT, (lit(0), lit(5))],                          # dangling
+        [INPUT, (lit(0), lit(2))],                          # one past the last gate
+        [INPUT, (lit(-1),)],                                # negative gate
+        [INPUT, (int.__new__(Literal, -1),)],               # negative packed literal
+        [INPUT, (lit(2**30),)],                             # past int32 once packed
+        [INPUT, (lit(2**40, True),)],
+        [INPUT, ()],                                        # empty AND
+        [INPUT, []],
+        [INPUT, (lit(0),), (lit(7),), ()],                  # the first fault wins
+        [INPUT, (lit(0),), (), (lit(7),)],
+        [[lit(0)]],                                         # cycles
+        [[lit(1)], [lit(0)]],
+        [INPUT, (lit(0), lit(3)), (lit(1),), (lit(2, True), lit(0))],
+        [INPUT, (2,)],                                      # not a Literal
+        [INPUT, (lit(0), True)],
+    ]
+    for definitions in cases:
+        fast, slow = _on_both_paths(monkeypatch, lambda: _outcome(definitions))
+        assert slow is not None
+        assert fast == slow
+
+
+@needs_kernel
+def test_unknown_profile_modes_fail_alike_on_both_paths(monkeypatch):
+    circuit = build_circuit([INPUT, INPUT, (Literal(0), Literal(1))])
+
+    def outcome(alevel_mode, flow_mode):
+        try:
+            build_profile(circuit, alevel_mode, flow_mode)
+        except ValueError as exc:
+            return str(exc)
+
+    for modes in (("bogus", "conserving"), ("self", "bogus"), ("bogus", "bogus")):
+        fast, slow = _on_both_paths(monkeypatch, lambda: outcome(*modes))
+        assert fast == slow is not None
+
+
+@needs_kernel
+def test_metrics_csv_bytes_match_on_both_paths(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "m.aag"
+    path.write_text(serialize_ascii(generate_random_sat_aig(12, 400, random.Random(81))))
+    for alevel_mode in ALEVEL_MODES:
+        for flow_mode in FLOW_MODES:
+            argv = ["metrics", str(path), "--alevel-mode", alevel_mode, "--flow-mode", flow_mode]
+
+            def dump():
+                assert run_cli(argv) == 0
+                return capsys.readouterr().out
+
+            fast, slow = _on_both_paths(monkeypatch, dump)
+            assert fast == slow and fast.count("\n") == 1 + 413  # header, 1 + 12 + 400 gates
+
+
+def _observed_through_big_siblings(hops):
+    """A Fibonacci chain whose top gate t has cc1 just under 2**62, and a
+    chain x(i+1) = AND(-x(i), t) of ``hops`` gates: cc0/cc1 fit int64, but
+    observing x(0) costs about ``hops`` times cc1 of t."""
+    definitions = [INPUT, INPUT]
+    for g in range(2, 89):
+        definitions.append((Literal(g - 1), Literal(g - 2)))
+    top = len(definitions) - 1
+    definitions.append(INPUT)
+    for _ in range(hops):
+        definitions.append((Literal(len(definitions) - 1, True), Literal(top)))
+    return build_circuit(definitions)
+
+
+@needs_kernel
+def test_kernel_costs_past_int64_equal_the_python_bigints(monkeypatch):
+    rng = random.Random(77)
+    cases = [(_fibonacci_chain(rng, 120), _kernel.CC_OVERFLOW | _kernel.CO_OVERFLOW),
+             (_fibonacci_chain(rng, 60), 0),
+             (_observed_through_big_siblings(8), _kernel.CO_OVERFLOW),
+             (_observed_through_big_siblings(1), 0)]
+    for circuit, overflow in cases:
+        flags, _ = _kernel.profile(circuit, False, False)
+        assert flags & (_kernel.CC_OVERFLOW | _kernel.CO_OVERFLOW) == overflow
+        fast, slow = _on_both_paths(monkeypatch, lambda: build_profile(circuit))
+        _assert_same_profiles(fast, slow)
+        assert all(type(v) is int for v in fast.cc0 + fast.cc1 + fast.co)
+        if overflow & _kernel.CC_OVERFLOW:
+            assert max(fast.cc1) > 2**63
+        if overflow:
+            assert max(fast.co) > 2**63
+        else:
+            assert max(fast.cc1 + fast.co) < 2**63
+
+
+@needs_kernel
+@pytest.mark.parametrize("compensated", [False, True])
+def test_alevel_of_wide_gates_follows_the_interpreters_sum(monkeypatch, compensated):
+    # CPython 3.12 compensates float sums; the kernel's plain sum matches
+    # that only for two terms, so wider gates take alevel from Python there
+    monkeypatch.setattr(metrics, "COMPENSATED_SUM", compensated)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return compute_levels(*args)
+
+    compute_levels = metrics.compute_levels
+    monkeypatch.setattr(metrics, "compute_levels", spy)
+    narrow = build_circuit([INPUT, INPUT, (Literal(0), Literal(1)),
+                            (Literal(2), Literal(0, True), Literal(2, True))])
+    wide = build_circuit([INPUT, INPUT, INPUT, (Literal(0), Literal(1), Literal(2))])
+    for circuit, alevel_mode, routed in ((narrow, "self", False), (wide, "self", compensated),
+                                         (wide, "level-sum", False)):
+        calls.clear()
+        profile = build_profile(circuit, alevel_mode)
+        assert calls == ([(circuit,)] if routed else [])
+        assert profile.alevel == compute_levels(circuit, alevel_mode)[2]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings():
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+                          input=_kernel.SOURCE.encode(), capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def _snapshot(engine):
