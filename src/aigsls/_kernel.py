@@ -1,10 +1,13 @@
-"""The C kernel: circuit topology, structural profile and the search steps.
+"""The C kernel: AIGER parsing, circuit topology, structural profile and the
+search steps.
 
-At load time ``build_circuit`` hands the child literals to
-``aigsls_topology``, which builds the circuit's CSR ``array('i')`` buffers
+At load time ``aigsls_parse_binary`` or ``aigsls_parse_ascii`` writes a
+file's child literals straight into CSR ``array('i')`` buffers, and
+``aigsls_topology`` builds the rest of the circuit's CSR from them
 (``CSR``: fanin, distinct child gates, fanout, topological order and
-positions); the circuit's tuples are made from them.  ``aigsls_profile``
-then fills every column of ``StructuralProfile`` from those buffers.
+positions); ``build_circuit`` hands it the literals of a definition list
+instead.  A circuit keeps only these buffers.  ``aigsls_profile`` then fills
+every column of ``StructuralProfile`` from them.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
 unjustified list, its positions and the propagation stamps ``array('i')``).
@@ -14,7 +17,8 @@ turns on one assignment.  Gate selection scans the unjustified list for the
 least int32 score (the profile's dense ranks, or closure sizes that it walks
 the CSR for on first need) and returns the ties; the choice among them, the
 choice of justification and every random draw stay in Python, so both paths
-follow the same trajectory.
+follow the same trajectory.  ``verify_satisfying`` scans the whole circuit
+with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
 cached under ``$XDG_CACHE_HOME/aigsls`` (default ``~/.cache/aigsls``), keyed
@@ -292,6 +296,137 @@ void aigsls_scan(State *s)
         }
 }
 
+/* verify_satisfying's full scan: the first gate, in index order, whose value
+   differs from the AND of its child literals, or -1 */
+int aigsls_first_unjust(int n, const int *fin_off, const int *fin, const unsigned char *val)
+{
+    for (int g = 0; g < n; g++)
+        if (unjust(fin_off, fin, val, g))
+            return g;
+    return -1;
+}
+
+/* The AIGER parsers write the packed child literals of gates 0..m as CSR
+   rows (fin_off, fin): an input's row is empty, and AIGER's constant
+   literals 0 and 1 swap (lit ^ (lit < 2)) because gate 0 is an input pinned
+   to 1.  They accept only a strict grammar and return -1, declining, on
+   anything else, valid or not; the pure-Python parser then reads the file
+   and gives every diagnostic.  The caller keeps m at most 2^30 - 1, so every
+   literal fits an int. */
+
+/* binary AIGER's a AND gates as delta pairs in data[pos..len), gates 1..i
+   being the inputs: fin_off needs i + a + 2 entries and fin 2a.  Declines a
+   delta code past 32 bits or past the end of data, and operands out of
+   order. */
+int aigsls_parse_binary(const unsigned char *data, long long len, long long pos, int i, int a,
+                        int *fin_off, int *fin)
+{
+    if (pos < 0)
+        return -1;
+    for (int g = 0; g <= i; g++)
+        fin_off[g] = 0;
+    for (int k = 0; k < a; k++) {
+        long long lhs = 2LL * ((long long)i + k + 1), lit = lhs;
+        for (int j = 0; j < 2; j++) {
+            unsigned long long delta = 0;
+            for (int shift = 0;; shift += 7) {
+                if (pos >= len || shift > 28)
+                    return -1;
+                unsigned char byte = data[pos++];
+                delta |= (unsigned long long)(byte & 0x7f) << shift;
+                if (!(byte & 0x80))
+                    break;
+            }
+            if (delta > 0xffffffffULL)
+                return -1;
+            lit -= (long long)delta;
+            if (lit < 0 || lit >= lhs)
+                return -1;
+            fin[2 * k + j] = (int)(lit ^ (lit < 2));
+        }
+        fin_off[i + k + 1] = 2 * k;
+    }
+    fin_off[i + a + 1] = 2 * a;
+    return 0;
+}
+
+/* the decimal field [0-9]+ at data[*pos], ended by the byte end, which is
+   skipped too; -1 when it is not there or exceeds limit */
+static long long field(const unsigned char *data, long long len, long long *pos, int end,
+                       long long limit)
+{
+    long long p = *pos, v = 0;
+    if (p >= len || data[p] < '0' || data[p] > '9')
+        return -1;
+    for (; p < len && data[p] >= '0' && data[p] <= '9'; p++) {
+        v = 10 * v + (data[p] - '0');
+        if (v > limit)
+            return -1;
+    }
+    if (p >= len || data[p] != end)
+        return -1;
+    *pos = p + 1;
+    return v;
+}
+
+/* ASCII AIGER's input, output and AND sections from data[pos]: i lines of
+   one field, o lines of one field (their literals go to out) and a lines of
+   three fields, each field [0-9]+, fields separated by one space, every line
+   ended by '\n'; what follows the AND section is ignored.  fin_off needs
+   m + 2 entries and fin 2m + 2.  Declines a literal out of range, a
+   variable defined twice or never, and a line that breaks the grammar.
+   Returns the number of child literals. */
+int aigsls_parse_ascii(const unsigned char *data, long long len, long long pos, int m, int i,
+                       int o, int a, int *out, int *fin_off, int *fin)
+{
+    long long top = 2LL * m + 1;
+    if (pos < 0)
+        return -1;
+    /* fin_off[v] is 0 while v is undefined, 1 for an input, 2 for an AND
+       whose literals wait in fin[2v], fin[2v + 1] */
+    fin_off[0] = 1;
+    for (int v = 1; v <= m; v++)
+        fin_off[v] = 0;
+    for (int k = 0; k < i; k++) {
+        long long lit = field(data, len, &pos, '\n', top);
+        if (lit < 2 || lit & 1 || fin_off[lit >> 1])
+            return -1;
+        fin_off[lit >> 1] = 1;
+    }
+    for (int k = 0; k < o; k++) {
+        long long lit = field(data, len, &pos, '\n', top);
+        if (lit < 0)
+            return -1;
+        out[k] = (int)lit;
+    }
+    for (int k = 0; k < a; k++) {
+        long long lhs = field(data, len, &pos, ' ', top);
+        long long r0 = field(data, len, &pos, ' ', top);
+        long long r1 = field(data, len, &pos, '\n', top);
+        if (lhs < 2 || lhs & 1 || r0 < 0 || r1 < 0 || fin_off[lhs >> 1])
+            return -1;
+        int v = (int)(lhs >> 1);
+        fin_off[v] = 2;
+        fin[2 * v] = (int)(r0 ^ (r0 < 2));
+        fin[2 * v + 1] = (int)(r1 ^ (r1 < 2));
+    }
+    /* gather the rows in place: row v moves down to 2 * (ANDs before v) */
+    int edges = 0;
+    for (int v = 0; v <= m; v++) {
+        int kind = fin_off[v];
+        if (!kind)
+            return -1;
+        fin_off[v] = edges;
+        if (kind == 2) {
+            fin[edges] = fin[2 * v];
+            fin[edges + 1] = fin[2 * v + 1];
+            edges += 2;
+        }
+    }
+    fin_off[m + 1] = edges;
+    return edges;
+}
+
 /* build_circuit's topology from the packed child literals (fin_off, fin)
    of n gates: each gate's distinct child gates in first-occurrence order
    (kid_off, kid), its parents in index order (fout_off, fout), and Kahn's
@@ -461,7 +596,7 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 #: ``aigsls_select``'s walk argument for the closure measures
 WALKS = {"tfi": 1, "tfo": 2}
 
-_P, _I = ctypes.c_void_p, ctypes.c_int
+_P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_longlong
 _SIGNATURES = {
     "flip": (None, [_P, _I]),
     "rollback": (_I, [_P, _P, _I]),
@@ -473,7 +608,13 @@ _SIGNATURES = {
     "select": (_I, [_P, _P, _P, _I, _I]),
     "topology": (_I, [_I] + [_P] * 8),
     "profile": (_I, [_I] + [_P] * 7 + [_I, _I] + [_P] * 9),
+    "first_unjust": (_I, [_I, _P, _P, _P]),
+    "parse_binary": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _P, _P]),
+    "parse_ascii": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _I, _I, _P, _P, _P]),
 }
+
+#: the most AIGER variables the parsers take: 2 * MAX_VAR + 1 fits an int
+MAX_VAR = 2**30 - 1
 
 #: ``aigsls_profile``'s flags
 CC_OVERFLOW, CO_OVERFLOW, WIDE = 1, 2, 4
@@ -572,15 +713,14 @@ class CSR(NamedTuple):
     kid: array
 
 
-def topology(fanin) -> Optional[CSR]:
-    """The CSR of a ``Circuit.fanin`` tuple, built by ``aigsls_topology``.
+def _addr(buf) -> int:
+    return buf.buffer_info()[0]
 
-    An empty row reads as an input gate, so the caller rules out childless
-    AND gates.  None when a literal does not fit an int32 or names no gate,
-    or when some gates lie on a cycle; ``build_circuit`` then leaves the
-    diagnosis to its pure-Python path.
-    """
-    n = len(fanin)
+
+def rows(fanin) -> Optional[tuple]:
+    """The packed child literals of a ``Circuit.fanin`` tuple as CSR rows
+    ``(fin_off, fin)``, an input's row empty; None when a literal does not
+    fit an int32."""
     rows = [() if kids is None else kids for kids in fanin]
     try:
         fin = array("i", chain.from_iterable(rows))
@@ -588,12 +728,25 @@ def topology(fanin) -> Optional[CSR]:
         return None
     fin_off = array("i", [0])
     fin_off.extend(accumulate(map(len, rows)))
+    return fin_off, fin
+
+
+def topology(fin_off: array, fin: array) -> Optional[CSR]:
+    """The CSR of the circuit whose gate g has the packed child literals
+    ``fin[fin_off[g]:fin_off[g + 1]]``, built by ``aigsls_topology`` around
+    those two arrays.
+
+    An empty row reads as an input gate, so the caller rules out childless
+    AND gates.  None when a literal names no gate or some gates lie on a
+    cycle; the caller then leaves the diagnosis to the pure-Python code.
+    """
+    n = len(fin_off) - 1
     kid_off, fout_off = array("i", [0]) * (n + 1), array("i", [0]) * (n + 1)
     kid, fout = array("i", [0]) * len(fin), array("i", [0]) * len(fin)
     order, tpos = array("i", [0]) * n, array("i", [0]) * n
     arrays = CSR(fin_off, fin, fout_off, fout, order, tpos, kid_off, kid)
-    edges = lib.topology(n, *(a.buffer_info()[0] for a in (
-        fin_off, fin, kid_off, kid, fout_off, fout, order, tpos)))
+    edges = lib.topology(n, *map(_addr, (fin_off, fin, kid_off, kid, fout_off, fout,
+                                         order, tpos)))
     if edges < 0:
         return None
     del kid[edges:], fout[edges:]
@@ -601,12 +754,48 @@ def topology(fanin) -> Optional[CSR]:
 
 
 def csr(circuit) -> CSR:
-    """The circuit's CSR arrays; ``build_circuit`` fills them when the kernel
-    is loaded, and a circuit built without it gets them on first use."""
+    """The circuit's CSR arrays; a circuit built without the kernel gets them
+    on first use."""
     arrays = circuit._csr
     if arrays is None:
-        arrays = circuit._csr = topology(circuit.fanin)
+        arrays = circuit._csr = topology(*rows(circuit.fanin))
     return arrays
+
+
+def parse_binary(data: bytes, pos: int, inputs: int, ands: int) -> Optional[CSR]:
+    """The CSR of a binary AIGER file whose AND section starts at ``pos``,
+    decoded by ``aigsls_parse_binary``; None when it declines.
+
+    The caller has checked that ``data`` holds two bytes per AND at least.
+    """
+    if inputs + ands > MAX_VAR:
+        return None
+    fin_off, fin = array("i", [0]) * (inputs + ands + 2), array("i", [0]) * (2 * ands)
+    if lib.parse_binary(bytes(data), len(data), pos, inputs, ands, _addr(fin_off),
+                        _addr(fin)) < 0:
+        return None
+    return topology(fin_off, fin)
+
+
+def parse_ascii(data: bytes, pos: int, max_var: int, inputs: int, outputs: int,
+                ands: int) -> Optional[tuple]:
+    """(CSR, output literals) of an ASCII AIGER file whose input section
+    starts at ``pos``, read by ``aigsls_parse_ascii``; None when it declines.
+
+    The caller has checked that ``data`` holds a line for every input, output
+    and AND.
+    """
+    if max_var > MAX_VAR or outputs > MAX_VAR:
+        return None
+    out = array("i", [0]) * outputs
+    fin_off, fin = array("i", [0]) * (max_var + 2), array("i", [0]) * (2 * max_var + 2)
+    edges = lib.parse_ascii(bytes(data), len(data), pos, max_var, inputs, outputs, ands,
+                            _addr(out), _addr(fin_off), _addr(fin))
+    if edges < 0:
+        return None
+    del fin[edges:]
+    arrays = topology(fin_off, fin)
+    return None if arrays is None else (arrays, out)
 
 
 def profile(circuit, level_sum: bool, fanout_split: bool) -> tuple:
@@ -617,8 +806,8 @@ def profile(circuit, level_sum: bool, fanout_split: bool) -> tuple:
     inputs = (arrays.order, arrays.fin_off, arrays.fin, arrays.fout_off, arrays.fout,
               arrays.kid_off, arrays.kid)
     columns = tuple(array(code, [0]) * n for code in "iiidiqqqd")
-    flags = lib.profile(n, *(a.buffer_info()[0] for a in inputs), level_sum, fanout_split,
-                        *(c.buffer_info()[0] for c in columns))
+    flags = lib.profile(n, *map(_addr, inputs), level_sum, fanout_split,
+                        *map(_addr, columns))
     return flags, columns
 
 
@@ -630,8 +819,18 @@ def _view(buf):
 def evaluate(circuit, values: bytearray):
     """Set every AND gate of ``values`` to the AND of its child literals."""
     arrays = csr(circuit)
-    lib.evaluate(circuit.num_gates, arrays.order.buffer_info()[0],
-                 arrays.fin_off.buffer_info()[0], arrays.fin.buffer_info()[0], _view(values))
+    lib.evaluate(circuit.num_gates, _addr(arrays.order), _addr(arrays.fin_off),
+                 _addr(arrays.fin), _view(values))
+
+
+def first_unjust(circuit, values: bytearray) -> int:
+    """The first gate whose value in ``values`` differs from the AND of its
+    child literals, or -1."""
+    if len(values) != circuit.num_gates:
+        raise ValueError("value vector length does not match gate count")
+    arrays = csr(circuit)
+    return lib.first_unjust(circuit.num_gates, _addr(arrays.fin_off), _addr(arrays.fin),
+                            _view(values))
 
 
 class State:
@@ -653,7 +852,7 @@ class State:
                  *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties,
                               wstamp, wstack)))
         self._keep = (arrays, views)
-        self._struct = _StateStruct(n, *(getattr(arrays, name).buffer_info()[0]
+        self._struct = _StateStruct(n, *(_addr(getattr(arrays, name))
                                          for name in _CSR_FIELDS),
                                     *map(ctypes.addressof, views))
         self.addr = ctypes.addressof(self._struct)

@@ -4,6 +4,15 @@ AIGER variable v maps to gate index v; variable 0 is the constant, modeled
 as a reserved input gate pinned to value 1 (so AIGER literal 1 is the plain
 gate-0 literal and AIGER literal 0 is its complement).  Each output literal
 becomes the constraint that the literal evaluates to true.
+
+With the C kernel loaded, C reads the body of a file in a strict form
+straight into the circuit's CSR arrays, so no definition list or
+``Literal`` is made: an ASCII file's input, output and AND lines, each field
+``[0-9]+``, fields separated by one space and every line ended by a
+newline; a binary file's AND section, every delta code within 32 bits.  The
+header, a binary file's output lines and the constraints stay in Python.
+The C parsers decline anything else, valid or not, and the pure-Python
+parser below, the reference, reads it and gives every diagnostic.
 """
 
 from __future__ import annotations
@@ -11,8 +20,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from . import _kernel
 from .circuit import (
     INPUT,
+    Circuit,
     ConstrainedCircuit,
     DuplicateDefinition,
     Literal,
@@ -85,14 +96,17 @@ def _finish(max_var, definitions, output_literals) -> ConstrainedCircuit:
     for var in range(1, max_var + 1):
         if definitions[var] is _UNDEFINED:
             raise MalformedHeader(f"variable {var} never defined")
-    circuit = build_circuit(definitions)
+    return _constrain(build_circuit(definitions), max_var, output_literals)
+
+
+def _constrain(circuit, max_var, output_literals) -> ConstrainedCircuit:
     constraints = {0: True}
     for lit in output_literals:
-        ref = _decode_literal(lit, max_var)
-        value = not ref.complement
-        if constraints.setdefault(ref.gate, value) != value:
+        lit = _decode_literal(lit, max_var)
+        gate, value = lit >> 1, not lit & 1
+        if constraints.setdefault(gate, value) != value:
             raise UnsatisfiableConstraints(
-                f"gate {ref.gate} constrained to both values by output literals")
+                f"gate {gate} constrained to both values by output literals")
     return ConstrainedCircuit(circuit, constraints, const_gate=0)
 
 
@@ -138,6 +152,18 @@ def _parse_ascii(lines, header: AigerHeader) -> ConstrainedCircuit:
     return _finish(m, definitions, output_literals)
 
 
+def _parse_ascii_kernel(data: bytes, start: int, header: AigerHeader):
+    """The C parser's reading of an ASCII body at ``start``; None when it declines."""
+    if data.count(b"\n", start) < header.inputs + header.outputs + header.ands:
+        return None             # checked before allocating anything sized by the header
+    parsed = _kernel.parse_ascii(data, start, header.max_var, header.inputs,
+                                 header.outputs, header.ands)
+    if parsed is None:
+        return None
+    csr, output_literals = parsed
+    return _constrain(Circuit(csr), header.max_var, output_literals)
+
+
 def _parse_int(text) -> int:
     try:
         return int(text)
@@ -160,6 +186,10 @@ def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> Constrai
         raise TruncatedDeltaEncoding(
             f"truncated file: header promises A={a} (at least {2 * a} delta bytes), "
             f"but {len(data) - pos} follow the outputs")
+    if _kernel.lib is not None:
+        csr = _kernel.parse_binary(data, pos, i, a)
+        if csr is not None:
+            return _constrain(Circuit(csr), m, output_literals)
     definitions = [INPUT] * (i + 1) + [_UNDEFINED] * a
 
     def decode_delta():
@@ -194,6 +224,10 @@ def parse_aiger(data: bytes) -> ConstrainedCircuit:
     header_line = data if end < 0 else data[:end]
     fmt, header = _parse_header(header_line)
     if fmt == "aag":
+        if _kernel.lib is not None and end >= 0:
+            cc = _parse_ascii_kernel(data, end + 1, header)
+            if cc is not None:
+                return cc
         lines = data.split(b"\n")[1:]
         return _parse_ascii(lines, header)
     if end < 0:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress, count, repeat
+from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernel
@@ -84,30 +86,83 @@ class Circuit:
     ``fanin_gates[g]`` the distinct child gates, without polarity, for the
     level, flow and closure walks.  ``topo_order`` places every gate
     strictly after all of its children; ``topo_pos[g]`` is g's position in it.
-    ``_csr`` holds the C kernel's flat copies of these (``_kernel.CSR``):
-    ``build_circuit`` fills it when the kernel is loaded, having made the
-    tuples from it, and ``_kernel.csr`` fills it on first use otherwise.
+
+    With the C kernel loaded, a circuit is its CSR arrays ``_csr``
+    (``_kernel.CSR``, the flat form of the five tuples above), and each tuple
+    is a view built from them on first access and then kept; so are
+    ``inputs`` and ``outputs``.  ``num_gates``, ``child_literals``,
+    ``parents``, ``is_input`` and ``is_output`` read the arrays directly, so
+    the search never builds a tuple.  A circuit built on the pure-Python
+    path has its tuples from the start and gets ``_csr`` from
+    ``_kernel.csr`` on first kernel use.
     """
 
-    __slots__ = ("fanin", "fanin_gates", "fanout", "topo_order", "topo_pos",
-                 "inputs", "outputs", "_csr")
-
-    def __init__(self, fanin, fanin_gates, fanout, topo_order, topo_pos, csr=None):
-        self.fanin = fanin
-        self.fanin_gates = fanin_gates
-        self.fanout = fanout
-        self.topo_order = topo_order
-        self.topo_pos = topo_pos
-        self.inputs = tuple(g for g, kids in enumerate(fanin) if kids is None)
-        self.outputs = tuple(g for g in range(len(fanin)) if not fanout[g])
+    def __init__(self, csr: Optional[_kernel.CSR] = None, **views):
         self._csr = csr
+        vars(self).update(views)
+        self.num_gates = len(self.fanin if csr is None else csr.tpos)
 
-    @property
-    def num_gates(self) -> int:
-        return len(self.fanin)
+    @cached_property
+    def fanin(self) -> tuple:
+        literals = tuple(map(int.__new__, repeat(Literal), self._csr.fin))
+        return tuple(row or None for row in _rows(self._csr.fin_off, literals))
+
+    @cached_property
+    def fanin_gates(self) -> tuple:
+        return tuple(row or None for row in _rows(self._csr.kid_off, self._csr.kid))
+
+    @cached_property
+    def fanout(self) -> tuple:
+        return tuple(_rows(self._csr.fout_off, self._csr.fout))
+
+    @cached_property
+    def topo_order(self) -> tuple:
+        return tuple(self._csr.order)
+
+    @cached_property
+    def topo_pos(self) -> tuple:
+        return tuple(self._csr.tpos)
+
+    @cached_property
+    def inputs(self) -> tuple:
+        """The input gates, in index order."""
+        return _empty_rows(self._csr.fin_off)
+
+    @cached_property
+    def outputs(self) -> tuple:
+        """The gates without parents, in index order."""
+        return _empty_rows(self._csr.fout_off)
+
+    def child_literals(self, g: int):
+        """The child literals of g as packed ints; empty for an input gate."""
+        csr = self._csr
+        if csr is None:
+            return self.fanin[g] or ()
+        off = csr.fin_off
+        return csr.fin[off[g]:off[g + 1]]
+
+    def parents(self, g: int):
+        """The distinct parent gates of g, in index order."""
+        csr = self._csr
+        if csr is None:
+            return self.fanout[g]
+        off = csr.fout_off
+        return csr.fout[off[g]:off[g + 1]]
 
     def is_input(self, g: int) -> bool:
-        return self.fanin[g] is None
+        csr = self._csr
+        if csr is None:
+            return self.fanin[g] is None
+        off = csr.fin_off
+        return off[g] == off[g + 1]
+
+    def is_output(self, g: int) -> bool:
+        """True iff g has no parents."""
+        csr = self._csr
+        if csr is None:
+            return not self.fanout[g]
+        off = csr.fout_off
+        return off[g] == off[g + 1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Circuit) and self.fanin == other.fanin
@@ -130,33 +185,31 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
     childless AND gates and CycleDetected when no topological order exists.
 
     With the C kernel loaded, ``aigsls_topology`` builds the CSR arrays and
-    the tuples are made from them; the pure-Python path below is the
+    the circuit keeps only those; the pure-Python path below is the
     reference, and it judges every definition list the kernel declines.
     """
     fanin = tuple(None if record is None else tuple(record) for record in definitions)
     if _kernel.lib is not None and () not in fanin and set(
             map(type, chain.from_iterable(filter(None, fanin)))) <= {Literal}:
-        csr = _kernel.topology(fanin)
+        rows = _kernel.rows(fanin)
+        csr = None if rows is None else _kernel.topology(*rows)
         if csr is not None:
-            return _from_csr(fanin, csr)
+            return Circuit(csr)
     return _build_python(fanin)
 
 
-def _rows(offsets, entries, ints) -> list:
-    """The rows of a CSR pair as tuples of the int objects in ``ints``."""
-    entries = tuple(map(ints.__getitem__, entries))
+def _rows(offsets, entries) -> list:
+    """The rows of a CSR pair as tuples, row g being
+    ``entries[offsets[g]:offsets[g + 1]]``."""
+    entries = tuple(entries)
     offsets = offsets.tolist()
     return [entries[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
-def _from_csr(fanin, csr) -> Circuit:
-    # one int object per gate index, shared by every tuple below
-    ints = list(range(len(fanin)))
-    fanin_gates = tuple(None if kids is None else row
-                        for kids, row in zip(fanin, _rows(csr.kid_off, csr.kid, ints)))
-    return Circuit(fanin, fanin_gates, tuple(_rows(csr.fout_off, csr.fout, ints)),
-                   tuple(map(ints.__getitem__, csr.order)),
-                   tuple(map(ints.__getitem__, csr.tpos)), csr)
+def _empty_rows(offsets) -> tuple:
+    """The indices of the empty rows of a CSR pair."""
+    offsets = offsets.tolist()
+    return tuple(compress(count(), map(eq, offsets, offsets[1:])))
 
 
 def _build_python(fanin) -> Circuit:
@@ -195,7 +248,10 @@ def _build_python(fanin) -> Circuit:
     for pos, g in enumerate(topo_order):
         topo_pos[g] = pos
 
-    return Circuit(fanin, tuple(fanin_gates), fanout, tuple(topo_order), tuple(topo_pos))
+    return Circuit(fanin=fanin, fanin_gates=tuple(fanin_gates), fanout=fanout,
+                   topo_order=tuple(topo_order), topo_pos=tuple(topo_pos),
+                   inputs=tuple(g for g, kids in enumerate(fanin) if kids is None),
+                   outputs=tuple(g for g in range(n) if not fanout[g]))
 
 
 class ConstrainedCircuit:
@@ -218,7 +274,7 @@ class ConstrainedCircuit:
         for g, v in self.constraints.items():
             if not 0 <= g < n:
                 raise DanglingReference(f"constraint on undefined gate {g}")
-            if circuit.fanout[g] and g != const_gate:
+            if g != const_gate and not circuit.is_output(g):
                 raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
         if const_gate is not None:
             if not circuit.is_input(const_gate):
@@ -564,7 +620,7 @@ def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
 def _justifications(kids, value):
     """Subset-minimal justifications of one AND gate holding ``value``.
 
-    ``kids`` is the gate's ``fanin`` tuple, read as packed literals.
+    ``kids`` is the gate's child literals, packed ints (``child_literals``).
     Returns a tuple of justifications, each a tuple of (gate, value) pairs
     giving the value required at a child *gate* (not at the child literal).
     Holding 1 binds every child literal to 1; holding 0 needs one child
@@ -598,12 +654,15 @@ def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
 def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
     """Check consistency at every gate plus every required output value.
 
-    Scans the full circuit rather than trusting the tracked unjust set.
+    Scans the full circuit rather than trusting the tracked unjust set: in
+    the C kernel when it is loaded, else with ``_unjustified``, the reference.
     """
     values = assignment.values
     for g, v in cc.constraints.items():
         if values[g] != v:
             return False
+    if _kernel.lib is not None:
+        return _kernel.first_unjust(cc.circuit, values) < 0
     return next(_unjustified(cc.circuit, values), None) is None
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 
 from . import _kernel, aiger, harness, metrics
 from .circuit import CircuitError
@@ -66,17 +67,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    clock = time.perf_counter
+    start = clock()
     cc = aiger.load_aiger(args.file)
+    parsed = clock()
     profile = metrics.build_profile(cc.circuit)
+    profiled = clock()
     config = SolverConfig(heuristic=args.heuristic, wp=args.wp,
                           cutoff=args.cutoff, seed=args.seed)
     result = crsat_solve(cc, profile, config)
+    search_s = clock() - profiled - result.verify_time
     print(result.status)
     print(f"steps {result.steps_used}")
     print(f"cpu_time {result.cpu_time:.6f}", file=sys.stderr)
     counts = " ".join(f"{k}={v}" for k, v in dataclasses.asdict(result.stats).items())
     kernel = "python" if _kernel.lib is None else "c"
     print(f"search kernel={kernel} {counts}", file=sys.stderr)
+    print(f"phases parse_s={parsed - start:.6f} profile_s={profiled - parsed:.6f} "
+          f"search_s={search_s:.6f} verify_s={result.verify_time:.6f}", file=sys.stderr)
     if result.status == "SAT":
         path = args.witness if args.witness is not None else args.file + ".witness"
         with open(path, "w", encoding="ascii") as fh:

@@ -72,6 +72,7 @@ class SolveResult:
     steps_used: int
     cpu_time: float                  # process CPU seconds of the search
     stats: SearchStats               # the search's steps by kind, trials, flips
+    verify_time: float = 0.0         # wall seconds of the SAT verdict's check
 
 
 @dataclass
@@ -142,7 +143,9 @@ def _check_protocol(heuristics, noises, tries: int):
 
 def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
             timeout: Optional[float] = None, cutoff: Optional[int] = None):
-    """Run one search try; return (engine, found, timed_out, cpu_seconds).
+    """Run one search try; return (engine, found, timed_out, cpu_seconds,
+    verify_seconds), the last the wall time of the SAT verdict's check (0
+    without one).
 
     The engine runs in chunks of at most ``_CHUNK`` steps until it reports
     SAT, reaches ``cutoff`` steps, or (checked between chunks) has used
@@ -165,9 +168,13 @@ def _search(cc, profile, heuristic: str, wp: float, seed: int, *,
             timed_out = True
             break
     elapsed = time.process_time() - start
-    if found and not verify_satisfying(cc, engine.assignment):
-        raise UnsoundResult("search reported SAT but the witness fails verification")
-    return engine, found, timed_out, elapsed
+    verify_s = 0.0
+    if found:
+        checked = time.perf_counter()
+        if not verify_satisfying(cc, engine.assignment):
+            raise UnsoundResult("search reported SAT but the witness fails verification")
+        verify_s = time.perf_counter() - checked
+    return engine, found, timed_out, elapsed, verify_s
 
 
 def crsat_solve(cc, profile, config: SolverConfig) -> SolveResult:
@@ -178,11 +185,11 @@ def crsat_solve(cc, profile, config: SolverConfig) -> SolveResult:
     raises UnsoundResult instead of being returned.
     """
     _check_budget("cpu", None, config.cutoff)
-    engine, found, _, elapsed = _search(cc, profile, config.heuristic, config.wp,
-                                        config.seed, cutoff=config.cutoff)
+    engine, found, _, elapsed, verify_time = _search(
+        cc, profile, config.heuristic, config.wp, config.seed, cutoff=config.cutoff)
     witness = tuple(engine.assignment.values) if found else None
     return SolveResult("SAT" if found else "UNKNOWN", witness, engine.steps, elapsed,
-                       engine.stats)
+                       engine.stats, verify_time)
 
 
 def run_try(cc, profile, instance: str, heuristic: str, wp: float,
@@ -199,8 +206,8 @@ def run_try(cc, profile, instance: str, heuristic: str, wp: float,
     """
     _check_budget(clock, timeout, cutoff)
     seed = derive_seed(master_seed, instance, heuristic, wp, try_index)
-    engine, found, timed_out, elapsed = _search(cc, profile, heuristic, wp, seed,
-                                                timeout=timeout, cutoff=cutoff)
+    engine, found, timed_out, elapsed, _ = _search(cc, profile, heuristic, wp, seed,
+                                                   timeout=timeout, cutoff=cutoff)
     if clock == "steps":
         recorded_time = float(engine.steps)
     elif timed_out:

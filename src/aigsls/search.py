@@ -120,9 +120,11 @@ class SearchEngine:
         self.steps = 0
         self.assignment = random_complete_extension(cc, self.rng)
         self.stats = SearchStats(min_unjust=self.assignment.unjust_count)
-        # Only a parent of a constrained gate (in practice, of the pinned
-        # constant) has justifications that would force a pin off its value.
-        self._pin_parents = frozenset(p for c in cc.constraints for p in cc.circuit.fanout[c])
+        # Only a parent of a constrained gate has justifications that would
+        # force a pin off its value, and ConstrainedCircuit pins no gate with
+        # parents but the constant.
+        const = cc.const_gate
+        self._pin_parents = frozenset(() if const is None else cc.circuit.parents(const))
         measure, _, direction = heuristic.rpartition("-")
         self._measure = measure or None      # "rand" has no measure
         self._want_max = direction == "max"
@@ -143,7 +145,7 @@ class SearchEngine:
         values = asg.values
         rng = self.rng
         wp = self.wp
-        fanin = self.cc.circuit.fanin
+        child_literals = self.cc.circuit.child_literals
         pins = self.cc.constraints
         pin_parents = self._pin_parents
         select = self._select
@@ -155,7 +157,7 @@ class SearchEngine:
             if not count:
                 return True
             g = select()
-            sigmas = _justifications(fanin[g], values[g])
+            sigmas = _justifications(child_literals(g), values[g])
             if g in pin_parents:
                 # drop every justification that would flip a pinned gate
                 sigmas = [s for s in sigmas if all(pins.get(gt, v) == v for gt, v in s)]

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -74,11 +75,23 @@ class TestSolve:
         assert run_cli(["solve", path, "--cutoff", "50"]) == EXIT_UNKNOWN
         out, err = capsys.readouterr()
         assert out == "UNKNOWN\nsteps 50\n"
-        cpu_time, search = err.splitlines()
+        cpu_time, search, phases = err.splitlines()
         assert cpu_time.startswith("cpu_time ")
         kernel = "python" if _kernel.lib is None else "c"
         assert search == (f"search kernel={kernel} walk=0 greedy=0 forced=0 burned=50 "
                           "trials=0 flips=0 min_unjust=1")
+        # an UNKNOWN verdict is never verified
+        assert re.fullmatch(r"phases parse_s=\d+\.\d{6} profile_s=\d+\.\d{6} "
+                            r"search_s=\d+\.\d{6} verify_s=0\.000000", phases), phases
+
+    def test_stderr_reports_the_phase_times(self, aag, capsys):
+        path = aag("free.aag", UNCONSTRAINED)
+        assert run_cli(["solve", path]) == EXIT_SAT
+        phases = capsys.readouterr().err.splitlines()[-1]
+        names, seconds = zip(*(field.split("=") for field in phases.split()[1:]))
+        assert phases.startswith("phases ")
+        assert names == ("parse_s", "profile_s", "search_s", "verify_s")
+        assert all(float(s) >= 0 for s in seconds)
 
     def test_stdout_byte_identical_across_runs(self, aag, capsys):
         path = aag("free2.aag", "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")

@@ -1,33 +1,49 @@
 """The C kernel against the pure-Python reference.
 
 Both paths work on the same buffers of an ``Assignment``; ``_kernel.lib`` is
-None on the pure-Python path.  The classes below rerun the circuit-building,
-metric, flip, rollback, unjust-set, propagation, trial and golden-hash tests
-with the kernel turned off; their originals run on the kernel wherever it
-builds.
+None on the pure-Python path.  The classes below rerun the AIGER-parsing,
+circuit-building, verification, metric, flip, rollback, unjust-set,
+propagation, trial and golden-hash tests with the kernel turned off; their
+originals run on the kernel wherever it builds.
 """
 
 import copy
+import json
 import os
 import pickle
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from itertools import accumulate, chain
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import test_aiger
 import test_circuit
 import test_harness
 import test_metrics
 import test_search
 from aigsls import INPUT, Literal, _kernel, build_circuit, metrics
-from aigsls.aiger import generate_random_sat_aig, serialize_ascii
-from aigsls.circuit import Circuit, random_complete_extension
+from aigsls.aiger import (
+    generate_random_sat_aig,
+    load_aiger,
+    parse_aiger,
+    serialize_ascii,
+    serialize_binary,
+)
+from aigsls.circuit import (
+    ConstrainedCircuit,
+    evaluate,
+    random_complete_extension,
+    verify_satisfying,
+)
 from aigsls.cli import run_cli
-from aigsls.harness import SolverConfig, crsat_solve
+from aigsls.harness import SolverConfig, crsat_solve, run_try
 from aigsls.metrics import ALEVEL_MODES, FLOW_MODES, build_profile, compute_fanout_tfo_tfi
 from aigsls.search import HEURISTICS, SearchEngine
 from oracles import random_constrained, random_dag
@@ -79,6 +95,26 @@ class TestProfilePython(test_metrics.TestProfile):
 
 @pytest.mark.usefixtures("python_path")
 class TestEvaluatePython(test_circuit.TestEvaluate):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestVerifySatisfyingPython(test_circuit.TestVerifySatisfying):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestConstrainedCircuitPython(test_circuit.TestConstrainedCircuit):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestParseAsciiPython(test_aiger.TestParseAscii):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
+class TestBinaryPython(test_aiger.TestBinary):
     pass
 
 
@@ -148,6 +184,12 @@ def _random_definitions(rng, n):
     return definitions
 
 
+#: the tuple attributes of a Circuit, which a circuit built from a CSR makes
+#: on first access
+VIEWS = ("fanin", "fanin_gates", "fanout", "topo_order", "topo_pos")
+CIRCUIT_ATTRIBUTES = ("num_gates", *VIEWS, "inputs", "outputs")
+
+
 def _reference_csr(circuit):
     """The CSR arrays built from the circuit's tuples in Python."""
     def pair(rows):
@@ -175,9 +217,9 @@ def test_topology_and_profile_match_on_both_paths(monkeypatch):
     for k in range(40):
         definitions = _random_definitions(rng, rng.randint(1, 150) if k else 0)
         fast, slow = _on_both_paths(monkeypatch, lambda: build_circuit(definitions))
-        for name in Circuit.__slots__:
-            if name != "_csr":
-                assert getattr(fast, name) == getattr(slow, name), name
+        assert not set(VIEWS) & set(vars(fast))
+        for name in CIRCUIT_ATTRIBUTES:
+            assert getattr(fast, name) == getattr(slow, name), name
         assert slow._csr is None
         assert fast._csr == _reference_csr(slow)
         assert _kernel.csr(slow) == fast._csr
@@ -252,6 +294,181 @@ def test_metrics_csv_bytes_match_on_both_paths(monkeypatch, tmp_path, capsys):
             assert fast == slow and fast.count("\n") == 1 + 413  # header, 1 + 12 + 400 gates
 
 
+#: every malformed file of test_aiger.py, plus a cycle, a delta code and a
+#: field past 32 bits, and more variables than the C parsers take
+MALFORMED_FILES = [
+    b"aag 1 1 0 1 0\n2\n0\n",
+    b"aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\n",
+    b"aag 2 1 0 1 1\n2\n2\n4 2 2\n",
+    b"agg 1 1 0 0 0\n2\n",
+    b"aag 5 2 0 1 1\n2\n4\n6\n6 2 4\n",
+    b"aag 4 2 1 1 1\n2\n4\n6 8\n8\n8 2 4\n",
+    b"aag 3 2 0 1 1\n2\n2\n6\n6 2 4\n",
+    b"aag 3 2 0 0 1\n2\n4\n8 2 4\n",
+    b"aag 3 2 0 1 1\n2\n4\n6\n6 2 9\n",
+    b"aag 3 2 0 1 1\n2\n4\n6\n",
+    b"aig 3 2 0 1 1\n6\n\x82",
+    b"aig 3 2 0 1 1\n6\n",
+    b"aig 3 2 0 1 1\n6\n\x07\x02",
+    b"aag 2 0 0 0 2\n2 4 4\n4 2 2\n",
+    b"aig 3 2 0 1 1\n6\n\x80\x80\x80\x80\x80\x01\x02",
+    b"aag 3 2 0 1 1\n2\n4\n6\n6 2 99999999999999999999\n",
+    b"aag 1073741824 1 0 1 1073741823\n2\n3\n",
+]
+
+
+def _parsed(data):
+    """The ConstrainedCircuit parse_aiger makes of ``data``, or its error's
+    class and message."""
+    try:
+        return parse_aiger(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_parse(monkeypatch, data):
+    fast, slow = _on_both_paths(monkeypatch, lambda: _parsed(data))
+    if not isinstance(fast, ConstrainedCircuit):
+        assert fast == slow
+        return
+    assert isinstance(slow, ConstrainedCircuit), slow
+    assert (fast.constraints, fast.const_gate) == (slow.constraints, slow.const_gate)
+    for name in CIRCUIT_ATTRIBUTES:
+        # repr tells a Literal from a plain int
+        assert repr(getattr(fast.circuit, name)) == repr(getattr(slow.circuit, name)), name
+    assert fast.circuit._csr == _kernel.csr(slow.circuit)
+
+
+@pytest.fixture
+def c_parses(monkeypatch):
+    """The C parsers' verdicts, True for accepted, in call order."""
+    verdicts = []
+    for name in ("parse_ascii", "parse_binary"):
+        def spy(*args, parse=getattr(_kernel, name)):
+            result = parse(*args)
+            verdicts.append(result is not None)
+            return result
+        monkeypatch.setattr(_kernel, name, spy)
+    return verdicts
+
+
+@needs_kernel
+def test_malformed_files_fail_alike_on_both_paths(monkeypatch):
+    for data in MALFORMED_FILES:
+        _assert_same_parse(monkeypatch, data)
+
+
+@needs_kernel
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(test_aiger.mutated_aiger())
+def test_mutated_files_parse_alike_on_both_paths(monkeypatch, data):
+    _assert_same_parse(monkeypatch, data)
+
+
+def _delta(value, groups):
+    """``value`` as a delta code of exactly ``groups`` bytes."""
+    return bytes((value >> 7 * k) & 0x7F | (0x80 if k < groups - 1 else 0)
+                 for k in range(groups))
+
+
+def _variants(cc):
+    """(file, what the C parser says of it) for an instance in both formats,
+    plainly written and with the liberties the Python parser also allows.
+    The C parser accepts (``[True]``), declines (``[False]``) or is not
+    asked, when the file has fewer newlines than the header promises lines
+    (``[]``)."""
+    text = serialize_ascii(cc).encode()
+    head, body = text.split(b"\n", 1)
+    binary = serialize_binary(cc)
+    outputs = int(head.split()[4])
+    *lines, ands = binary.split(b"\n", 1 + outputs)
+    lines = b"".join(line + b"\n" for line in lines)
+    first = next(k for k, byte in enumerate(ands) if not byte & 0x80) + 1
+    delta = sum((byte & 0x7F) << 7 * k for k, byte in enumerate(ands[:first]))
+    trailer = b"i0 a\no0 out\nc\nwritten by a test\n"
+    return [
+        (text, [True]),
+        (text + trailer, [True]),
+        (head + b"\n" + re.sub(rb"(\d+)", rb"00\1", body), [True]),
+        (text.replace(b"\n", b"\r\n"), [False]),
+        (text.replace(b" ", b"  "), [False]),
+        (text.replace(b"\n", b" \n"), [False]),
+        (re.sub(rb"\n(\d)", rb"\n+\1", text), [False]),
+        (text.replace(b"\n", b"\n\t"), [False]),
+        (text.rstrip(b"\n"), []),
+        (binary, [True]),
+        (binary + trailer, [True]),
+        # 5 bytes still hold 32 bits; the C parser takes no sixth
+        (lines + _delta(delta, 5) + ands[first:], [True]),
+        (lines + _delta(delta, 6) + ands[first:], [False]),
+    ]
+
+
+@needs_kernel
+def test_valid_files_parse_alike_on_both_paths(monkeypatch, c_parses):
+    rng = random.Random(82)
+    for k in range(12):
+        inputs, ands = rng.randint(1, 8), rng.randint(1, 200)
+        # every other instance reads the constant, AIGER literals 0 and 1
+        cc = (test_harness.const_reader_instance(rng, inputs, ands) if k % 2
+              else generate_random_sat_aig(inputs, ands, rng))
+        plain = {b"aag": parse_aiger(serialize_ascii(cc).encode()),
+                 b"aig": parse_aiger(serialize_binary(cc))}
+        for data, verdicts in _variants(cc):
+            c_parses.clear()
+            _assert_same_parse(monkeypatch, data)
+            assert c_parses == verdicts, data
+            assert parse_aiger(data) == plain[data[:3]]
+
+
+@needs_kernel
+def test_verification_matches_on_both_paths(monkeypatch):
+    rng = random.Random(85)
+    verdicts = set()
+    for _ in range(80):
+        circuit = random_dag(rng, rng.randint(1, 60))
+        asg = evaluate(circuit, {g: rng.getrandbits(1) for g in circuit.inputs})
+        for g in rng.sample(range(circuit.num_gates), rng.randint(0, 2)):
+            asg.values[g] ^= 1
+        cc = ConstrainedCircuit(circuit, {})
+        fast, slow = _on_both_paths(monkeypatch, lambda: verify_satisfying(cc, asg))
+        assert fast == slow == (not asg.recompute_unjust())
+        verdicts.add(fast)
+    assert verdicts == {False, True}
+
+
+@needs_kernel
+def test_search_from_a_file_builds_no_tuples(tmp_path):
+    rng = random.Random(83)
+    paths = [tmp_path / "a.aag", tmp_path / "a.aig"]
+    cc = generate_random_sat_aig(16, 600, rng)
+    paths[0].write_text(serialize_ascii(cc))
+    paths[1].write_bytes(serialize_binary(cc))
+    for path in paths:
+        loaded = load_aiger(path)
+        profile = build_profile(loaded.circuit)
+        for heuristic in ("rand", "tfi-min"):
+            record = run_try(loaded, profile, path.name, heuristic, 0.2, 0, 7,
+                             cutoff=100_000, clock="steps")
+            assert record.outcome == "SAT"      # verified, or run_try raises
+        assert not set(VIEWS) & set(vars(loaded.circuit))
+
+
+@needs_kernel
+def test_header_sized_binary_input_count_retains_little():
+    data = b"aig 100000 100000 0 0 0\n"
+    assert len(data) == 24
+    tracemalloc.start()
+    try:
+        cc = parse_aiger(data)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cc.circuit.num_gates == 100_001 and cc.constraints == {0: True}
+    assert retained <= 10_000_000, f"{retained} bytes retained"
+
+
 def _observed_through_big_siblings(hops):
     """A Fibonacci chain whose top gate t has cc1 just under 2**62, and a
     chain x(i+1) = AND(-x(i), t) of ``hops`` gates: cc0/cc1 fit int64, but
@@ -317,6 +534,61 @@ def test_kernel_source_compiles_without_warnings():
     proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
                           input=_kernel.SOURCE.encode(), capture_output=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+UBSAN = """
+import json, random, sys
+from aigsls import _kernel, aiger, circuit, generate_random_sat_aig
+from aigsls.harness import SolverConfig, crsat_solve
+from aigsls.metrics import build_profile
+try:
+    _kernel.lib = _kernel._bind(sys.argv[1])
+except OSError:
+    sys.exit(3)
+with open(sys.argv[2]) as fh:
+    corpus = [bytes.fromhex(h) for h in json.load(fh)]
+for data in corpus:
+    try:
+        aiger.parse_aiger(data)
+    except (aiger.AigerError, circuit.CircuitError):
+        pass
+    # the entry points themselves, with counts the bytes cannot meet
+    for pos in range(min(len(data), 6)):
+        for i, o, a in ((0, 0, 1), (2, 1, 3), (1, 0, len(data))):
+            _kernel.parse_binary(data, pos, i, a)
+            _kernel.parse_ascii(data, pos, i + a, i, o, a)
+cc = generate_random_sat_aig(12, 300, random.Random(5))
+profile = build_profile(cc.circuit)
+for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min"):
+    crsat_solve(cc, profile, SolverConfig(heuristic, 0.3, 3000, 1))
+print(len(corpus))
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_parsers_and_searches_run_clean_under_ubsan(tmp_path):
+    library = tmp_path / "kernel-ubsan.so"
+    proc = subprocess.run(["cc", *_kernel.FLAGS, "-fsanitize=undefined",
+                           "-fno-sanitize-recover=all", "-x", "c", "-", "-o", str(library)],
+                          input=_kernel.SOURCE.encode(), capture_output=True, timeout=300)
+    if proc.returncode:
+        pytest.skip(f"no undefined-behaviour sanitizer: {proc.stderr[-200:]!r}")
+    corpus = [*MALFORMED_FILES, *(data for cc in (generate_random_sat_aig(
+        3, 20, random.Random(84)),) for data, _ in _variants(cc))]
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(test_aiger.mutated_aiger())
+    def collect(data):
+        corpus.append(data)
+
+    collect()
+    (tmp_path / "corpus.json").write_text(json.dumps([data.hex() for data in corpus]))
+    proc = _python(UBSAN, tmp_path / "cache", library, tmp_path / "corpus.json")
+    stdout, stderr = proc.communicate(timeout=600)
+    if proc.returncode == 3:
+        pytest.skip("the sanitized library does not load")
+    assert (proc.returncode, stderr) == (0, b""), stderr.decode()[-2000:]
+    assert int(stdout) == len(corpus) >= 300
 
 
 def _snapshot(engine):
