@@ -1,13 +1,14 @@
 """The C kernel: AIGER parsing, circuit topology, structural profile and the
 search steps.
 
-At load time ``aigsls_parse_binary`` or ``aigsls_parse_ascii`` writes a
-file's child literals straight into CSR ``array('i')`` buffers, and
-``aigsls_topology`` builds the rest of the circuit's CSR from them
-(``CSR``: fanin, distinct child gates, fanout, topological order and
-positions); ``build_circuit`` hands it the literals of a definition list
-instead.  A circuit keeps only these buffers.  ``aigsls_profile`` then fills
-every column of ``StructuralProfile`` from them.
+A circuit is its CSR ``array('i')`` buffers (``CSR``: fanin, distinct child
+gates, fanout, topological order and positions) on both paths.  At load time
+``aigsls_parse_binary`` or ``aigsls_parse_ascii`` writes a file's child
+literals straight into the fanin buffers, and ``aigsls_topology`` builds the
+rest from them; ``build_circuit`` hands it the literals of a definition list
+instead.  Without the kernel, ``build_circuit``'s pure-Python code packs the
+same buffers with ``rows``.  ``aigsls_profile`` fills every column of
+``StructuralProfile`` from them.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
 unjustified list, its positions and the propagation stamps ``array('i')``).
@@ -717,18 +718,18 @@ def _addr(buf) -> int:
     return buf.buffer_info()[0]
 
 
-def rows(fanin) -> Optional[tuple]:
-    """The packed child literals of a ``Circuit.fanin`` tuple as CSR rows
-    ``(fin_off, fin)``, an input's row empty; None when a literal does not
-    fit an int32."""
-    rows = [() if kids is None else kids for kids in fanin]
+def rows(table) -> Optional[tuple]:
+    """A sequence of int rows as a CSR pair ``(offsets, entries)``, a None
+    row empty: the packed child literals of a definition list, say, or the
+    parents of each gate.  None when an entry does not fit an int32."""
+    rows = [() if row is None else row for row in table]
     try:
-        fin = array("i", chain.from_iterable(rows))
+        entries = array("i", chain.from_iterable(rows))
     except OverflowError:
         return None
-    fin_off = array("i", [0])
-    fin_off.extend(accumulate(map(len, rows)))
-    return fin_off, fin
+    offsets = array("i", [0])
+    offsets.extend(accumulate(map(len, rows)))
+    return offsets, entries
 
 
 def topology(fin_off: array, fin: array) -> Optional[CSR]:
@@ -750,15 +751,6 @@ def topology(fin_off: array, fin: array) -> Optional[CSR]:
     if edges < 0:
         return None
     del kid[edges:], fout[edges:]
-    return arrays
-
-
-def csr(circuit) -> CSR:
-    """The circuit's CSR arrays; a circuit built without the kernel gets them
-    on first use."""
-    arrays = circuit._csr
-    if arrays is None:
-        arrays = circuit._csr = topology(*rows(circuit.fanin))
     return arrays
 
 
@@ -802,7 +794,7 @@ def profile(circuit, level_sum: bool, fanout_split: bool) -> tuple:
     """``aigsls_profile``'s flags and columns: depth, level, llevel, alevel,
     fanout size, cc0, cc1, co and flow, each an array of one entry per gate."""
     n = circuit.num_gates
-    arrays = csr(circuit)
+    arrays = circuit._csr
     inputs = (arrays.order, arrays.fin_off, arrays.fin, arrays.fout_off, arrays.fout,
               arrays.kid_off, arrays.kid)
     columns = tuple(array(code, [0]) * n for code in "iiidiqqqd")
@@ -818,7 +810,7 @@ def _view(buf):
 
 def evaluate(circuit, values: bytearray):
     """Set every AND gate of ``values`` to the AND of its child literals."""
-    arrays = csr(circuit)
+    arrays = circuit._csr
     lib.evaluate(circuit.num_gates, _addr(arrays.order), _addr(arrays.fin_off),
                  _addr(arrays.fin), _view(values))
 
@@ -828,7 +820,7 @@ def first_unjust(circuit, values: bytearray) -> int:
     child literals, or -1."""
     if len(values) != circuit.num_gates:
         raise ValueError("value vector length does not match gate count")
-    arrays = csr(circuit)
+    arrays = circuit._csr
     return lib.first_unjust(circuit.num_gates, _addr(arrays.fin_off), _addr(arrays.fin),
                             _view(values))
 
@@ -846,7 +838,7 @@ class State:
 
     def __init__(self, circuit, values, pinned, ulist, upos, meta, stamp):
         n = circuit.num_gates
-        arrays = csr(circuit)
+        arrays = circuit._csr
         heap, self.undo, self.ties, wstamp, wstack = (array("i", [0]) * n for _ in range(5))
         views = (_view(values), (ctypes.c_char * n).from_buffer_copy(pinned),
                  *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties,

@@ -89,6 +89,9 @@ def _parse_header(line: bytes) -> tuple[str, AigerHeader]:
         raise LatchesUnsupported(f"{l} latches present; only combinational circuits supported")
     if m != i + l + a:
         raise MalformedHeader(f"header claims M={m} but I+L+A={i + l + a}")
+    if m > _kernel.MAX_VAR:
+        # checked before allocating anything sized by the header
+        raise MalformedHeader(f"header claims M={m}; at most {_kernel.MAX_VAR} supported")
     return parts[0].decode(), AigerHeader(m, i, l, o, a)
 
 

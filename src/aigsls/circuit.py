@@ -87,20 +87,17 @@ class Circuit:
     level, flow and closure walks.  ``topo_order`` places every gate
     strictly after all of its children; ``topo_pos[g]`` is g's position in it.
 
-    With the C kernel loaded, a circuit is its CSR arrays ``_csr``
-    (``_kernel.CSR``, the flat form of the five tuples above), and each tuple
-    is a view built from them on first access and then kept; so are
-    ``inputs`` and ``outputs``.  ``num_gates``, ``child_literals``,
-    ``parents``, ``is_input`` and ``is_output`` read the arrays directly, so
-    the search never builds a tuple.  A circuit built on the pure-Python
-    path has its tuples from the start and gets ``_csr`` from
-    ``_kernel.csr`` on first kernel use.
+    A circuit is its CSR arrays ``_csr`` (``_kernel.CSR``, the flat form of
+    the five tuples above), whether the C kernel or the pure-Python code
+    built them.  Each tuple is a view built from the arrays on first access
+    and then kept; so are ``inputs`` and ``outputs``.  ``num_gates``,
+    ``child_literals``, ``parents``, ``is_input``, ``is_output`` and
+    equality read the arrays directly, so the search never builds a tuple.
     """
 
-    def __init__(self, csr: Optional[_kernel.CSR] = None, **views):
+    def __init__(self, csr: _kernel.CSR):
         self._csr = csr
-        vars(self).update(views)
-        self.num_gates = len(self.fanin if csr is None else csr.tpos)
+        self.num_gates = len(csr.tpos)
 
     @cached_property
     def fanin(self) -> tuple:
@@ -136,39 +133,30 @@ class Circuit:
     def child_literals(self, g: int):
         """The child literals of g as packed ints; empty for an input gate."""
         csr = self._csr
-        if csr is None:
-            return self.fanin[g] or ()
         off = csr.fin_off
         return csr.fin[off[g]:off[g + 1]]
 
     def parents(self, g: int):
         """The distinct parent gates of g, in index order."""
         csr = self._csr
-        if csr is None:
-            return self.fanout[g]
         off = csr.fout_off
         return csr.fout[off[g]:off[g + 1]]
 
     def is_input(self, g: int) -> bool:
-        csr = self._csr
-        if csr is None:
-            return self.fanin[g] is None
-        off = csr.fin_off
+        off = self._csr.fin_off
         return off[g] == off[g + 1]
 
     def is_output(self, g: int) -> bool:
         """True iff g has no parents."""
-        csr = self._csr
-        if csr is None:
-            return not self.fanout[g]
-        off = csr.fout_off
+        off = self._csr.fout_off
         return off[g] == off[g + 1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Circuit) and self.fanin == other.fanin
+        return (isinstance(other, Circuit) and self._csr.fin_off == other._csr.fin_off
+                and self._csr.fin == other._csr.fin)
 
     def __hash__(self):
-        return hash(self.fanin)
+        return hash((self._csr.fin_off.tobytes(), self._csr.fin.tobytes()))
 
     def __repr__(self):
         return f"Circuit({self.num_gates} gates, {len(self.inputs)} inputs, {len(self.outputs)} outputs)"
@@ -184,9 +172,9 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
     Raises DanglingReference for out-of-range children, CircuitError for
     childless AND gates and CycleDetected when no topological order exists.
 
-    With the C kernel loaded, ``aigsls_topology`` builds the CSR arrays and
-    the circuit keeps only those; the pure-Python path below is the
-    reference, and it judges every definition list the kernel declines.
+    With the C kernel loaded, ``aigsls_topology`` builds the CSR arrays;
+    the pure-Python path below is the reference, it judges every definition
+    list the kernel declines, and it packs the same arrays.
     """
     fanin = tuple(None if record is None else tuple(record) for record in definitions)
     if _kernel.lib is not None and () not in fanin and set(
@@ -230,7 +218,6 @@ def _build_python(fanin) -> Circuit:
         # parents arrive in index order, so every fanout list is sorted and distinct
         for c in gates:
             fanout[c].append(g)
-    fanout = tuple(map(tuple, fanout))
 
     # Kahn's algorithm; every gate must be placed after its children.
     ready = deque(g for g in range(n) if remaining[g] == 0)
@@ -244,14 +231,13 @@ def _build_python(fanin) -> Circuit:
                 ready.append(p)
     if len(topo_order) != n:
         raise CycleDetected(f"{n - len(topo_order)} gates lie on a cycle")
-    topo_pos = [0] * n
+    topo_pos = array("i", [0]) * n
     for pos, g in enumerate(topo_order):
         topo_pos[g] = pos
 
-    return Circuit(fanin=fanin, fanin_gates=tuple(fanin_gates), fanout=fanout,
-                   topo_order=tuple(topo_order), topo_pos=tuple(topo_pos),
-                   inputs=tuple(g for g, kids in enumerate(fanin) if kids is None),
-                   outputs=tuple(g for g in range(n) if not fanout[g]))
+    return Circuit(_kernel.CSR(*_kernel.rows(fanin), *_kernel.rows(fanout),
+                               array("i", topo_order), topo_pos,
+                               *_kernel.rows(fanin_gates)))
 
 
 class ConstrainedCircuit:

@@ -135,6 +135,14 @@ class TestBinary:
             assert parse_aiger(serialize_ascii(cc).encode()) == cc
             assert parse_aiger(serialize_binary(cc)) == cc
 
+    def test_equality_builds_no_tuple_views(self):
+        cc = generate_random_sat_aig(5, 40, random.Random(6))
+        ascii_form = parse_aiger(serialize_ascii(cc).encode()).circuit
+        binary_form = parse_aiger(serialize_binary(cc)).circuit
+        assert ascii_form == binary_form and hash(ascii_form) == hash(binary_form)
+        for circuit in (ascii_form, binary_form):
+            assert set(vars(circuit)) == {"_csr", "num_gates"}
+
     def test_truncated_delta(self):
         with pytest.raises(TruncatedDeltaEncoding):
             parse_aiger(b"aig 3 2 0 1 1\n6\n\x82")

@@ -1,11 +1,13 @@
 import copy
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aigsls import _kernel
 from aigsls.circuit import (
     INPUT,
     Assignment,
@@ -88,6 +90,12 @@ class TestBuildCircuit:
                 if kids is not None:
                     for l in kids:
                         assert g in c.fanout[l.gate]
+
+    def test_a_circuit_is_its_int32_csr_arrays(self):
+        c = random_dag(random.Random(13), 60)
+        assert type(c._csr) is _kernel.CSR
+        assert all(type(a) is array and a.typecode == "i" for a in c._csr)
+        assert vars(c) == {"_csr": c._csr, "num_gates": 60}
 
 
 class TestLiteral:

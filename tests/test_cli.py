@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,6 +18,8 @@ from aigsls.aiger import parse_aiger
 from aigsls.circuit import Assignment, verify_satisfying
 from aigsls.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, run_cli
 from oracles import dpll, parse_dimacs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 UNCONSTRAINED = "aag 1 1 0 0 0\n2\n"
 # And(x, not x) required to be 1: violated from the first assignment on
@@ -290,3 +294,23 @@ class TestErrors:
     def test_bad_heuristic_rejected(self, aag, capsys):
         path = aag("f.aag", UNCONSTRAINED)
         assert run_cli(["solve", path, "--heuristic", "llevel-max"]) == EXIT_ERROR
+
+    def test_header_past_max_var_fails_before_allocating(self, tmp_path):
+        # 2**30 inputs is a valid 33-byte binary file past the parsers' limit;
+        # under a 1 GiB address space, allocating for it would raise MemoryError
+        path = tmp_path / "huge.aig"
+        path.write_bytes(b"aig 1073741824 1073741824 0 0 0\n")
+        proc = subprocess.run([sys.executable, "-c", LIMITED_SOLVE, str(path)],
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                              timeout=120)
+        lines = proc.stderr.decode().splitlines()
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, b""), lines
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+LIMITED_SOLVE = """
+import resource, sys
+from aigsls.cli import run_cli
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.exit(run_cli(["solve", sys.argv[1]]))
+"""
