@@ -15,11 +15,11 @@ unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
 place, so the kernel and the pure-Python methods of ``Assignment`` can take
 turns on one assignment.  Gate selection scans the unjustified list for the
-least int32 score (the profile's dense ranks, or closure sizes that it walks
-the CSR for on first need) and returns the ties; the choice among them, the
-choice of justification and every random draw stay in Python, so both paths
-follow the same trajectory.  ``verify_satisfying`` scans the whole circuit
-with ``aigsls_first_unjust``.
+least int32 score (the profile's dense ranks, or closure sizes that it, like
+``aigsls_closures``, walks the CSR for on first need) and returns the ties;
+the choice among them, the choice of justification and every random draw
+stay in Python, so both paths follow the same trajectory.
+``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
 cached under ``$XDG_CACHE_HOME/aigsls`` (default ``~/.cache/aigsls``), keyed
@@ -53,9 +53,8 @@ typedef struct {
     const int *fin_off, *fin, *fout_off, *fout, *order, *tpos;
     unsigned char *val;
     const unsigned char *pin;
-    int *ulist, *upos, *meta, *stamp, *heap, *undo;
-    int *ties, *wstamp, *wstack;
-    /* meta: unjust count, propagation generation, closure-walk generation */
+    int *ulist, *upos, *meta, *stamp, *heap, *undo, *ties;
+    /* meta: unjust count, propagation generation */
 } State;
 
 /* 1 iff g is an AND gate whose value differs from the AND of its child literals */
@@ -167,30 +166,30 @@ static void rollback(State *s, const int *log, int k)
         flip(s, log[--k]);
 }
 
-static int in_range(const State *s, const int *gates, int k)
+static int in_range(int n, const int *gates, int k)
 {
     for (int i = 0; i < k; i++)
-        if (gates[i] < 0 || gates[i] >= s->n)
+        if (gates[i] < 0 || gates[i] >= n)
             return 0;
     return 1;
 }
 
-/* size of g's transitive closure over the CSR (off, adj), g excluded; adj
-   entries are shifted right by shift, so 1 reads packed literals as gates */
-static int reach(State *s, const int *off, const int *adj, int shift, int g)
+/* size of g's transitive closure over the CSR (off, adj) of n gates, g
+   excluded; walk holds the walk generation, n stamps and the stack */
+static int reach(const int *off, const int *adj, int n, int *walk, int g)
 {
-    int *stamp = s->wstamp, *stack = s->wstack, top = 0, count = 0;
-    if (s->meta[2] == INT_MAX) {
-        memset(stamp, 0, sizeof(int) * (size_t)s->n);
-        s->meta[2] = 0;
+    int *stamp = walk + 1, *stack = stamp + n, top = 0, count = 0;
+    if (walk[0] == INT_MAX) {
+        memset(stamp, 0, sizeof(int) * (size_t)n);
+        walk[0] = 0;
     }
-    int gen = ++s->meta[2];
+    int gen = ++walk[0];
     stamp[g] = gen;
     stack[top++] = g;
     while (top > 0) {
         int x = stack[--top];
         for (int i = off[x]; i < off[x + 1]; i++) {
-            int y = adj[i] >> shift;
+            int y = adj[i];
             if (stamp[y] != gen) {
                 stamp[y] = gen;
                 stack[top++] = y;
@@ -203,17 +202,16 @@ static int reach(State *s, const int *off, const int *adj, int shift, int g)
 
 /* Gate selection: writes the unjustified gates of least score to ties, in
    ulist order, and returns how many there are.  A gate scores lo[g] while
-   at 0 and hi[g] while at 1, negated when neg.  walk 1 (fanin) or 2
-   (fanout) makes lo a closure-size cache: a candidate's negative entry is
-   first filled by a walk over that CSR. */
-int aigsls_select(State *s, int *lo, const int *hi, int neg, int walk)
+   at 0 and hi[g] while at 1, negated when neg.  A walk makes lo the
+   closure-size cache of the CSR (off, adj): a candidate's negative entry
+   is first filled by reach. */
+int aigsls_select(State *s, int *lo, const int *hi, int neg, const int *off, const int *adj, int *walk)
 {
     int count = s->meta[0], k = 0, best = INT_MAX;
     for (int i = 0; i < count; i++) {
         int g = s->ulist[i];
         if (walk && lo[g] < 0)
-            lo[g] = walk == 1 ? reach(s, s->fin_off, s->fin, 1, g)
-                              : reach(s, s->fout_off, s->fout, 0, g);
+            lo[g] = reach(off, adj, s->n, walk, g);
         int v = s->val[g] ? hi[g] : lo[g];
         if (neg)
             v = -v;
@@ -230,11 +228,23 @@ int aigsls_select(State *s, int *lo, const int *hi, int neg, int walk)
 /* The entry points below that take a gate list return -1, and change
    nothing, when a gate is out of range. */
 
+/* fills each negative size[g] of the k gates by reach */
+int aigsls_closures(int n, const int *off, const int *adj, int *walk, int *size,
+                    const int *gates, int k)
+{
+    if (!in_range(n, gates, k))
+        return -1;
+    for (int i = 0; i < k; i++)
+        if (size[gates[i]] < 0)
+            size[gates[i]] = reach(off, adj, n, walk, gates[i]);
+    return 0;
+}
+
 void aigsls_flip(State *s, int g) { flip(s, g); }
 
 int aigsls_rollback(State *s, const int *log, int k)
 {
-    if (!in_range(s, log, k))
+    if (!in_range(s->n, log, k))
         return -1;
     rollback(s, log, k);
     return 0;
@@ -242,7 +252,7 @@ int aigsls_rollback(State *s, const int *log, int k)
 
 int aigsls_propagate(State *s, const int *origins, int k)
 {
-    if (!in_range(s, origins, k))
+    if (!in_range(s->n, origins, k))
         return -1;
     return propagate(s, origins, k, s->undo);
 }
@@ -250,7 +260,7 @@ int aigsls_propagate(State *s, const int *origins, int k)
 /* unjust count after flipping the k gates and propagating, then undone */
 int aigsls_trial(State *s, const int *flips, int k)
 {
-    if (!in_range(s, flips, k))
+    if (!in_range(s->n, flips, k))
         return -1;
     for (int i = 0; i < k; i++)
         flip(s, flips[i]);
@@ -264,7 +274,7 @@ int aigsls_trial(State *s, const int *flips, int k)
 /* flip the k gates and propagate; returns the number of gates flipped */
 int aigsls_move(State *s, const int *flips, int k)
 {
-    if (!in_range(s, flips, k))
+    if (!in_range(s->n, flips, k))
         return -1;
     for (int i = 0; i < k; i++)
         flip(s, flips[i]);
@@ -594,9 +604,6 @@ int aigsls_profile(int n, const int *order, const int *fin_off, const int *fin,
 
 FLAGS = ("-O2", "-shared", "-fPIC")
 
-#: ``aigsls_select``'s walk argument for the closure measures
-WALKS = {"tfi": 1, "tfo": 2}
-
 _P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_longlong
 _SIGNATURES = {
     "flip": (None, [_P, _I]),
@@ -606,7 +613,8 @@ _SIGNATURES = {
     "move": (_I, [_P, _P, _I]),
     "evaluate": (None, [_I, _P, _P, _P, _P]),
     "scan": (None, [_P]),
-    "select": (_I, [_P, _P, _P, _I, _I]),
+    "select": (_I, [_P, _P, _P, _I, _P, _P, _P]),
+    "closures": (_I, [_I] + [_P] * 5 + [_I]),
     "topology": (_I, [_I] + [_P] * 8),
     "profile": (_I, [_I] + [_P] * 7 + [_I, _I] + [_P] * 9),
     "first_unjust": (_I, [_I, _P, _P, _P]),
@@ -621,8 +629,7 @@ MAX_VAR = 2**30 - 1
 CC_OVERFLOW, CO_OVERFLOW, WIDE = 1, 2, 4
 
 _CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos")
-_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo",
-                  "ties", "wstamp", "wstack")
+_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo", "ties")
 
 
 class _StateStruct(ctypes.Structure):
@@ -839,10 +846,9 @@ class State:
     def __init__(self, circuit, values, pinned, ulist, upos, meta, stamp):
         n = circuit.num_gates
         arrays = circuit._csr
-        heap, self.undo, self.ties, wstamp, wstack = (array("i", [0]) * n for _ in range(5))
+        heap, self.undo, self.ties = (array("i", [0]) * n for _ in range(3))
         views = (_view(values), (ctypes.c_char * n).from_buffer_copy(pinned),
-                 *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties,
-                              wstamp, wstack)))
+                 *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties)))
         self._keep = (arrays, views)
         self._struct = _StateStruct(n, *(_addr(getattr(arrays, name))
                                          for name in _CSR_FIELDS),

@@ -364,6 +364,9 @@ def generate_random_sat_aig(num_inputs: int, num_ands: int,
     """
     if num_inputs < 1 or num_ands < 1:
         raise ValueError("need at least one input and one AND gate")
+    if num_inputs + num_ands > _kernel.MAX_VAR:
+        raise ValueError(f"inputs + ANDs must be at most {_kernel.MAX_VAR}, "
+                         f"got {num_inputs + num_ands}")
     definitions = [INPUT] * (1 + num_inputs)
     for g in range(num_inputs + 1, num_inputs + num_ands + 1):
         a = rng.randrange(1, g)

@@ -331,8 +331,7 @@ class Assignment:
     The state lives in flat buffers that the C kernel (``aigsls._kernel``)
     shares: the first ``unjust_count`` entries of ``ubuf`` are the
     unjustified gates, ``upos[g]`` is g's index there or -1, and ``_meta``
-    holds the unjust count, the propagation generation of ``_stamp`` and the
-    kernel's closure-walk generation.
+    holds the unjust count and the propagation generation of ``_stamp``.
     Every method runs in the kernel when it is loaded and in Python
     otherwise; both paths leave the buffers identical.
     """
@@ -349,7 +348,7 @@ class Assignment:
         self.pinned = pinned if pinned is not None else bytes(n)
         self.ubuf = array("i", [0]) * n
         self.upos = array("i", [-1]) * n
-        self._meta = array("i", [0, 0, 0])
+        self._meta = array("i", [0, 0])
         self._stamp = array("i", [0]) * n
         if _kernel.lib is not None:
             _kernel.lib.scan(self._kernel_state())
@@ -415,22 +414,22 @@ class Assignment:
             raise IndexError("gate index out of range")
         return result
 
-    def _select(self, lo, hi, neg: bool, walk: int = 0):
+    def _select(self, lo, hi, neg: bool, walk=(None, None, None)):
         """Kernel gate selection: (tie count, buffer holding the ties first).
 
         The ties are the unjustified gates of least score, in ``ulist``
         order; a gate scores ``lo[g]`` at value 0 and ``hi[g]`` at 1,
-        negated when ``neg``.  ``walk`` 1 or 2 makes ``lo`` a tfi or tfo
-        closure-size cache whose negative entries the kernel fills.
-        ValueError unless both score arrays are ``array('i')`` with an entry
-        for every gate.
+        negated when ``neg``.  ``walk``, a ``StructuralProfile.kernel_walk``
+        of this circuit, makes ``lo`` that profile's closure-size cache,
+        whose negative entries the kernel fills.  ValueError unless both
+        score arrays are ``array('i')`` with an entry for every gate.
         """
         n = self.circuit.num_gates
         for scores in (lo, hi):
             if not isinstance(scores, array) or scores.typecode != "i" or len(scores) < n:
                 raise ValueError(f"scores must be array('i') of at least {n} entries")
         count = _kernel.lib.select(self._kernel_state(), lo.buffer_info()[0],
-                                   hi.buffer_info()[0], neg, walk)
+                                   hi.buffer_info()[0], neg, *walk)
         return count, self._state.ties
 
     # -- pure-Python path: the reference the kernel must match --

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
+from ._kernel import MAX_VAR
 from .aiger import generate_random_sat_aig, load_aiger, serialize_ascii
 from .circuit import verify_satisfying
 from .metrics import build_profile, csv_text
@@ -420,6 +421,11 @@ class ExperimentConfig:
             if not 1 <= min_ands <= max_ands:
                 raise ValueError("generate needs 1 <= min_ands <= max_ands, "
                                  f"got {min_ands} and {max_ands}")
+            if inputs + max_ands > MAX_VAR:
+                raise ValueError(f"generate inputs + max_ands must be at most {MAX_VAR}, "
+                                 f"got {inputs + max_ands}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         _check_protocol(self.heuristics, self.noises, self.tries)
         _check_budget(self.clock, self.timeout, self.cutoff)
         if not self.instances and not self.generate:
@@ -516,8 +522,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for wp in config.noises
         for try_index in range(config.tries)
     ]
-    if config.jobs > 1:
-        with Pool(config.jobs) as pool:
+    # the records do not depend on the worker count, so it stops at the CPUs
+    workers = min(config.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             records = pool.map(_run_job, jobs, chunksize=1)
     else:
         records = [_run_job(job) for job in jobs]

@@ -20,7 +20,7 @@ Connectivity measures:
 
 * fanout_size      -- number of distinct parents
 * tfo_size / tfi_size -- sizes of the transitive fanout/fanin closures,
-               excluding the gate itself; computed lazily per gate and cached
+               excluding the gate itself; walked lazily per gate and cached
 * cc0 / cc1 -- testability-style controllability costs: 1 at inputs; an AND
                costs 1 + min over children to reach 0 and 1 + sum over
                children to reach 1
@@ -82,38 +82,6 @@ def compute_levels(circuit: Circuit, alevel_mode: str = "self"):
         llevel[g] = 1 + min(llevel[c] for c in kids)
         alevel[g] = 1.0 + sum(avg_base[c] for c in kids) / len(kids)
     return level, llevel, alevel
-
-
-def compute_fanout_tfo_tfi(circuit: Circuit):
-    """Per-gate (fanout_size, tfo_size, tfi_size), closures computed in bulk.
-
-    Reachability closures are carried as big-integer bitsets, one pass in
-    each direction of the topological order; memory grows quadratically with
-    the gate count, so this is intended for full-profile dumps and
-    cross-checks rather than huge circuits.
-    """
-    n = circuit.num_gates
-    fanout = circuit.fanout
-    fanout_size = [len(fanout[g]) for g in range(n)]
-    tfo_size = [0] * n
-    masks = [0] * n
-    for g in reversed(circuit.topo_order):
-        acc = 0
-        for p in fanout[g]:
-            acc |= masks[p] | (1 << p)
-        masks[g] = acc
-        tfo_size[g] = acc.bit_count()
-    tfi_size = [0] * n
-    masks = [0] * n
-    for g in circuit.topo_order:
-        kids = circuit.fanin_gates[g]
-        acc = 0
-        if kids is not None:
-            for c in kids:
-                acc |= masks[c] | (1 << c)
-        masks[g] = acc
-        tfi_size[g] = acc.bit_count()
-    return fanout_size, tfo_size, tfi_size
 
 
 def compute_scoap_cc(circuit: Circuit):
@@ -196,6 +164,9 @@ def dense_ranks(*columns) -> tuple:
 COLUMNS = {"depth": "depth", "fo": "fanout_size", "co": "co", "flow": "flow",
            "level": "level", "llevel": "llevel", "alevel": "alevel"}
 
+#: the closure-size measures, walked per gate on first need
+CLOSURES = ("tfi", "tfo")
+
 
 def csv_text(header, rows) -> str:
     """A header row and data rows as CSV text with newline line ends."""
@@ -216,16 +187,15 @@ class StructuralProfile:
     cannot match them exactly it hands the column back to its function:
     cc0/cc1 and co when they outgrow int64, and alevel where the
     interpreter's float ``sum`` is compensated and some gate has three or
-    more distinct children.  The transitive closure sizes are computed on
-    first request per gate (a plain reachability walk) and cached, since a
-    search typically queries only the gates that ever become unjustified.
-    ``scores`` gives the C kernel's int32 form of each measure, built on
-    first request.
+    more distinct children.  The transitive closure sizes are walked on
+    first need per gate, the kernel's ``reach`` or else ``_reach``, into one
+    int32 cache per direction that the kernel's selection fills too.
+    ``scores`` gives the C kernel's int32 form of each measure.
     """
 
     __slots__ = ("circuit", "depth", "level", "llevel", "alevel", "fanout_size",
                  "cc0", "cc1", "co", "flow", "alevel_mode", "flow_mode",
-                 "_tfo", "_tfi", "_scores")
+                 "_walk", "_scores")
 
     def __init__(self, circuit: Circuit, alevel_mode: str = "self",
                  flow_mode: str = "conserving"):
@@ -241,9 +211,12 @@ class StructuralProfile:
             self.cc0, self.cc1 = compute_scoap_cc(circuit)
             self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
             self.flow = compute_flow(circuit, flow_mode)
-        self._tfo = [-1] * circuit.num_gates
-        self._tfi = [-1] * circuit.num_gates
         self._scores = {}
+        for measure in CLOSURES:
+            sizes = array("i", [-1]) * circuit.num_gates
+            self._scores[measure] = sizes, sizes
+        # the kernel's closure walks: generation, stamps, then stack
+        self._walk = array("i", [0]) * (2 * circuit.num_gates + 1)
 
     def _kernel_columns(self):
         circuit = self.circuit
@@ -266,66 +239,86 @@ class StructuralProfile:
         They order the gates exactly as the measure does: dense ranks, with
         cc0 and cc1 ranked in one space for ``cc`` and one array serving as
         both for the value-independent measures.  ``tfi``/``tfo`` give the
-        kernel's closure-size cache instead, -1 until the kernel walks a
-        gate; it sits beside the lists behind ``tfi_size``/``tfo_size``.
+        closure-size cache itself, -1 until a gate is walked.
         """
         pair = self._scores.get(measure)
         if pair is None:
             if measure == "cc":
                 pair = dense_ranks(self.cc0, self.cc1)
-            elif measure in ("tfi", "tfo"):
-                sizes = array("i", [-1]) * self.circuit.num_gates
-                pair = sizes, sizes
             else:
                 ranks, = dense_ranks(getattr(self, COLUMNS[measure]))
                 pair = ranks, ranks
             self._scores[measure] = pair
         return pair
 
+    def kernel_walk(self, measure: str) -> tuple:
+        """The addresses of the CSR and the scratch of the kernel's walk
+        that fills the ``measure`` cache; Nones for the other measures."""
+        if measure not in CLOSURES:
+            return None, None, None
+        csr = self.circuit._csr
+        off, adj = (csr.kid_off, csr.kid) if measure == "tfi" else (csr.fout_off, csr.fout)
+        return off.buffer_info()[0], adj.buffer_info()[0], self._walk.buffer_info()[0]
+
     def tfo_size(self, g: int) -> int:
-        cached = self._tfo[g]
-        if cached >= 0:
-            return cached
-        size = self._reach(g, self.circuit.fanout.__getitem__)
-        self._tfo[g] = size
-        return size
+        size = self._scores["tfo"][0][g]
+        return size if size >= 0 else self._fill("tfo", (g,))[g]
 
     def tfi_size(self, g: int) -> int:
-        cached = self._tfi[g]
-        if cached >= 0:
-            return cached
-        fanin_gates = self.circuit.fanin_gates
-        size = self._reach(g, lambda x: fanin_gates[x] or ())
-        self._tfi[g] = size
-        return size
+        size = self._scores["tfi"][0][g]
+        return size if size >= 0 else self._fill("tfi", (g,))[g]
 
-    def _reach(self, g, neighbours) -> int:
-        seen = {g}
-        stack = [g]
-        count = 0
-        while stack:
-            for nxt in neighbours(stack.pop()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-                    count += 1
-        return count
+    def _fill(self, measure: str, gates) -> array:
+        """Walk each of ``gates`` whose ``measure`` closure size is not
+        cached; returns the cache."""
+        sizes = self._scores[measure][0]
+        if _kernel.lib is not None:
+            arg = array("i", gates)
+            if _kernel.lib.closures(len(sizes), *self.kernel_walk(measure),
+                                    sizes.buffer_info()[0], arg.buffer_info()[0], len(arg)) < 0:
+                raise IndexError("gate index out of range")
+            return sizes
+        neighbours = self.circuit.fanout if measure == "tfo" else self.circuit.fanin_gates
+        for g in gates:
+            if sizes[g] < 0:
+                sizes[g] = _reach(g, neighbours)
+        return sizes
+
+    # the closure sizes as lists, -1 where not walked yet
+    _tfo = property(lambda self: self._scores["tfo"][0].tolist())
+    _tfi = property(lambda self: self._scores["tfi"][0].tolist())
 
     def materialize_closures(self):
-        """Fill the tfo/tfi caches for every gate in two bulk passes."""
-        _, self._tfo, self._tfi = compute_fanout_tfo_tfi(self.circuit)
+        """Walk every gate not walked yet, in both directions."""
+        gates = range(self.circuit.num_gates)
+        for measure in CLOSURES:
+            self._fill(measure, gates)
         return self
 
     def write_csv(self, fh):
         """One row per gate with every measure; closures are materialized."""
         self.materialize_closures()
+        tfo, tfi = self._scores["tfo"][0], self._scores["tfi"][0]
         fh.write(csv_text(["gate", "depth", "level", "llevel", "alevel", "fo",
                            "tfo", "tfi", "cc0", "cc1", "co", "flow"],
                           ([g, self.depth[g], self.level[g], self.llevel[g],
                             repr(self.alevel[g]), self.fanout_size[g],
-                            self._tfo[g], self._tfi[g], self.cc0[g],
+                            tfo[g], tfi[g], self.cc0[g],
                             self.cc1[g], self.co[g], repr(self.flow[g])]
                            for g in range(self.circuit.num_gates))))
+
+
+def _reach(g: int, neighbours) -> int:
+    """Size of g's transitive closure over ``neighbours`` (a row of gates,
+    or None, per gate), g excluded."""
+    seen = {g}
+    stack = [g]
+    while stack:
+        for nxt in neighbours[stack.pop()] or ():
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) - 1
 
 
 def build_profile(circuit: Circuit, alevel_mode: str = "self",

@@ -201,8 +201,9 @@ class SearchEngine:
         if _kernel.lib is None:
             score = _make_scorer(self.profile, measure, asg.values)
             return _argbest(asg.ulist, score, self._want_max, self.rng)
-        ties, best = asg._select(*self.profile.scores(measure), self._want_max,
-                                 _kernel.WALKS.get(measure, 0))
+        profile = self.profile
+        ties, best = asg._select(*profile.scores(measure), self._want_max,
+                                 profile.kernel_walk(measure))
         return best[0] if ties == 1 else best[self.rng.randrange(ties)]
 
     def _greedy(self, sigmas):

@@ -227,16 +227,16 @@ HOSTILE = (math.nan, math.inf, -math.inf, -1, 0, 0.5, "x", True, None, [], {})
 def hostile_config(draw):
     """A tiny valid bench config with one to three keys dropped or swapped.
 
-    ``output_dir`` and ``jobs`` are never touched (a mutated ``jobs`` would
-    ask for that many worker processes), ``tries`` and ``cutoff`` are never
+    ``output_dir`` is never touched, ``tries`` and ``cutoff`` are never
     dropped and ``cutoff`` never becomes null, so no mutant runs longer than
     the original: one 10-20 AND instance, one try of at most 200 steps.
+    ``jobs`` starts no worker past the CPU count.
     """
     generate = {"count": 1, "inputs": 4, "min_ands": 10, "max_ands": 20, "seed": 1}
     config = {"instances": [], "generate": generate, "heuristics": ["rand"],
               "noises": [0.2], "tries": 1, "timeout": None, "cutoff": 200,
               "master_seed": 0, "clock": "steps", "scatter_pairs": [["rand", "rand"]],
-              "trivial_heuristic": "rand", "trivial_threshold": 730}
+              "trivial_heuristic": "rand", "trivial_threshold": 730, "jobs": 1}
     slots = [(block, key) for block in (config, generate) for key in block]
     for _ in range(draw(st.integers(1, 3))):
         block, key = draw(st.sampled_from(slots))
@@ -300,17 +300,45 @@ class TestErrors:
         # under a 1 GiB address space, allocating for it would raise MemoryError
         path = tmp_path / "huge.aig"
         path.write_bytes(b"aig 1073741824 1073741824 0 0 0\n")
-        proc = subprocess.run([sys.executable, "-c", LIMITED_SOLVE, str(path)],
-                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
-                              timeout=120)
-        lines = proc.stderr.decode().splitlines()
-        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, b""), lines
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        _fails_before_allocating("solve", str(path))
+
+    def test_generator_past_max_var_fails_before_allocating(self, tmp_path):
+        # a circuit past 2**30 - 1 variables fits no AIGER file; building its
+        # gate list under a 1 GiB address space would raise MemoryError
+        _fails_before_allocating("gen", "--inputs", "1", "--ands", str(2**30))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "out"), "timeout": None, "cutoff": 10,
+            "clock": "steps", "generate": {"count": 1, "inputs": 1, "min_ands": 2**30,
+                                           "max_ands": 2**30}}))
+        _fails_before_allocating("bench", str(path))
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_below_one_are_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "timeout": None,
+                                    "cutoff": 10, "clock": "steps", "jobs": 1,
+                                    "generate": {"count": 1, "inputs": 2, "min_ands": 3,
+                                                 "max_ands": 3}}))
+        for argv in (["--jobs", "0"], ["--jobs", "-3"]):
+            assert run_cli(["bench", str(path), *argv]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: jobs") and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out").exists()
 
 
-LIMITED_SOLVE = """
+def _fails_before_allocating(*argv):
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          timeout=120)
+    lines = proc.stderr.decode().splitlines()
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, b""), lines
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+LIMITED_CLI = """
 import resource, sys
 from aigsls.cli import run_cli
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-sys.exit(run_cli(["solve", sys.argv[1]]))
+sys.exit(run_cli(sys.argv[1:]))
 """

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from aigsls import harness
 from aigsls.aiger import generate_random_sat_aig, serialize_ascii
 from aigsls.circuit import INPUT, ConstrainedCircuit, Literal, build_circuit, evaluate
 from aigsls.harness import (
@@ -304,6 +305,35 @@ class TestExperiment:
         res_b = run_experiment(base_config(tmp_path / "b", jobs=2))
         assert records_to_csv(res_a.records) == records_to_csv(res_b.records)
 
+    def test_workers_stop_at_the_cpu_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Runs inline and records its size; starts no process."""
+
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(harness, "Pool", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        inline = run_experiment(base_config(tmp_path / "a"))
+        pooled = run_experiment(base_config(tmp_path / "b", jobs=10**6))
+        assert sizes == [3]
+        assert records_to_csv(pooled.records) == records_to_csv(inline.records)
+        for cpus in (1, None):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            run_experiment(base_config(tmp_path / f"c{cpus}", jobs=10**6))
+        assert sizes == [3]
+
     def test_second_run_in_one_process_reads_its_own_instances(self, tmp_path):
         # both runs write gen-0000.aag and gen-0001.aag into shared/instances
         def rows(seed, directory):
@@ -338,6 +368,13 @@ class TestExperiment:
             base_config(tmp_path, tries=0).validate()
         with pytest.raises(ValueError):
             base_config(tmp_path, scatter_pairs=[["rand", "tfi-min"]]).validate()
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                base_config(tmp_path, jobs=jobs).validate()
+        generate = {"count": 1, "inputs": 2, "min_ands": 1, "max_ands": 2**30 - 2}
+        with pytest.raises(ValueError, match="max_ands"):
+            base_config(tmp_path, generate=generate).validate()
+        base_config(tmp_path, generate=dict(generate, max_ands=2**30 - 3)).validate()
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.json"

@@ -44,9 +44,9 @@ from aigsls.circuit import (
 )
 from aigsls.cli import run_cli
 from aigsls.harness import SolverConfig, crsat_solve, run_try
-from aigsls.metrics import ALEVEL_MODES, FLOW_MODES, build_profile, compute_fanout_tfo_tfi
+from aigsls.metrics import ALEVEL_MODES, FLOW_MODES, build_profile
 from aigsls.search import HEURISTICS, SearchEngine
-from oracles import random_constrained, random_dag
+from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -451,6 +451,9 @@ def test_search_from_a_file_builds_no_tuples(tmp_path):
             record = run_try(loaded, profile, path.name, heuristic, 0.2, 0, 7,
                              cutoff=100_000, clock="steps")
             assert record.outcome == "SAT"      # verified, or run_try raises
+        profile.tfi_size(5)
+        profile.tfo_size(5)
+        profile.materialize_closures()
         assert not set(VIEWS) & set(vars(loaded.circuit))
 
 
@@ -564,6 +567,14 @@ cc = generate_random_sat_aig(12, 300, random.Random(5))
 profile = build_profile(cc.circuit)
 for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min"):
     crsat_solve(cc, profile, SolverConfig(heuristic, 0.3, 3000, 1))
+sys.path.insert(0, sys.argv[3])
+from oracles import random_dag
+rng = random.Random(6)
+for k in range(4):
+    profile = build_profile(random_dag(rng, rng.randint(1, 400)))
+    if k % 2:
+        profile._walk[0] = 0x7FFFFFFF - 5    # the stamps restart midway
+    profile.materialize_closures()
 print(len(corpus))
 """
 
@@ -586,7 +597,8 @@ def test_parsers_and_searches_run_clean_under_ubsan(tmp_path):
 
     collect()
     (tmp_path / "corpus.json").write_text(json.dumps([data.hex() for data in corpus]))
-    proc = _python(UBSAN, tmp_path / "cache", library, tmp_path / "corpus.json")
+    proc = _python(UBSAN, tmp_path / "cache", library, tmp_path / "corpus.json",
+                   os.path.dirname(os.path.abspath(__file__)))
     stdout, stderr = proc.communicate(timeout=600)
     if proc.returncode == 3:
         pytest.skip("the sanitized library does not load")
@@ -675,15 +687,15 @@ def test_kernel_closure_sizes_match_the_bulk_closures():
         profile = build_profile(circuit)
         asg = random_complete_extension(random_constrained(rng, circuit), rng)
         if k % 2:
-            asg._meta[2] = 0x7FFFFFFF - 5      # the walk stamps restart midway
+            profile._walk[0] = 0x7FFFFFFF - 5       # the walk stamps restart midway
         # offer every gate as a candidate, so the kernel walks them all
         asg.ubuf[:] = array("i", range(n))
         asg._meta[0] = n
         for measure in ("tfi", "tfo"):
-            asg._select(*profile.scores(measure), False, _kernel.WALKS[measure])
+            asg._select(*profile.scores(measure), False, profile.kernel_walk(measure))
         if k % 2:
-            assert 0 < asg._meta[2] <= 2 * n
-        _, tfo, tfi = compute_fanout_tfo_tfi(circuit)
+            assert 0 < profile._walk[0] <= 2 * n
+        tfo, tfi = ref_tfo_sizes(circuit), ref_tfi_sizes(circuit)
         assert profile.scores("tfo")[0].tolist() == tfo
         assert profile.scores("tfi")[0].tolist() == tfi
         assert [profile.tfo_size(g) for g in range(n)] == tfo
@@ -691,6 +703,39 @@ def test_kernel_closure_sizes_match_the_bulk_closures():
         profile.materialize_closures()
         assert (type(profile._tfo), type(profile._tfi)) == (list, list)
         assert (profile._tfo, profile._tfi) == (tfo, tfi)
+
+
+@needs_kernel
+def test_closure_walks_fail_cleanly_and_restart_their_stamps():
+    rng = random.Random(81)
+    circuit = random_dag(rng, 200)
+    n = circuit.num_gates
+    profile = build_profile(circuit)
+    for g in (n, -1):
+        with pytest.raises(IndexError):
+            profile.tfi_size(g)
+    assert set(profile._tfi) == {-1}
+    profile._walk[0] = 0x7FFFFFFF - 3
+    profile.materialize_closures()
+    assert 0 < profile._walk[0] <= 2 * n
+    assert (profile._tfo, profile._tfi) == (ref_tfo_sizes(circuit), ref_tfi_sizes(circuit))
+
+
+@needs_kernel
+def test_closure_sizes_walked_by_selection_are_not_walked_again(monkeypatch):
+    cc = generate_random_sat_aig(8, 400, random.Random(82))
+    profile = build_profile(cc.circuit)
+    run_try(cc, profile, "x", "tfi-min", 0.2, 0, 7, cutoff=50, clock="steps")
+    sizes = profile.scores("tfi")[0]
+    walked = [g for g in range(cc.circuit.num_gates) if sizes[g] >= 0]
+    assert walked and len(walked) < cc.circuit.num_gates
+
+    def no_walk(*args):
+        raise AssertionError("walked again")
+
+    monkeypatch.setattr(_kernel.lib, "closures", no_walk)
+    tfi = ref_tfi_sizes(cc.circuit)
+    assert [profile.tfi_size(g) for g in walked] == [tfi[g] for g in walked]
 
 
 @needs_kernel
@@ -705,7 +750,7 @@ def test_selection_rejects_short_score_arrays():
         with pytest.raises(ValueError):
             asg._select(lo, hi, False)
         with pytest.raises(ValueError):
-            asg._select(lo, hi, True, 1)
+            asg._select(lo, hi, True, build_profile(circuit).kernel_walk("tfi"))
     assert (bytes(asg.values), asg.ulist) == before
     assert full.tolist() == list(range(30))
 

@@ -1,6 +1,7 @@
 import io
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,6 @@ from aigsls.circuit import INPUT, Literal, build_circuit
 from aigsls.metrics import (
     build_profile,
     compute_depths,
-    compute_fanout_tfo_tfi,
     compute_flow,
     compute_levels,
     compute_scoap_cc,
@@ -101,25 +101,22 @@ class TestLevels:
 class TestClosures:
     def test_output_has_empty_tfo(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        _, tfo, _ = compute_fanout_tfo_tfi(c)
-        assert tfo[2] == 0
+        assert build_profile(c).tfo_size(2) == 0
 
     def test_input_feeding_everything(self):
         defs = [INPUT]
         for g in range(1, 10):
             defs.append([lit(g - 1), lit(0)] if g > 1 else [lit(0)])
         c = build_circuit(defs)
-        _, tfo, _ = compute_fanout_tfo_tfi(c)
-        assert tfo[0] == 9
+        assert build_profile(c).tfo_size(0) == 9
 
     def test_bulk_and_lazy_match_dfs_oracle(self):
         rng = random.Random(5)
         for _ in range(10):
             c = random_dag(rng, 90)
-            fo, tfo, tfi = compute_fanout_tfo_tfi(c)
-            assert tfo == ref_tfo_sizes(c)
-            assert tfi == ref_tfi_sizes(c)
-            assert fo == [len(c.fanout[g]) for g in range(c.num_gates)]
+            tfo, tfi = ref_tfo_sizes(c), ref_tfi_sizes(c)
+            profile = build_profile(c).materialize_closures()
+            assert (profile._tfo, profile._tfi) == (tfo, tfi)
             profile = build_profile(c)
             assert [profile.tfo_size(g) for g in range(c.num_gates)] == tfo
             assert [profile.tfi_size(g) for g in range(c.num_gates)] == tfi
@@ -132,6 +129,19 @@ class TestClosures:
             kids = c.fanin_gates[g] or ()
             assert profile.tfi_size(g) >= len(kids)
             assert profile.tfo_size(g) >= profile.fanout_size[g]
+
+    def test_materialized_closures_take_linear_memory(self):
+        # one bitset per gate would peak near 1 MB here, on either path
+        c = generate_random_sat_aig(16, 3000, random.Random(7)).circuit
+        profile = build_profile(c)
+        tracemalloc.start()
+        try:
+            profile.materialize_closures()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400_000, f"{peak} bytes at peak"
+        assert min(profile._tfo) >= 0 and min(profile._tfi) >= 0
 
 
 class TestScoap:
