@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -86,6 +87,8 @@ class Circuit:
     ``fanin_gates[g]`` the distinct child gates, without polarity, for the
     level, flow and closure walks.  ``topo_order`` places every gate
     strictly after all of its children; ``topo_pos[g]`` is g's position in it.
+    It is Kahn's order seeded with every childless gate in index order, so
+    it starts with ``inputs``.
 
     A circuit is its CSR arrays ``_csr`` (``_kernel.CSR``, the flat form of
     the five tuples above), whether the C kernel or the pure-Python code
@@ -122,8 +125,9 @@ class Circuit:
 
     @cached_property
     def inputs(self) -> tuple:
-        """The input gates, in index order."""
-        return _empty_rows(self._csr.fin_off)
+        """The input gates, in index order: the start of ``topo_order``."""
+        order = self._csr.order
+        return tuple(order[:bisect_left(order, True, key=lambda g: not self.is_input(g))])
 
     @cached_property
     def outputs(self) -> tuple:

@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a full experiment from a JSON config")
     bench.add_argument("config")
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (overrides the config)")
 
     gen = sub.add_parser("gen", help="emit a random satisfiable instance as ASCII AIGER")
     gen.add_argument("--inputs", type=int, required=True)
@@ -117,10 +115,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = harness.load_config(args.config)
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    result = harness.run_experiment(config)
+    result = harness.run_experiment(harness.load_config(args.config))
     for name in sorted(result.files):
         print(f"wrote {result.files[name]}", file=sys.stderr)
     return 0

@@ -10,7 +10,7 @@ and a fixed censoring constant to the step median.
 
 Every random choice -- per-try search seeds and protocol-level tie-breaks --
 derives from the master seed through a stable hash, so a whole experiment is
-reproducible regardless of worker scheduling.
+reproducible.
 
 This module also holds the one try loop: ``_search`` builds a SearchEngine,
 runs it in step chunks under a CPU-time and/or step budget, and verifies
@@ -28,7 +28,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Optional, Sequence
 
 from ._kernel import MAX_VAR
@@ -377,7 +376,8 @@ class ExperimentConfig:
 
     ``instances`` lists AIGER files; ``generate`` may add a synthetic suite
     (keys: count, inputs, min_ands, max_ands, seed), written as .aag files
-    into the output directory so the experiment stays inspectable.
+    into the output directory so the experiment stays inspectable.  An
+    experiment runs in one process, so ``jobs`` must be 1.
     """
     output_dir: str
     instances: list = field(default_factory=list)
@@ -424,8 +424,8 @@ class ExperimentConfig:
             if inputs + max_ands > MAX_VAR:
                 raise ValueError(f"generate inputs + max_ands must be at most {MAX_VAR}, "
                                  f"got {inputs + max_ands}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1, got {self.jobs}")
         _check_protocol(self.heuristics, self.noises, self.tries)
         _check_budget(self.clock, self.timeout, self.cutoff)
         if not self.instances and not self.generate:
@@ -440,7 +440,10 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read an experiment configuration from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("config nests too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     known = ExperimentConfig.__dataclass_fields__
@@ -463,81 +466,52 @@ class ExperimentResult:
     files: dict
 
 
-# parsed and profiled instances of the running experiment, per process
-_INSTANCE_CACHE = {}
+def _is_generated_name(name: str, count: int) -> bool:
+    """Whether ``name`` equals ``f"gen-{k:04d}.aag"`` for some ``k < count``."""
+    digits = name[4:-4]
+    return (name == f"gen-{digits}.aag" and digits.isascii() and digits.isdigit()
+            and len(digits) <= max(4, len(str(count))) and int(digits) < count
+            and digits == f"{int(digits):04d}")
 
 
-def _load_instance(path):
-    entry = _INSTANCE_CACHE.get(path)
-    if entry is None:
-        cc = load_aiger(path)
-        entry = (cc, build_profile(cc.circuit))
-        _INSTANCE_CACHE[path] = entry
-    return entry
-
-
-def _run_job(args):
-    (path, instance, heuristic, wp, try_index, master_seed,
-     timeout, cutoff, clock) = args
-    cc, profile = _load_instance(path)
-    return run_try(cc, profile, instance, heuristic, wp, try_index, master_seed,
-                   timeout=timeout, cutoff=cutoff, clock=clock)
-
-
-def _materialize_instances(config: ExperimentConfig):
-    """Resolve configured plus generated instances to (id, path) pairs.
-
-    Instance names are checked before the generated files are written.
-    """
+def _instances(config: ExperimentConfig):
+    """Yield (id, path) of the configured, then the generated instances, each
+    generated one written when it is reached; names are checked first."""
     spec = config.generate or {"count": 0}
-    gen_dir = os.path.join(config.output_dir, "instances")
-    generated = [os.path.join(gen_dir, f"gen-{k:04d}.aag") for k in range(spec["count"])]
-    paths = list(config.instances) + generated
-    ids = [os.path.basename(p) for p in paths]
-    if len(set(ids)) != len(ids):
+    ids = [os.path.basename(p) for p in config.instances]
+    if len(set(ids)) != len(ids) or any(_is_generated_name(i, spec["count"]) for i in ids):
         raise ValueError("instance file names must be unique")
-    if generated:
-        rng = random.Random(spec.get("seed", config.master_seed))
+    yield from zip(ids, config.instances)
+    rng = random.Random(spec.get("seed", config.master_seed))
+    gen_dir = os.path.join(config.output_dir, "instances")
+    for k in range(spec["count"]):
         os.makedirs(gen_dir, exist_ok=True)
-        for path in generated:
-            ands = rng.randint(spec["min_ands"], spec["max_ands"])
-            cc = generate_random_sat_aig(spec["inputs"], ands, rng)
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(serialize_ascii(cc))
-    return list(zip(ids, paths))
+        ands = rng.randint(spec["min_ands"], spec["max_ands"])
+        path = os.path.join(gen_dir, f"gen-{k:04d}.aag")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(serialize_ascii(generate_random_sat_aig(spec["inputs"], ands, rng)))
+        yield os.path.basename(path), path
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full protocol and write tries/summaries/cactus/scatter CSVs."""
-    # an earlier experiment may have written other instances to the same paths
-    _INSTANCE_CACHE.clear()
-    config.validate()
-    pairs = _materialize_instances(config)
-    os.makedirs(config.output_dir, exist_ok=True)
-    jobs = [
-        (path, instance, heuristic, wp, try_index, config.master_seed,
-         config.timeout, config.cutoff, config.clock)
-        for instance, path in pairs
-        for heuristic in config.heuristics
-        for wp in config.noises
-        for try_index in range(config.tries)
-    ]
-    # the records do not depend on the worker count, so it stops at the CPUs
-    workers = min(config.jobs, os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            records = pool.map(_run_job, jobs, chunksize=1)
-    else:
-        records = [_run_job(job) for job in jobs]
-    _INSTANCE_CACHE.clear()
+    """Run the full protocol and write tries/summaries/cactus/scatter CSVs.
 
-    grouped = {}
-    for record in records:
-        grouped.setdefault((record.instance, record.heuristic), []).append(record)
-    summaries = []
-    for (instance, heuristic), group in grouped.items():
-        best = _rank_noises(group, config.master_seed, instance, heuristic)
-        summaries.append(summarize([r for r in group if r.wp == best], config.tries))
+    One instance at a time is loaded and profiled, then every heuristic
+    tunes its noise on it through ``optimize_noise``.
+    """
+    config.validate()
+    records, summaries = [], []
+    for instance, path in _instances(config):
+        cc = load_aiger(path)
+        profile = build_profile(cc.circuit)
+        for heuristic in config.heuristics:
+            best, tried = optimize_noise(
+                cc, profile, instance, heuristic, tries=config.tries,
+                timeout=config.timeout, candidates=config.noises,
+                master_seed=config.master_seed, cutoff=config.cutoff, clock=config.clock)
+            records += tried
+            summaries.append(summarize([r for r in tried if r.wp == best], config.tries))
+    os.makedirs(config.output_dir, exist_ok=True)
 
     trivial, retained = [], summaries
     if config.trivial_heuristic is not None:

@@ -230,7 +230,6 @@ def hostile_config(draw):
     ``output_dir`` is never touched, ``tries`` and ``cutoff`` are never
     dropped and ``cutoff`` never becomes null, so no mutant runs longer than
     the original: one 10-20 AND instance, one try of at most 200 steps.
-    ``jobs`` starts no worker past the CPU count.
     """
     generate = {"count": 1, "inputs": 4, "min_ands": 10, "max_ands": 20, "seed": 1}
     config = {"instances": [], "generate": generate, "heuristics": ["rand"],
@@ -314,17 +313,49 @@ class TestErrors:
         _fails_before_allocating("bench", str(path))
         assert not (tmp_path / "out").exists()
 
-    def test_jobs_below_one_are_a_one_line_error(self, tmp_path, capsys):
+    def test_generated_suite_past_memory_fails_before_allocating(self, aag, tmp_path):
+        # the bad instance fails before the first of 10**11 instances is
+        # generated; listing their names up front would raise MemoryError
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "timeout": None,
-                                    "cutoff": 10, "clock": "steps", "jobs": 1,
-                                    "generate": {"count": 1, "inputs": 2, "min_ands": 3,
-                                                 "max_ands": 3}}))
-        for argv in (["--jobs", "0"], ["--jobs", "-3"]):
-            assert run_cli(["bench", str(path), *argv]) == EXIT_ERROR
-            err = capsys.readouterr().err
-            assert err.startswith("error: jobs") and len(err.splitlines()) == 1, err
+        path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "out"), "timeout": None, "cutoff": 10,
+            "clock": "steps", "instances": [aag("bad.aag", "not an aiger file\n")],
+            "generate": {"count": 10**11, "inputs": 2, "min_ands": 3, "max_ands": 3}}))
+        _fails_before_allocating("bench", str(path))
         assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_config_is_a_one_line_error(self, tmp_path):
+        # in a fresh interpreter: oracles.py raises this process's recursion
+        # limit, under which the JSON parser overflows the C stack instead
+        path = tmp_path / "config.json"
+        path.write_text("[" * 200_000)
+        _fails_before_allocating("bench", str(path))
+
+    def test_jobs_is_one_process_only(self, tmp_path, capsys):
+        def config(jobs):
+            path = tmp_path / f"jobs{jobs}.json"
+            path.write_text(json.dumps({
+                "output_dir": str(tmp_path / f"out{jobs}"), "timeout": None, "cutoff": 10,
+                "clock": "steps", "jobs": jobs,
+                "generate": {"count": 1, "inputs": 2, "min_ands": 3, "max_ands": 3}}))
+            return str(path)
+
+        assert run_cli(["bench", config(2)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: jobs") and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "out2").exists()
+        assert run_cli(["bench", config(1), "--jobs", "1"]) == EXIT_ERROR
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out1").exists()
+        assert run_cli(["bench", config(1)]) == 0
+        assert (tmp_path / "out1" / "tries.csv").exists()
+
+    def test_the_cli_loads_no_multiprocessing(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, aigsls.cli; print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, check=True)
+        assert proc.stdout == b"False\n"
 
 
 def _fails_before_allocating(*argv):

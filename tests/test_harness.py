@@ -6,7 +6,7 @@ import random
 import pytest
 
 from aigsls import harness
-from aigsls.aiger import generate_random_sat_aig, serialize_ascii
+from aigsls.aiger import generate_random_sat_aig, load_aiger, serialize_ascii
 from aigsls.circuit import INPUT, ConstrainedCircuit, Literal, build_circuit, evaluate
 from aigsls.harness import (
     CENSORED_STEPS,
@@ -25,7 +25,6 @@ from aigsls.harness import (
     load_config,
     lower_median,
     optimize_noise,
-    records_to_csv,
     run_experiment,
     run_try,
     summarize,
@@ -300,39 +299,17 @@ class TestExperiment:
             with open(res_a.files[name], "rb") as fa, open(res_b.files[name], "rb") as fb:
                 assert fa.read() == fb.read(), name
 
-    def test_worker_pool_matches_inline(self, tmp_path):
-        res_a = run_experiment(base_config(tmp_path / "a", jobs=1))
-        res_b = run_experiment(base_config(tmp_path / "b", jobs=2))
-        assert records_to_csv(res_a.records) == records_to_csv(res_b.records)
-
-    def test_workers_stop_at_the_cpu_count(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class FakePool:
-            """Runs inline and records its size; starts no process."""
-
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(harness, "Pool", FakePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        inline = run_experiment(base_config(tmp_path / "a"))
-        pooled = run_experiment(base_config(tmp_path / "b", jobs=10**6))
-        assert sizes == [3]
-        assert records_to_csv(pooled.records) == records_to_csv(inline.records)
-        for cpus in (1, None):
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-            run_experiment(base_config(tmp_path / f"c{cpus}", jobs=10**6))
-        assert sizes == [3]
+    def test_each_instance_and_heuristic_tunes_through_optimize_noise(self, tmp_path):
+        generate = {"count": 1, "inputs": 5, "min_ands": 8, "max_ands": 16, "seed": 9}
+        config = base_config(tmp_path, heuristics=["depth-max"], generate=generate)
+        result = run_experiment(config)
+        cc = load_aiger(os.path.join(config.output_dir, "instances", "gen-0000.aag"))
+        best, records = optimize_noise(
+            cc, build_profile(cc.circuit), "gen-0000.aag", "depth-max", tries=config.tries,
+            candidates=config.noises, master_seed=config.master_seed,
+            cutoff=config.cutoff, clock="steps")
+        assert result.records == records
+        assert [s.best_wp for s in result.summaries] == [best]
 
     def test_second_run_in_one_process_reads_its_own_instances(self, tmp_path):
         # both runs write gen-0000.aag and gen-0001.aag into shared/instances
@@ -368,7 +345,7 @@ class TestExperiment:
             base_config(tmp_path, tries=0).validate()
         with pytest.raises(ValueError):
             base_config(tmp_path, scatter_pairs=[["rand", "tfi-min"]]).validate()
-        for jobs in (0, -3):
+        for jobs in (0, -3, 2):
             with pytest.raises(ValueError, match="jobs"):
                 base_config(tmp_path, jobs=jobs).validate()
         generate = {"count": 1, "inputs": 2, "min_ands": 1, "max_ands": 2**30 - 2}
@@ -426,6 +403,22 @@ class TestExperiment:
         with pytest.raises(ValueError):
             run_experiment(config)
         assert not os.path.exists(config.output_dir)
+
+    def test_configured_names_may_not_collide_with_generated_ones(self, tmp_path):
+        generate = {"count": 10001, "inputs": 3, "min_ands": 4, "max_ands": 4}
+        for name in ("gen-0000.aag", "gen-0001.aag", "gen-10000.aag"):
+            path = tmp_path / name
+            path.write_text(serialize_ascii(generate_random_sat_aig(3, 4, random.Random(0))))
+            config = base_config(tmp_path, instances=[str(path)], generate=generate)
+            with pytest.raises(ValueError, match="unique"):
+                run_experiment(config)
+            assert not os.path.exists(config.output_dir)
+        assert not harness._is_generated_name("gen-10001.aag", 10001)
+        for name in ("gen-1.aag", "gen-00001.aag", "gen-01000.aag", "gen-+001.aag",
+                     "gen-\u0661\u0662\u0663\u0664.aag", "gen-.aag", "gen-" + "9" * 5000 + ".aag"):
+            assert not harness._is_generated_name(name, 10**9), name
+        assert harness._is_generated_name("gen-0002.aag", 3)
+        assert not harness._is_generated_name("gen-0003.aag", 3)
 
 
 class TestGoldenTrajectory:

@@ -220,6 +220,8 @@ def test_topology_and_profile_match_on_both_paths(monkeypatch):
         assert not set(VIEWS) & set(vars(fast))
         for name in CIRCUIT_ATTRIBUTES:
             assert getattr(fast, name) == getattr(slow, name), name
+        # read off the start of the topological order on both paths
+        assert fast.inputs == tuple(g for g, kids in enumerate(definitions) if kids is INPUT)
         assert fast._csr == _reference_csr(slow) == slow._csr
         assert fast == slow and hash(fast) == hash(slow)
         for alevel_mode in ALEVEL_MODES:
