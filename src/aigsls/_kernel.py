@@ -14,11 +14,12 @@ same buffers with ``rows``.  ``aigsls_profile`` fills every column of
 unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
 place, so the kernel and the pure-Python methods of ``Assignment`` can take
-turns on one assignment.  Gate selection scans the unjustified list for the
-least int32 score (the profile's dense ranks, or closure sizes that it, like
-``aigsls_closures``, walks the CSR for on first need) and returns the ties;
-the choice among them, the choice of justification and every random draw
-stay in Python, so both paths follow the same trajectory.
+turns on one assignment.  ``SearchEngine`` calls ``aigsls_select``: it scans
+the unjustified list for the least int32 score (the profile's dense ranks,
+or closure sizes that it, like ``aigsls_closures``, walks the CSR for on
+first need) and returns the ties; the choice among them, the choice of
+justification and every random draw stay in Python, so both paths follow
+the same trajectory.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
@@ -824,9 +825,7 @@ def evaluate(circuit, values: bytearray):
 
 def first_unjust(circuit, values: bytearray) -> int:
     """The first gate whose value in ``values`` differs from the AND of its
-    child literals, or -1."""
-    if len(values) != circuit.num_gates:
-        raise ValueError("value vector length does not match gate count")
+    child literals, or -1; ``values`` holds one entry per gate."""
     arrays = circuit._csr
     return lib.first_unjust(circuit.num_gates, _addr(arrays.fin_off), _addr(arrays.fin),
                             _view(values))
@@ -836,9 +835,9 @@ class State:
     """The kernel's handle on one assignment's buffers and its circuit's CSR.
 
     ``addr`` is passed to every kernel call.  The object keeps each buffer
-    it points into alive; ``pinned`` is copied, so a new State is needed
-    when the assignment's pins are replaced.  ``undo`` receives the gates a
-    propagation flipped and ``ties`` the gates a selection tied on.
+    it points into alive and copies ``pinned``, which an assignment fixes at
+    construction.  ``undo`` receives the gates a propagation flipped and
+    ``ties`` the gates a selection tied on.
     """
 
     __slots__ = ("_keep", "_struct", "addr", "undo", "ties")

@@ -330,14 +330,15 @@ class Assignment:
     ``values[g]`` is 0 or 1 for every gate.  A non-input gate is unjustified
     when its value differs from the AND of its child literal values; input
     gates are always justified.  ``pinned[g]`` marks gates that forward
-    propagation must never flip (the constrained gates).
+    propagation must never flip (the constrained gates), fixed at construction.
 
     The state lives in flat buffers that the C kernel (``aigsls._kernel``)
     shares: the first ``unjust_count`` entries of ``ubuf`` are the
     unjustified gates, ``upos[g]`` is g's index there or -1, and ``_meta``
     holds the unjust count and the propagation generation of ``_stamp``.
     Every method runs in the kernel when it is loaded and in Python
-    otherwise; both paths leave the buffers identical.
+    otherwise; both paths leave the buffers identical and reject a gate out
+    of range with IndexError.  ``SearchEngine`` calls ``aigsls_select``.
     """
 
     __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "_meta", "_stamp",
@@ -349,11 +350,14 @@ class Assignment:
             raise CircuitError("value vector length does not match gate count")
         self.circuit = circuit
         self.values = bytearray(values)
-        self.pinned = pinned if pinned is not None else bytes(n)
+        self._pinned = bytes(n) if pinned is None else bytes(pinned)
+        if len(self._pinned) != n:
+            raise CircuitError("pin vector length does not match gate count")
         self.ubuf = array("i", [0]) * n
         self.upos = array("i", [-1]) * n
         self._meta = array("i", [0, 0])
         self._stamp = array("i", [0]) * n
+        self._state = None
         if _kernel.lib is not None:
             _kernel.lib.scan(self._kernel_state())
         else:
@@ -367,13 +371,6 @@ class Assignment:
     def pinned(self):
         """Gates that forward propagation never flips, one byte per gate."""
         return self._pinned
-
-    @pinned.setter
-    def pinned(self, pinned):
-        if len(pinned) != self.circuit.num_gates:
-            raise CircuitError("pin vector length does not match gate count")
-        self._pinned = bytes(pinned)
-        self._state = None          # the kernel holds a copy of the old pins
 
     @property
     def ulist(self) -> list:
@@ -418,23 +415,12 @@ class Assignment:
             raise IndexError("gate index out of range")
         return result
 
-    def _select(self, lo, hi, neg: bool, walk=(None, None, None)):
-        """Kernel gate selection: (tie count, buffer holding the ties first).
-
-        The ties are the unjustified gates of least score, in ``ulist``
-        order; a gate scores ``lo[g]`` at value 0 and ``hi[g]`` at 1,
-        negated when ``neg``.  ``walk``, a ``StructuralProfile.kernel_walk``
-        of this circuit, makes ``lo`` that profile's closure-size cache,
-        whose negative entries the kernel fills.  ValueError unless both
-        score arrays are ``array('i')`` with an entry for every gate.
-        """
-        n = self.circuit.num_gates
-        for scores in (lo, hi):
-            if not isinstance(scores, array) or scores.typecode != "i" or len(scores) < n:
-                raise ValueError(f"scores must be array('i') of at least {n} entries")
-        count = _kernel.lib.select(self._kernel_state(), lo.buffer_info()[0],
-                                   hi.buffer_info()[0], neg, *walk)
-        return count, self._state.ties
+    def _in_range(self, gates) -> list:
+        """``gates`` as a list; IndexError, as in the kernel, if one is out of range."""
+        gates = list(gates)
+        if gates and (min(gates) < 0 or max(gates) >= self.circuit.num_gates):
+            raise IndexError("gate index out of range")
+        return gates
 
     # -- pure-Python path: the reference the kernel must match --
 
@@ -516,13 +502,12 @@ class Assignment:
 
     def flip(self, g: int, undo: Optional[list] = None):
         """Flip one gate value, updating the unjust set of g and its parents."""
-        lib = _kernel.lib
-        if lib is None:
-            self._flip(g)
-        elif 0 <= g < self.circuit.num_gates:
-            lib.flip(self._kernel_state(), g)
-        else:
+        if not 0 <= g < self.circuit.num_gates:
             raise IndexError(f"gate {g} out of range")
+        if _kernel.lib is None:
+            self._flip(g)
+        else:
+            _kernel.lib.flip(self._kernel_state(), g)
         if undo is not None:
             undo.append(g)
 
@@ -530,7 +515,7 @@ class Assignment:
         """Reverse a sequence of recorded flips, newest first."""
         lib = _kernel.lib
         if lib is None:
-            for g in reversed(undo):
+            for g in reversed(self._in_range(undo)):
                 self._flip(g)
         else:
             self._kernel_call(lib.rollback, undo)
@@ -548,7 +533,7 @@ class Assignment:
         """
         lib = _kernel.lib
         if lib is None:
-            self._propagate(flipped, undo)
+            self._propagate(self._in_range(flipped), undo)
             return self
         count = self._kernel_call(lib.propagate, flipped)
         if undo is not None:
@@ -561,10 +546,9 @@ class Assignment:
         lib = _kernel.lib
         if lib is not None:
             return self._kernel_call(lib.trial, flips)
-        undo = []
-        for g in flips:
+        undo = self._in_range(flips)
+        for g in undo:
             self._flip(g)
-            undo.append(g)
         self._propagate(flips, undo)
         count = self._meta[0]
         self.rollback(undo)
@@ -576,6 +560,7 @@ class Assignment:
         lib = _kernel.lib
         if lib is not None:
             return self._kernel_call(lib.move, flips)
+        flips = self._in_range(flips)
         for g in flips:
             self._flip(g)
         return len(flips) + self._propagate(flips, None)
@@ -645,8 +630,11 @@ def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
 
     Scans the full circuit rather than trusting the tracked unjust set: in
     the C kernel when it is loaded, else with ``_unjustified``, the reference.
+    ValueError unless the assignment has a value for every gate.
     """
     values = assignment.values
+    if len(values) != cc.circuit.num_gates:
+        raise ValueError("value vector length does not match gate count")
     for g, v in cc.constraints.items():
         if values[g] != v:
             return False

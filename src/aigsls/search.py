@@ -128,10 +128,11 @@ class SearchEngine:
         measure, _, direction = heuristic.rpartition("-")
         self._measure = measure or None      # "rand" has no measure
         self._want_max = direction == "max"
-
-    @property
-    def satisfied(self) -> bool:
-        return not self.assignment.unjust_count
+        self._select_args = None            # aigsls_select's arguments after the state
+        if measure and _kernel.lib is not None:
+            lo, hi = profile.scores(measure)    # kept alive by self.profile
+            self._select_args = (lo.buffer_info()[0], hi.buffer_info()[0], self._want_max,
+                                 *profile.kernel_walk(measure))
 
     def run(self, budget: int) -> bool:
         """Advance up to ``budget`` steps; True as soon as the circuit is satisfied.
@@ -186,8 +187,8 @@ class SearchEngine:
 
         A lone unjustified gate, or a lone best one, is taken without
         drawing from the RNG.  The cc measure reads the current assignment's
-        values at every call.  The kernel finds the best gates when it is
-        loaded; ``_argbest`` over the raw measures is the reference.
+        values at every call.  An engine built with the kernel calls
+        ``aigsls_select``; ``_argbest`` over the raw measures is the reference.
         """
         asg = self.assignment
         count = asg.unjust_count
@@ -198,12 +199,11 @@ class SearchEngine:
         measure = self._measure
         if measure is None:
             return asg.ubuf[self.rng.randrange(count)]
-        if _kernel.lib is None:
+        if self._select_args is None:
             score = _make_scorer(self.profile, measure, asg.values)
             return _argbest(asg.ulist, score, self._want_max, self.rng)
-        profile = self.profile
-        ties, best = asg._select(*profile.scores(measure), self._want_max,
-                                 profile.kernel_walk(measure))
+        ties = _kernel.lib.select(asg._kernel_state(), *self._select_args)
+        best = asg._state.ties
         return best[0] if ties == 1 else best[self.rng.randrange(ties)]
 
     def _greedy(self, sigmas):

@@ -352,3 +352,14 @@ class TestIncrementalUnjust:
         asg.rollback(undo)
         assert bytes(asg.values) == before_values
         assert asg.unjust == before_unjust
+
+    def test_pins_are_fixed_at_construction(self):
+        rng = random.Random(62)
+        c = random_dag(rng, 40)
+        cc = random_constrained(rng, c)
+        asg = random_complete_extension(cc, rng)
+        with pytest.raises(AttributeError):
+            asg.pinned = bytes(c.num_gates)
+        assert asg.pinned == cc.pinned
+        with pytest.raises(CircuitError):
+            Assignment(c, asg.values, bytes(c.num_gates - 1))

@@ -37,6 +37,7 @@ from aigsls.aiger import (
     serialize_binary,
 )
 from aigsls.circuit import (
+    Assignment,
     ConstrainedCircuit,
     evaluate,
     random_complete_extension,
@@ -437,6 +438,14 @@ def test_verification_matches_on_both_paths(monkeypatch):
         assert fast == slow == (not asg.recompute_unjust())
         verdicts.add(fast)
     assert verdicts == {False, True}
+    # an assignment shorter or longer than the circuit is an error on both paths
+    cc = ConstrainedCircuit(random_dag(rng, 30), {})
+    for size in (29, 31):
+        other = Assignment(build_circuit([INPUT] * size), bytearray(size))
+        for lib in (_kernel.lib, None):
+            monkeypatch.setattr(_kernel, "lib", lib)
+            with pytest.raises(ValueError):
+                verify_satisfying(cc, other)
 
 
 @needs_kernel
@@ -687,14 +696,16 @@ def test_kernel_closure_sizes_match_the_bulk_closures():
         circuit = random_dag(rng, rng.randint(2, 300))
         n = circuit.num_gates
         profile = build_profile(circuit)
-        asg = random_complete_extension(random_constrained(rng, circuit), rng)
+        cc = random_constrained(rng, circuit)
         if k % 2:
             profile._walk[0] = 0x7FFFFFFF - 5       # the walk stamps restart midway
-        # offer every gate as a candidate, so the kernel walks them all
-        asg.ubuf[:] = array("i", range(n))
-        asg._meta[0] = n
-        for measure in ("tfi", "tfo"):
-            asg._select(*profile.scores(measure), False, profile.kernel_walk(measure))
+        for heuristic in ("tfi-min", "tfo-min"):
+            engine = SearchEngine(cc, profile, heuristic, seed=k)
+            # offer every gate as a candidate, so the kernel walks them all
+            asg = engine.assignment
+            asg.ubuf[:] = array("i", range(n))
+            asg._meta[0] = n
+            assert engine._select() in range(n)
         if k % 2:
             assert 0 < profile._walk[0] <= 2 * n
         tfo, tfi = ref_tfo_sizes(circuit), ref_tfi_sizes(circuit)
@@ -705,6 +716,26 @@ def test_kernel_closure_sizes_match_the_bulk_closures():
         profile.materialize_closures()
         assert (type(profile._tfo), type(profile._tfi)) == (list, list)
         assert (profile._tfo, profile._tfi) == (tfo, tfi)
+
+
+@needs_kernel
+def test_selection_resolves_its_kernel_arguments_at_construction(monkeypatch):
+    rng = random.Random(86)
+    cc = random_constrained(rng, random_dag(rng, 300))       # unsolved after 200 steps
+
+    def no_lookup(*args):
+        raise AssertionError("selection arguments looked up during the search")
+
+    for heuristic in ("depth-max", "tfi-min"):
+        reference = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
+        reference.run(200)
+        engine = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
+        with monkeypatch.context() as patch:
+            for name in ("scores", "kernel_walk"):
+                patch.setattr(metrics.StructuralProfile, name, no_lookup)
+            engine.run(200)
+        assert engine.steps == 200
+        assert _snapshot(engine) == _snapshot(reference)
 
 
 @needs_kernel
@@ -740,23 +771,6 @@ def test_closure_sizes_walked_by_selection_are_not_walked_again(monkeypatch):
     assert [profile.tfi_size(g) for g in walked] == [tfi[g] for g in walked]
 
 
-@needs_kernel
-def test_selection_rejects_short_score_arrays():
-    circuit = random_dag(random.Random(79), 30)
-    asg = random_complete_extension(random_constrained(random.Random(0), circuit),
-                                    random.Random(0))
-    full = array("i", range(30))
-    before = (bytes(asg.values), asg.ulist)
-    for lo, hi in ((full[:29], full), (full, full[:29]), (array("i"), array("i")),
-                   (list(full), full), (array("q", full), full)):
-        with pytest.raises(ValueError):
-            asg._select(lo, hi, False)
-        with pytest.raises(ValueError):
-            asg._select(lo, hi, True, build_profile(circuit).kernel_walk("tfi"))
-    assert (bytes(asg.values), asg.ulist) == before
-    assert full.tolist() == list(range(30))
-
-
 @pytest.mark.parametrize("kernel", ["c", "python"])
 def test_stamps_restart_before_the_generation_overflows(kernel, monkeypatch):
     if kernel == "python":
@@ -780,18 +794,23 @@ def test_stamps_restart_before_the_generation_overflows(kernel, monkeypatch):
     assert 0 < asg._meta[1] < 100
 
 
-@needs_kernel
-def test_kernel_rejects_out_of_range_gates():
+def test_kernel_rejects_out_of_range_gates(monkeypatch):
+    # and so does the pure-Python path, negative gates included; without
+    # the kernel both rounds run in Python
     circuit = random_dag(random.Random(74), 10)
-    asg = random_complete_extension(random_constrained(random.Random(0), circuit),
-                                    random.Random(0))
-    before = (bytes(asg.values), asg.ulist)
-    for call in (lambda: asg.flip(10), lambda: asg.flip(-1),
-                 lambda: asg.propagate_forward([3, 10]), lambda: asg.rollback([-2]),
-                 lambda: asg._trial([1, 10]), lambda: asg._move([-1])):
-        with pytest.raises(IndexError):
-            call()
-        assert (bytes(asg.values), asg.ulist) == before
+    for lib in (_kernel.lib, None):
+        monkeypatch.setattr(_kernel, "lib", lib)
+        asg = random_complete_extension(random_constrained(random.Random(0), circuit),
+                                        random.Random(0))
+        before = (bytes(asg.values), asg.ulist)
+        for call in (lambda: asg.flip(10), lambda: asg.flip(-1),
+                     lambda: asg.propagate_forward([3, 10]), lambda: asg.rollback([-2]),
+                     lambda: asg._trial([1, 10]), lambda: asg._trial([-1]),
+                     lambda: asg._move([-1])):
+            with pytest.raises(IndexError):
+                call()
+            assert (bytes(asg.values), asg.ulist) == before
+        assert asg.unjust == asg.recompute_unjust()
 
 
 def test_pickled_and_copied_assignments_stay_independent():

@@ -6,6 +6,7 @@ import pytest
 from aigsls.aiger import generate_random_sat_aig
 from aigsls.circuit import (
     INPUT,
+    Assignment,
     ConstrainedCircuit,
     Literal,
     build_circuit,
@@ -30,6 +31,11 @@ def constrained_chain():
     return ConstrainedCircuit(c, {2: True})
 
 
+def pinned_evaluation(cc, input_values):
+    """``evaluate``'s consistent assignment, with the constrained gates pinned."""
+    return Assignment(cc.circuit, evaluate(cc.circuit, input_values).values, cc.pinned)
+
+
 def engine_on(cc, asg, heuristic="rand", rng=None):
     """A search engine whose assignment (and optionally RNG) is replaced."""
     engine = SearchEngine(cc, build_profile(cc.circuit), heuristic)
@@ -42,8 +48,7 @@ def engine_on(cc, asg, heuristic="rand", rng=None):
 class TestForwardPropagation:
     def test_chain_propagates_and_stops_at_constraint(self):
         cc = constrained_chain()
-        asg = evaluate(cc.circuit, {0: 1})
-        asg.pinned = cc.pinned
+        asg = pinned_evaluation(cc, {0: 1})
         assert asg.unjust == frozenset()
         asg.flip(0)
         asg.propagate_forward([0])
@@ -55,10 +60,9 @@ class TestForwardPropagation:
         # c = And(a, b) with b = 0 stays 0 when a flips; nothing else moves
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
         cc = ConstrainedCircuit(c, {})
-        asg = evaluate(c, {0: 1, 1: 0})
+        asg = pinned_evaluation(cc, {0: 1, 1: 0})
         asg.flip(0)
         undo = []
-        asg.pinned = cc.pinned
         asg.propagate_forward([0], undo)
         assert undo == []
         assert asg.unjust == frozenset()
@@ -132,8 +136,7 @@ class TestCountUnjustAfter:
 
     def test_agreeing_justification_changes_nothing(self):
         cc = constrained_chain()
-        asg = evaluate(cc.circuit, {0: 1})
-        asg.pinned = cc.pinned
+        asg = pinned_evaluation(cc, {0: 1})
         sigma = ((1, 1),)  # already holds
         assert engine_on(cc, asg)._trial(sigma) == asg.unjust_count
 
@@ -195,8 +198,7 @@ class TestSelectGate:
         # one gate per polarity; cc scores must follow the gate's value
         c = build_circuit([INPUT, INPUT, INPUT, [lit(0), lit(1)], [lit(2)]])
         cc = ConstrainedCircuit(c, {3: True, 4: True})
-        asg = evaluate(c, {0: 0, 1: 0, 2: 0})
-        asg.pinned = cc.pinned
+        asg = pinned_evaluation(cc, {0: 0, 1: 0, 2: 0})
         asg.flip(3)
         asg.flip(4)
         # values are 1 at both, so scores are cc1: gate3 -> 3, gate4 -> 2
