@@ -13,13 +13,13 @@ same buffers with ``rows``.  ``aigsls_profile`` fills every column of
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
 unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
-place, so the kernel and the pure-Python methods of ``Assignment`` can take
-turns on one assignment.  ``SearchEngine`` calls ``aigsls_select``: it scans
-the unjustified list for the least int32 score (the profile's dense ranks,
-or closure sizes that it, like ``aigsls_closures``, walks the CSR for on
-first need) and returns the ties; the choice among them, the choice of
-justification and every random draw stay in Python, so both paths follow
-the same trajectory.
+place.  An assignment built while ``lib`` is loaded keeps a ``State`` on
+them and runs in C; one built without it runs in Python.  ``SearchEngine``
+calls ``aigsls_select`` for the former: it scans the unjustified list for
+the least int32 score (the profile's dense ranks, or closure sizes that it,
+like ``aigsls_closures``, walks the CSR for on first need) and returns the
+ties; the choice among them, the choice of justification and every random
+draw stay in Python, so both paths follow the same trajectory.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
@@ -834,20 +834,22 @@ def first_unjust(circuit, values: bytearray) -> int:
 class State:
     """The kernel's handle on one assignment's buffers and its circuit's CSR.
 
-    ``addr`` is passed to every kernel call.  The object keeps each buffer
-    it points into alive and copies ``pinned``, which an assignment fixes at
-    construction.  ``undo`` receives the gates a propagation flipped and
-    ``ties`` the gates a selection tied on.
+    ``addr`` is passed to every kernel call, made through ``lib``, the library
+    loaded when the state was built.  The object keeps each buffer it points
+    into alive and copies the fixed ``pinned``.  ``undo`` receives the gates
+    a propagation flipped and ``ties`` the gates a selection tied on.
     """
 
-    __slots__ = ("_keep", "_struct", "addr", "undo", "ties")
+    __slots__ = ("_keep", "_struct", "addr", "lib", "undo", "ties")
 
-    def __init__(self, circuit, values, pinned, ulist, upos, meta, stamp):
-        n = circuit.num_gates
-        arrays = circuit._csr
+    def __init__(self, asg):
+        self.lib = lib
+        n = asg.circuit.num_gates
+        arrays = asg.circuit._csr
         heap, self.undo, self.ties = (array("i", [0]) * n for _ in range(3))
-        views = (_view(values), (ctypes.c_char * n).from_buffer_copy(pinned),
-                 *map(_view, (ulist, upos, meta, stamp, heap, self.undo, self.ties)))
+        views = (_view(asg.values), (ctypes.c_char * n).from_buffer_copy(asg.pinned),
+                 *map(_view, (asg.ubuf, asg.upos, asg._meta, asg._stamp, heap, self.undo,
+                              self.ties)))
         self._keep = (arrays, views)
         self._struct = _StateStruct(n, *(_addr(getattr(arrays, name))
                                          for name in _CSR_FIELDS),

@@ -170,19 +170,24 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
     """Build and validate a Circuit from positional gate definitions.
 
     Each entry is either ``INPUT`` (None) for an input gate or a nonempty
-    iterable of Literals for an AND gate.  Children may reference any gate
-    index as long as the graph stays acyclic.
+    iterable of packed literals (ints; ``Literal`` is one) for an AND gate.
+    Children may reference any gate index as long as the graph stays acyclic.
 
     Raises DanglingReference for out-of-range children, CircuitError for
-    childless AND gates and CycleDetected when no topological order exists.
+    non-int (or bool) children and childless AND gates and CycleDetected
+    when no topological order exists.
 
     With the C kernel loaded, ``aigsls_topology`` builds the CSR arrays;
     the pure-Python path below is the reference, it judges every definition
     list the kernel declines, and it packs the same arrays.
     """
     fanin = tuple(None if record is None else tuple(record) for record in definitions)
-    if _kernel.lib is not None and () not in fanin and set(
-            map(type, chain.from_iterable(filter(None, fanin)))) <= {Literal}:
+    bad = {t for t in set(map(type, chain.from_iterable(filter(None, fanin))))
+           if not issubclass(t, int) or issubclass(t, bool)}
+    if bad:
+        g = next(g for g, kids in enumerate(fanin) if kids and bad & set(map(type, kids)))
+        raise CircuitError(f"gate {g}: every child must be an int literal")
+    if _kernel.lib is not None and () not in fanin:
         rows = _kernel.rows(fanin)
         csr = None if rows is None else _kernel.topology(*rows)
         if csr is not None:
@@ -214,9 +219,9 @@ def _build_python(fanin) -> Circuit:
             continue
         if not kids:
             raise CircuitError(f"gate {g}: AND gate must have at least one child")
-        for lit in kids:
-            if not 0 <= lit.gate < n:
-                raise DanglingReference(f"gate {g} references undefined gate {lit.gate}")
+        for p in kids:
+            if not 0 <= p >> 1 < n:
+                raise DanglingReference(f"gate {g} references undefined gate {p >> 1}")
         fanin_gates[g] = gates = tuple(dict.fromkeys(p >> 1 for p in kids))
         remaining[g] = len(gates)
         # parents arrive in index order, so every fanout list is sorted and distinct
@@ -336,9 +341,10 @@ class Assignment:
     shares: the first ``unjust_count`` entries of ``ubuf`` are the
     unjustified gates, ``upos[g]`` is g's index there or -1, and ``_meta``
     holds the unjust count and the propagation generation of ``_stamp``.
-    Every method runs in the kernel when it is loaded and in Python
-    otherwise; both paths leave the buffers identical and reject a gate out
-    of range with IndexError.  ``SearchEngine`` calls ``aigsls_select``.
+    ``_state`` fixes the path when the assignment is built or unpickled: a
+    ``_kernel.State`` if the kernel is loaded then, else None (Python).
+    Both paths leave the buffers identical and reject a gate out of range
+    with IndexError.  ``SearchEngine`` selects through ``_state``.
     """
 
     __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "_meta", "_stamp",
@@ -357,15 +363,12 @@ class Assignment:
         self.upos = array("i", [-1]) * n
         self._meta = array("i", [0, 0])
         self._stamp = array("i", [0]) * n
-        self._state = None
-        if _kernel.lib is not None:
-            _kernel.lib.scan(self._kernel_state())
+        self._attach()
+        if self._state is not None:
+            self._state.lib.scan(self._state.addr)
         else:
-            unjust = array("i", _unjustified(circuit, self.values))
-            self.ubuf[:len(unjust)] = unjust
-            for pos, g in enumerate(unjust):
-                self.upos[g] = pos
-            self._meta[0] = len(unjust)
+            for g in _unjustified(circuit, self.values):
+                self._refresh(g)
 
     @property
     def pinned(self):
@@ -396,21 +399,16 @@ class Assignment:
     def __setstate__(self, state):
         for name, value in state.items():
             object.__setattr__(self, name, value)
-        self._state = None
+        self._attach()
 
-    def _kernel_state(self) -> int:
-        state = self._state
-        if state is None:
-            state = self._state = _kernel.State(self.circuit, self.values, self._pinned,
-                                                self.ubuf, self.upos, self._meta,
-                                                self._stamp)
-        return state.addr
+    def _attach(self):
+        # fixes the path: a kernel handle on the buffers, or None for Python
+        self._state = None if _kernel.lib is None else _kernel.State(self)
 
     def _kernel_call(self, fn, gates) -> int:
-        """Call a kernel entry point on a gate list; IndexError when it
-        reports a gate out of range."""
+        """Call a kernel entry point on a gate list; IndexError if it rejects one."""
         arg = array("i", gates)
-        result = fn(self._kernel_state(), arg.buffer_info()[0], len(arg))
+        result = fn(self._state.addr, arg.buffer_info()[0], len(arg))
         if result < 0:
             raise IndexError("gate index out of range")
         return result
@@ -435,7 +433,7 @@ class Assignment:
         return values[g] == v
 
     def _refresh(self, g: int):
-        # recompute g's membership in the unjust set after a nearby flip
+        # recompute g's membership in the unjust set, after a flip nearby say
         if self.circuit.fanin[g] is None:
             return
         upos = self.upos
@@ -504,21 +502,20 @@ class Assignment:
         """Flip one gate value, updating the unjust set of g and its parents."""
         if not 0 <= g < self.circuit.num_gates:
             raise IndexError(f"gate {g} out of range")
-        if _kernel.lib is None:
+        if self._state is None:
             self._flip(g)
         else:
-            _kernel.lib.flip(self._kernel_state(), g)
+            self._state.lib.flip(self._state.addr, g)
         if undo is not None:
             undo.append(g)
 
     def rollback(self, undo: list):
         """Reverse a sequence of recorded flips, newest first."""
-        lib = _kernel.lib
-        if lib is None:
+        if self._state is None:
             for g in reversed(self._in_range(undo)):
                 self._flip(g)
         else:
-            self._kernel_call(lib.rollback, undo)
+            self._kernel_call(self._state.lib.rollback, undo)
 
     def propagate_forward(self, flipped, undo: Optional[list] = None) -> "Assignment":
         """Limited forward propagation of just-flipped gate values.
@@ -531,21 +528,20 @@ class Assignment:
         as soon as a popped gate is found justified.  Every gate it flips is
         appended to ``undo`` when given.
         """
-        lib = _kernel.lib
-        if lib is None:
+        state = self._state
+        if state is None:
             self._propagate(self._in_range(flipped), undo)
             return self
-        count = self._kernel_call(lib.propagate, flipped)
+        count = self._kernel_call(state.lib.propagate, flipped)
         if undo is not None:
-            undo.extend(self._state.undo[:count])
+            undo.extend(state.undo[:count])
         return self
 
     def _trial(self, flips) -> int:
         """Unjust count after flipping the gates ``flips`` and propagating
         them; the assignment is restored afterwards."""
-        lib = _kernel.lib
-        if lib is not None:
-            return self._kernel_call(lib.trial, flips)
+        if self._state is not None:
+            return self._kernel_call(self._state.lib.trial, flips)
         undo = self._in_range(flips)
         for g in undo:
             self._flip(g)
@@ -557,9 +553,8 @@ class Assignment:
     def _move(self, flips) -> int:
         """Flip the gates ``flips`` and propagate them; returns the number of
         gates flipped."""
-        lib = _kernel.lib
-        if lib is not None:
-            return self._kernel_call(lib.move, flips)
+        if self._state is not None:
+            return self._kernel_call(self._state.lib.move, flips)
         flips = self._in_range(flips)
         for g in flips:
             self._flip(g)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import _kernel
 from .circuit import ConstrainedCircuit, _justifications, random_complete_extension
 from .metrics import COLUMNS, StructuralProfile
 
@@ -117,7 +116,6 @@ class SearchEngine:
         self.heuristic = heuristic
         self.wp = wp
         self.rng = random.Random(seed)
-        self.steps = 0
         self.assignment = random_complete_extension(cc, self.rng)
         self.stats = SearchStats(min_unjust=self.assignment.unjust_count)
         # Only a parent of a constrained gate has justifications that would
@@ -129,10 +127,16 @@ class SearchEngine:
         self._measure = measure or None      # "rand" has no measure
         self._want_max = direction == "max"
         self._select_args = None            # aigsls_select's arguments after the state
-        if measure and _kernel.lib is not None:
+        if measure and self.assignment._state is not None:
             lo, hi = profile.scores(measure)    # kept alive by self.profile
             self._select_args = (lo.buffer_info()[0], hi.buffer_info()[0], self._want_max,
                                  *profile.kernel_walk(measure))
+
+    @property
+    def steps(self) -> int:
+        """Steps taken so far: the sum of the four step kinds in ``stats``."""
+        stats = self.stats
+        return stats.walk + stats.greedy + stats.forced + stats.burned
 
     def run(self, budget: int) -> bool:
         """Advance up to ``budget`` steps; True as soon as the circuit is satisfied.
@@ -162,23 +166,32 @@ class SearchEngine:
             if g in pin_parents:
                 # drop every justification that would flip a pinned gate
                 sigmas = [s for s in sigmas if all(pins.get(gt, v) == v for gt, v in s)]
-            n_sig = len(sigmas)
-            self.steps += 1
             budget -= 1
-            if n_sig == 0:
+            if not sigmas:
                 # every justification would violate a pin; burn the step
                 stats.burned += 1
                 continue
-            if n_sig == 1:
+            if len(sigmas) == 1:
                 stats.forced += 1
                 sigma = sigmas[0]
             elif rng.random() < wp:
                 stats.walk += 1
-                sigma = sigmas[rng.randrange(n_sig)]       # random walk
+                sigma = sigmas[rng.randrange(len(sigmas))]  # random walk
             else:
+                # downward move: the fewest unjustified gates left, ties uniform
                 stats.greedy += 1
-                stats.trials += n_sig
-                sigma = self._greedy(sigmas)               # downward move
+                stats.trials += len(sigmas)
+                best = None
+                for sigma in sigmas:
+                    flips = [gt for gt, v in sigma if values[gt] != v]
+                    count = asg._trial(flips)
+                    if best is None or count < best:
+                        best, ties = count, [flips]
+                    elif count == best:
+                        ties.append(flips)
+                stats.flips += asg._move(ties[0] if len(ties) == 1
+                                         else ties[rng.randrange(len(ties))])
+                continue
             stats.flips += asg._move([gt for gt, v in sigma if values[gt] != v])
         return False
 
@@ -202,25 +215,7 @@ class SearchEngine:
         if self._select_args is None:
             score = _make_scorer(self.profile, measure, asg.values)
             return _argbest(asg.ulist, score, self._want_max, self.rng)
-        ties = _kernel.lib.select(asg._kernel_state(), *self._select_args)
-        best = asg._state.ties
+        state = asg._state
+        ties = state.lib.select(state.addr, *self._select_args)
+        best = state.ties
         return best[0] if ties == 1 else best[self.rng.randrange(ties)]
-
-    def _greedy(self, sigmas):
-        best_count = None
-        ties = []
-        for sigma in sigmas:
-            count = self._trial(sigma)
-            if best_count is None or count < best_count:
-                best_count = count
-                ties = [sigma]
-            elif count == best_count:
-                ties.append(sigma)
-        if len(ties) == 1:
-            return ties[0]
-        return ties[self.rng.randrange(len(ties))]
-
-    def _trial(self, sigma) -> int:
-        """Unjust count the justification ``sigma`` would leave, after propagation."""
-        values = self.assignment.values
-        return self.assignment._trial([gt for gt, v in sigma if values[gt] != v])

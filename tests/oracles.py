@@ -10,9 +10,21 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import lru_cache
+from functools import lru_cache, wraps
 
-sys.setrecursionlimit(200_000)
+
+def _deep(oracle):
+    """Run a recursive oracle under a raised recursion limit, restored after
+    it returns, so the rest of the test process keeps the default."""
+    @wraps(oracle)
+    def call(*args, **kwargs):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 200_000))
+        try:
+            return oracle(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(limit)
+    return call
 
 
 def parents_of(circuit):
@@ -47,6 +59,7 @@ def ref_topo_check(circuit) -> bool:
     return True
 
 
+@_deep
 def ref_evaluate(circuit, input_values):
     """Recursive gate evaluation with memoization."""
     memo = {}
@@ -144,6 +157,7 @@ def ref_propagate(cc, values, flipped):
     return out
 
 
+@_deep
 def ref_topo_order(circuit):
     """Recursive DFS post-order; independent of the package's Kahn pass."""
     seen = [False] * circuit.num_gates
@@ -247,6 +261,7 @@ def parse_dimacs(text):
     return nvars, clauses
 
 
+@_deep
 def dpll(clauses) -> bool:
     """Small complete SAT check: unit propagation plus chronological branching."""
 
@@ -289,6 +304,7 @@ def dpll(clauses) -> bool:
 # recursive metric references
 
 
+@_deep
 def ref_depth(circuit):
     parents = parents_of(circuit)
 
@@ -301,6 +317,7 @@ def ref_depth(circuit):
     return [depth(g) for g in range(circuit.num_gates)]
 
 
+@_deep
 def ref_levels(circuit, alevel_mode="self"):
     @lru_cache(maxsize=None)
     def level(g):
@@ -329,6 +346,7 @@ def ref_levels(circuit, alevel_mode="self"):
             [alevel(g) for g in range(n)])
 
 
+@_deep
 def ref_cc(circuit):
     @lru_cache(maxsize=None)
     def pair(g):
@@ -350,6 +368,7 @@ def ref_cc(circuit):
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
+@_deep
 def ref_co(circuit):
     cc0, cc1 = ref_cc(circuit)
     parents = parents_of(circuit)
@@ -370,6 +389,7 @@ def ref_co(circuit):
     return [co(g) for g in range(circuit.num_gates)]
 
 
+@_deep
 def ref_flow(circuit, flow_mode="conserving"):
     parents = parents_of(circuit)
 
@@ -389,6 +409,7 @@ def ref_flow(circuit, flow_mode="conserving"):
     return [flow(g) for g in range(circuit.num_gates)]
 
 
+@_deep
 def ref_tfo_sizes(circuit):
     parents = parents_of(circuit)
     memo = {}
@@ -406,6 +427,7 @@ def ref_tfo_sizes(circuit):
     return [len(closure(g)) for g in range(circuit.num_gates)]
 
 
+@_deep
 def ref_tfi_sizes(circuit):
     memo = {}
 

@@ -69,6 +69,20 @@ class TestBuildCircuit:
         with pytest.raises(CircuitError):
             build_circuit([INPUT, []])
 
+    def test_plain_int_children_read_as_packed_literals(self):
+        c = build_circuit([INPUT, INPUT, (2, 1)])
+        assert c == build_circuit([INPUT, INPUT, (lit(1), lit(0, True))])
+        assert c.fanin[2] == (lit(1), lit(0, True))
+        # packed 2 is gate 1 itself, as Literal(1) is
+        for child in (2, lit(1)):
+            with pytest.raises(CycleDetected, match="1 gates lie on a cycle"):
+                build_circuit([INPUT, (child,)])
+
+    def test_children_that_are_not_ints_rejected(self):
+        for child in ((0, False), 0.0, True, "0"):
+            with pytest.raises(CircuitError, match="^gate 1: every child must be an int literal$"):
+                build_circuit([INPUT, (lit(0), child)])
+
     def test_forward_references_allowed_when_acyclic(self):
         c = build_circuit([[lit(1)], INPUT])
         assert c.topo_order == (1, 0)

@@ -324,12 +324,14 @@ class TestErrors:
         _fails_before_allocating("bench", str(path))
         assert not (tmp_path / "out").exists()
 
-    def test_deeply_nested_config_is_a_one_line_error(self, tmp_path):
-        # in a fresh interpreter: oracles.py raises this process's recursion
-        # limit, under which the JSON parser overflows the C stack instead
+    def test_deeply_nested_config_is_a_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[" * 200_000)
         _fails_before_allocating("bench", str(path))
+        # in this process too: the oracles raise the recursion limit only
+        # while they recurse, so the JSON parser stops before the C stack ends
+        assert run_cli(["bench", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config nests too deeply\n"
 
     def test_jobs_is_one_process_only(self, tmp_path, capsys):
         def config(jobs):

@@ -1,10 +1,10 @@
 """The C kernel against the pure-Python reference.
 
-Both paths work on the same buffers of an ``Assignment``; ``_kernel.lib`` is
-None on the pure-Python path.  The classes below rerun the AIGER-parsing,
-circuit-building, verification, metric, flip, rollback, unjust-set,
-propagation, trial and golden-hash tests with the kernel turned off; their
-originals run on the kernel wherever it builds.
+An ``Assignment`` (and so a ``SearchEngine``) stays on the path it was built
+on; ``_kernel.lib`` is None on the pure-Python path.  The classes below
+rerun the AIGER-parsing, circuit-building, verification, metric, flip,
+rollback, unjust-set, propagation, trial and golden-hash tests with the
+kernel turned off; their originals run on the kernel wherever it builds.
 """
 
 import copy
@@ -52,6 +52,7 @@ from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 needs_kernel = pytest.mark.skipif(_kernel.lib is None, reason="no working C compiler")
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 @pytest.fixture
@@ -256,8 +257,10 @@ def test_malformed_definitions_fail_alike_on_both_paths(monkeypatch):
         [[lit(0)]],                                         # cycles
         [[lit(1)], [lit(0)]],
         [INPUT, (lit(0), lit(3)), (lit(1),), (lit(2, True), lit(0))],
-        [INPUT, (2,)],                                      # not a Literal
-        [INPUT, (lit(0), True)],
+        [INPUT, (2,)],                                      # packed int: gate 1, a cycle
+        [INPUT, (lit(0), True)],                            # not literals
+        [INPUT, ((0, False),)],
+        [INPUT, (0.0,)],
     ]
     for definitions in cases:
         fast, slow = _on_both_paths(monkeypatch, lambda: _outcome(definitions))
@@ -546,7 +549,7 @@ def test_alevel_of_wide_gates_follows_the_interpreters_sum(monkeypatch, compensa
         assert profile.alevel == compute_levels(circuit, alevel_mode)[2]
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@needs_cc
 def test_kernel_source_compiles_without_warnings():
     proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
                           input=_kernel.SOURCE.encode(), capture_output=True, timeout=300)
@@ -590,7 +593,7 @@ print(len(corpus))
 """
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@needs_cc
 def test_parsers_and_searches_run_clean_under_ubsan(tmp_path):
     library = tmp_path / "kernel-ubsan.so"
     proc = subprocess.run(["cc", *_kernel.FLAGS, "-fsanitize=undefined",
@@ -625,23 +628,52 @@ def _snapshot(engine):
 def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
     """Run one seed on the kernel and on Python in step; assert equal states."""
     profile = build_profile(cc.circuit)
-    lib = _kernel.lib
-    monkeypatch.setattr(_kernel, "lib", None)
-    slow = SearchEngine(cc, profile, heuristic, wp, seed)
-    monkeypatch.setattr(_kernel, "lib", lib)
-    fast = SearchEngine(cc, profile, heuristic, wp, seed)
+    fast, slow = _on_both_paths(monkeypatch,
+                                lambda: SearchEngine(cc, profile, heuristic, wp, seed))
     assert _snapshot(fast) == _snapshot(slow)
     for k in chunks:
         found = fast.run(k)
-        monkeypatch.setattr(_kernel, "lib", None)
         assert slow.run(k) == found
-        monkeypatch.setattr(_kernel, "lib", lib)
         assert _snapshot(fast) == _snapshot(slow)
-        stats = fast.stats
-        assert stats.walk + stats.greedy + stats.forced + stats.burned == fast.steps
-        assert (stats.min_unjust == 0) == found
+        assert (fast.stats.min_unjust == 0) == found
         if found:
             break
+    assert slow.assignment._state is None
+
+
+def _buffers(asg):
+    return bytes(asg.values), asg.ulist, list(asg.upos), asg.unjust_count
+
+
+@needs_kernel
+def test_an_assignment_stays_on_the_path_it_was_built_on(monkeypatch):
+    rng = random.Random(87)
+    circuit = random_dag(rng, 150)
+    cc = random_constrained(rng, circuit)
+    values = random_complete_extension(cc, rng).values
+    fast, slow = _on_both_paths(monkeypatch, lambda: Assignment(circuit, values, cc.pinned))
+    assert isinstance(fast._state, _kernel.State) and slow._state is None
+    free = [g for g in range(circuit.num_gates) if not cc.pinned[g]]
+    for _ in range(300):
+        flips = rng.sample(free, rng.randint(0, 3))
+        assert fast._trial(flips) == slow._trial(flips)
+        assert _buffers(fast) == _buffers(slow)
+        if rng.random() < 0.5:
+            assert fast._move(flips) == slow._move(flips)
+        else:
+            undos = [], []
+            for asg, undo in zip((fast, slow), undos):
+                for g in flips:
+                    asg.flip(g, undo)
+                asg.propagate_forward(flips, undo)
+            assert undos[0] == undos[1]
+            assert _buffers(fast) == _buffers(slow)
+            if rng.random() < 0.5:
+                fast.rollback(undos[0])
+                slow.rollback(undos[1])
+        assert _buffers(fast) == _buffers(slow)
+    assert slow._state is None
+    assert slow.unjust == slow.recompute_unjust()
 
 
 @needs_kernel
@@ -871,7 +903,7 @@ print(_kernel.lib is not None)
 """
 
 
-@needs_kernel
+@needs_cc
 @pytest.mark.parametrize("content", [b"", b"not a shared library\n" * 40], ids=["empty", "text"])
 @pytest.mark.parametrize("compiler", ["compiler", "no-compiler"])
 def test_corrupt_cached_library_is_rebuilt_or_skipped(tmp_path, monkeypatch, content, compiler):
@@ -911,7 +943,7 @@ print(crsat_solve(cc, build_profile(cc.circuit), SolverConfig("rand", 0.2, 5000,
 """
 
 
-@needs_kernel
+@needs_cc
 def test_concurrent_builds_both_load_a_working_library(tmp_path):
     procs = [_python(BUILD, tmp_path) for _ in range(2)]
     outputs = [proc.communicate(timeout=300) for proc in procs]

@@ -118,27 +118,26 @@ def two_branch_fixture():
 
 
 class TestCountUnjustAfter:
-    """The greedy trial: unjust count after a justification, rolled back."""
+    """The greedy trial: unjust count after a justification's flips, rolled back."""
 
     def test_hand_traced_fixture(self):
         cc, asg = two_branch_fixture()
-        trial = engine_on(cc, asg)._trial
-        assert trial(((2, 1),)) == 2   # d -> 1
-        assert trial(((3, 1),)) == 1   # e -> 1
+        assert asg._trial([2]) == 2   # d -> 1
+        assert asg._trial([3]) == 1   # e -> 1
 
     def test_does_not_mutate_live_state(self):
         cc, asg = two_branch_fixture()
         before_values = bytes(asg.values)
         before_unjust = asg.unjust
-        engine_on(cc, asg)._trial(((2, 1),))
+        asg._trial([2])
         assert bytes(asg.values) == before_values
         assert asg.unjust == before_unjust
 
     def test_agreeing_justification_changes_nothing(self):
         cc = constrained_chain()
         asg = pinned_evaluation(cc, {0: 1})
-        sigma = ((1, 1),)  # already holds
-        assert engine_on(cc, asg)._trial(sigma) == asg.unjust_count
+        assert asg.values[1] == 1      # the justification (1, 1) already holds
+        assert asg._trial([]) == asg.unjust_count
 
     def test_matches_clone_apply_oracle(self):
         rng = random.Random(19)
@@ -149,7 +148,6 @@ class TestCountUnjustAfter:
             asg = random_complete_extension(cc, rng)
             if not asg.ulist:
                 continue
-            trial = engine_on(cc, asg)._trial
             g = rng.choice(asg.ulist)
             for sigma in enumerate_minimal_justifications(circuit, g, asg.values[g]):
                 if any(cc.constraints.get(gt, v) != v for gt, v in sigma):
@@ -159,7 +157,7 @@ class TestCountUnjustAfter:
                 for x in flips:
                     clone.flip(x)
                 clone.propagate_forward(flips)
-                assert trial(sigma) == clone.unjust_count
+                assert asg._trial(flips) == clone.unjust_count
                 checked += 1
         assert checked > 20
 
