@@ -674,10 +674,12 @@ def _compile(path: str):
 
 
 def _bind(path: str):
-    dll = ctypes.CDLL(path)
+    # select and closures walk on a profile's one walk scratch; called through
+    # PyDLL they keep the GIL, so threads can share a profile
+    dll, locked = ctypes.CDLL(path), ctypes.PyDLL(path)
     functions = {}
     for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(dll, "aigsls_" + name)
+        fn = getattr(locked if name in ("select", "closures") else dll, "aigsls_" + name)
         fn.restype = restype
         fn.argtypes = argtypes
         functions[name] = fn
@@ -708,8 +710,8 @@ class CSR(NamedTuple):
 
     Row g of a CSR pair (offsets, entries) is ``entries[offsets[g]:offsets[g + 1]]``:
     the packed child literals of g (``fin``), its parents (``fout``) and its
-    distinct child gates (``kid``).  ``order`` is ``topo_order`` and ``tpos``
-    is ``topo_pos``.
+    distinct child gates (``kid``).  ``order`` is the topological order and
+    ``tpos[g]`` is g's position in it.
     """
 
     fin_off: array

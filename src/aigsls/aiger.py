@@ -253,8 +253,8 @@ def _var_map(cc: ConstrainedCircuit):
     return (lambda g: g + 1), cc.circuit.num_gates
 
 
-def _encode_literal(lit: Literal, var_of) -> int:
-    code = 2 * var_of(lit.gate) + lit.complement
+def _encode_literal(lit: int, var_of) -> int:
+    code = 2 * var_of(lit >> 1) + (lit & 1)
     return code ^ (code < 2)
 
 
@@ -278,7 +278,7 @@ def serialize_ascii(cc: ConstrainedCircuit) -> str:
     lines += [str(2 * var_of(g)) for g in inputs]
     lines += [str(lit) for lit in outs]
     for g in ands:
-        kids = circuit.fanin[g]
+        kids = circuit.child_literals(g)
         if len(kids) != 2:
             raise ValueError(f"gate {g} is {len(kids)}-ary; AIGER requires 2-ary ANDs")
         encoded = " ".join(str(_encode_literal(k, var_of)) for k in kids)
@@ -305,7 +305,7 @@ def serialize_binary(cc: ConstrainedCircuit) -> bytes:
     chunks = [f"aig {max_var} {n_inputs} 0 {len(outs)} {len(ands)}\n".encode()]
     chunks += [f"{lit}\n".encode() for lit in outs]
     for g in ands:
-        kids = circuit.fanin[g]
+        kids = circuit.child_literals(g)
         if len(kids) != 2:
             raise ValueError(f"gate {g} is {len(kids)}-ary; AIGER requires 2-ary ANDs")
         lhs = 2 * var_of(g)
@@ -336,11 +336,11 @@ def export_dimacs(cc: ConstrainedCircuit) -> str:
     circuit = cc.circuit
     clauses = []
     for g in range(circuit.num_gates):
-        kids = circuit.fanin[g]
-        if kids is None:
+        kids = circuit.child_literals(g)
+        if not kids:
             continue
         gate_var = g + 1
-        child_vars = [-(lit.gate + 1) if lit.complement else lit.gate + 1 for lit in kids]
+        child_vars = [-((p >> 1) + 1) if p & 1 else (p >> 1) + 1 for p in kids]
         for cv in child_vars:
             clauses.append((-gate_var, cv))
         clauses.append((gate_var, *(-cv for cv in child_vars)))

@@ -13,8 +13,8 @@ import random
 from array import array
 from bisect import bisect_left
 from collections import deque
-from functools import cached_property
-from heapq import heapify, heappop, heappush
+from functools import cached_property, partial
+from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
 from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
@@ -79,23 +79,23 @@ INPUT = None
 
 
 class Circuit:
-    """Immutable gate graph with fanout adjacency and a fixed topological order.
+    """Immutable gate graph: its CSR arrays and a fixed topological order.
 
-    Gates are densely indexed from 0.  ``fanin[g]`` is None for input gates
-    and a tuple of child Literals (packed ints) for AND gates.  ``fanout[g]``
-    lists the distinct parent gates of g in index order and its mirror
-    ``fanin_gates[g]`` the distinct child gates, without polarity, for the
-    level, flow and closure walks.  ``topo_order`` places every gate
-    strictly after all of its children; ``topo_pos[g]`` is g's position in it.
-    It is Kahn's order seeded with every childless gate in index order, so
-    it starts with ``inputs``.
+    Gates are densely indexed from 0.  A circuit is its CSR arrays ``_csr``
+    (``_kernel.CSR``), whether the C kernel or the pure-Python code built
+    them: each gate's child literals (packed ints, none for an input), its
+    distinct child gates in first-occurrence order, its parents in index
+    order, and the topological order, which places every gate strictly after
+    all of its children, with each gate's position in it.  The order is
+    Kahn's, seeded with every childless gate in index order, so it starts
+    with ``inputs``.
 
-    A circuit is its CSR arrays ``_csr`` (``_kernel.CSR``, the flat form of
-    the five tuples above), whether the C kernel or the pure-Python code
-    built them.  Each tuple is a view built from the arrays on first access
-    and then kept; so are ``inputs`` and ``outputs``.  ``num_gates``,
-    ``child_literals``, ``parents``, ``is_input``, ``is_output`` and
-    equality read the arrays directly, so the search never builds a tuple.
+    ``num_gates``, ``child_literals``, ``parents``, ``is_input``,
+    ``is_output`` and equality read the arrays.  ``fanin`` (a tuple of child
+    ``Literal``s per gate, None for an input) and ``topo_order`` are tuple
+    views for callers outside the package, built on first access and then
+    kept; the package never reads them.  The pure-Python search reads
+    ``_lists``, one list copy of the arrays that it builds on first use.
     """
 
     def __init__(self, csr: _kernel.CSR):
@@ -104,24 +104,19 @@ class Circuit:
 
     @cached_property
     def fanin(self) -> tuple:
-        literals = tuple(map(int.__new__, repeat(Literal), self._csr.fin))
-        return tuple(row or None for row in _rows(self._csr.fin_off, literals))
-
-    @cached_property
-    def fanin_gates(self) -> tuple:
-        return tuple(row or None for row in _rows(self._csr.kid_off, self._csr.kid))
-
-    @cached_property
-    def fanout(self) -> tuple:
-        return tuple(_rows(self._csr.fout_off, self._csr.fout))
+        csr = self._csr
+        literals = tuple(map(int.__new__, repeat(Literal), csr.fin))
+        offsets = csr.fin_off.tolist()
+        return tuple(literals[a:b] or None for a, b in zip(offsets, offsets[1:]))
 
     @cached_property
     def topo_order(self) -> tuple:
         return tuple(self._csr.order)
 
     @cached_property
-    def topo_pos(self) -> tuple:
-        return tuple(self._csr.tpos)
+    def _lists(self) -> _kernel.CSR:
+        # CPython indexes a list about three times faster than an array
+        return _kernel.CSR(*(a.tolist() for a in self._csr))
 
     @cached_property
     def inputs(self) -> tuple:
@@ -132,7 +127,8 @@ class Circuit:
     @cached_property
     def outputs(self) -> tuple:
         """The gates without parents, in index order."""
-        return _empty_rows(self._csr.fout_off)
+        offsets = self._csr.fout_off.tolist()
+        return tuple(compress(count(), map(eq, offsets, offsets[1:])))
 
     def child_literals(self, g: int):
         """The child literals of g as packed ints; empty for an input gate."""
@@ -193,20 +189,6 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
         if csr is not None:
             return Circuit(csr)
     return _build_python(fanin)
-
-
-def _rows(offsets, entries) -> list:
-    """The rows of a CSR pair as tuples, row g being
-    ``entries[offsets[g]:offsets[g + 1]]``."""
-    entries = tuple(entries)
-    offsets = offsets.tolist()
-    return [entries[a:b] for a, b in zip(offsets, offsets[1:])]
-
-
-def _empty_rows(offsets) -> tuple:
-    """The indices of the empty rows of a CSR pair."""
-    offsets = offsets.tolist()
-    return tuple(compress(count(), map(eq, offsets, offsets[1:])))
 
 
 def _build_python(fanin) -> Circuit:
@@ -291,41 +273,43 @@ class ConstrainedCircuit:
         return f"ConstrainedCircuit({self.circuit!r}, {len(self.constraints)} constraints)"
 
 
-def _unjustified(circuit: Circuit, values):
-    """Yield, in index order, every AND gate whose value differs from the AND
-    of its child literal values."""
-    for g, kids in enumerate(circuit.fanin):
-        if kids is None:
-            continue
-        v = 1
-        for p in kids:
-            if not (values[p >> 1] ^ (p & 1)):
-                v = 0
-                break
-        if values[g] != v:
-            yield g
+def _unjust(fin_off, fin, values, g: int) -> bool:
+    """True iff g is an AND gate whose value differs from the AND of its
+    child literals, read from the CSR rows (``fin_off``, ``fin``); the
+    kernel's ``unjust``."""
+    i = fin_off[g]
+    end = fin_off[g + 1]
+    if i == end:
+        return False
+    v = 1
+    while i < end:
+        p = fin[i]
+        if not (values[p >> 1] ^ (p & 1)):
+            v = 0
+            break
+        i += 1
+    return values[g] != v
+
+
+def _unjustified(csr: _kernel.CSR, values):
+    """The unjustified gates of a circuit's ``_csr`` or ``_lists``, lazily
+    and in index order."""
+    return filter(partial(_unjust, csr.fin_off, csr.fin, values), range(len(csr.tpos)))
 
 
 def _evaluate_ands(circuit: Circuit, values: bytearray):
-    """Set every AND gate to the AND of its child literals, in topological order."""
+    """Set each AND gate of 0/1 ``values`` to the AND of its children, in topological order."""
     if _kernel.lib is not None:
         _kernel.evaluate(circuit, values)
         return
-    fanin = circuit.fanin
-    for g in circuit.topo_order:
-        kids = fanin[g]
-        if kids is None:
-            continue
-        v = 1
-        for p in kids:
-            if not (values[p >> 1] ^ (p & 1)):
-                v = 0
-                break
-        values[g] = v
+    csr = circuit._lists
+    for g in csr.order:
+        if _unjust(csr.fin_off, csr.fin, values, g):
+            values[g] ^= 1
 
 
-#: A propagation generation above this restarts the stamps at 0; the kernel
-#: uses two generations a call, the Python path one, and both stay int32.
+#: A propagation generation above this restarts the stamps at 0; a call
+#: takes two generations, and both stay int32.
 _GEN_LIMIT = 0x7FFFFFFD
 
 
@@ -367,8 +351,10 @@ class Assignment:
         if self._state is not None:
             self._state.lib.scan(self._state.addr)
         else:
-            for g in _unjustified(circuit, self.values):
-                self._refresh(g)
+            for g in _unjustified(circuit._lists, self.values):
+                self.upos[g] = self._meta[0]
+                self.ubuf[self._meta[0]] = g
+                self._meta[0] += 1
 
     @property
     def pinned(self):
@@ -420,81 +406,78 @@ class Assignment:
             raise IndexError("gate index out of range")
         return gates
 
-    # -- pure-Python path: the reference the kernel must match --
-
-    def _consistent(self, g: int) -> bool:
-        kids = self.circuit.fanin[g]
-        values = self.values
-        v = 1
-        for p in kids:
-            if not (values[p >> 1] ^ (p & 1)):
-                v = 0
-                break
-        return values[g] == v
-
-    def _refresh(self, g: int):
-        # recompute g's membership in the unjust set, after a flip nearby say
-        if self.circuit.fanin[g] is None:
-            return
-        upos = self.upos
-        pos = upos[g]
-        if self._consistent(g):
-            if pos >= 0:
-                meta = self._meta
-                count = meta[0] - 1
-                last = self.ubuf[count]
-                self.ubuf[pos] = last
-                upos[last] = pos
-                meta[0] = count
-                upos[g] = -1
-        elif pos < 0:
-            meta = self._meta
-            count = meta[0]
-            upos[g] = count
-            self.ubuf[count] = g
-            meta[0] = count + 1
+    # -- pure-Python path: the reference the kernel must match, line for line --
+    # The while loops over CSR rows are the kernel's for loops: CPython runs
+    # them faster than it copies the row out of the list with a slice.
 
     def _flip(self, g: int):
-        self.values[g] ^= 1
-        self._refresh(g)
-        for p in self.circuit.fanout[g]:
-            self._refresh(p)
+        # the kernel's flip with refresh and unjust inlined: g, then each
+        # parent of g, joins or leaves the unjust set as its consistency says
+        fin_off, fin, fout_off, fout = self.circuit._lists[:4]
+        values, ubuf, upos, meta = self.values, self.ubuf, self.upos, self._meta
+        values[g] ^= 1
+        for h in (g, *fout[fout_off[g]:fout_off[g + 1]]):
+            i = fin_off[h]
+            end = fin_off[h + 1]
+            if i == end:
+                continue
+            v = 1
+            while i < end:
+                p = fin[i]
+                if not (values[p >> 1] ^ (p & 1)):
+                    v = 0
+                    break
+                i += 1
+            pos = upos[h]
+            if values[h] == v:
+                if pos >= 0:
+                    count = meta[0] - 1
+                    last = ubuf[count]
+                    ubuf[pos] = last
+                    upos[last] = pos
+                    upos[h] = -1
+                    meta[0] = count
+            elif pos < 0:
+                count = meta[0]
+                upos[h] = count
+                ubuf[count] = h
+                meta[0] = count + 1
 
-    def _propagate(self, flipped, undo: Optional[list]) -> int:
-        # returns the number of gates it flipped
-        circuit = self.circuit
-        order = circuit.topo_order
-        topo_pos = circuit.topo_pos
-        fanout = circuit.fanout
-        pinned = self._pinned
-        upos = self.upos
-        stamp = self._stamp
-        meta = self._meta
+    def _propagate(self, origins, log: Optional[list]) -> int:
+        # the kernel's propagate: returns the number of gates it flipped,
+        # appending them to log when given
+        csr = self.circuit._lists
+        fout_off, fout, order, tpos = csr.fout_off, csr.fout, csr.order, csr.tpos
+        stamp, meta, upos, pin = self._stamp, self._meta, self.upos, self._pinned
+        heap = []
+        flipped = 0
         if meta[1] > _GEN_LIMIT:
             stamp[:] = array("i", [0]) * len(stamp)
             meta[1] = 0
-        gen = meta[1] = meta[1] + 1
-        origins = frozenset(flipped)
-        count = 0
-        heap = []
+        seen = meta[1] + 1
+        origin = meta[1] = seen + 1
         for g in origins:
-            stamp[g] = gen
-            heap.append(topo_pos[g])
-        heapify(heap)
+            if stamp[g] != origin:
+                stamp[g] = origin
+                heappush(heap, tpos[g])
         while heap:
             g = order[heappop(heap)]
-            if g not in origins:
-                if upos[g] < 0 or pinned[g]:
+            if stamp[g] != origin:
+                if upos[g] < 0 or pin[g]:
                     continue
                 self._flip(g)
-                count += 1
-                if undo is not None:
-                    undo.append(g)
-            for p in fanout[g]:
-                if stamp[p] != gen:
-                    stamp[p] = gen
-                    heappush(heap, topo_pos[p])
-        return count
+                if log is not None:
+                    log.append(g)
+                flipped += 1
+            i = fout_off[g]
+            end = fout_off[g + 1]
+            while i < end:
+                p = fout[i]
+                if stamp[p] < seen:
+                    stamp[p] = seen
+                    heappush(heap, tpos[p])
+                i += 1
+        return flipped
 
     # -- public operations, on whichever path is loaded --
 
@@ -562,7 +545,7 @@ class Assignment:
 
     def recompute_unjust(self) -> frozenset:
         """From-scratch unjust set; the incremental one must always equal it."""
-        return frozenset(_unjustified(self.circuit, self.values))
+        return frozenset(_unjustified(self.circuit._csr, self.values))
 
 
 def evaluate(circuit: Circuit, input_values: Mapping[int, int]) -> Assignment:
@@ -580,10 +563,12 @@ def evaluate(circuit: Circuit, input_values: Mapping[int, int]) -> Assignment:
 
 
 def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
-    """True iff g is an input gate or its value equals the AND of its children."""
-    if circuit.fanin[g] is None:
-        return True
-    return assignment._consistent(g)
+    """True iff g is an input gate or its value equals the AND of its
+    children; IndexError unless 0 <= g < num_gates."""
+    if not 0 <= g < circuit.num_gates:
+        raise IndexError(f"gate {g} out of range")
+    csr = circuit._csr
+    return not _unjust(csr.fin_off, csr.fin, assignment.values, g)
 
 
 def _justifications(kids, value):
@@ -612,10 +597,13 @@ def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
     """All subset-minimal justifications for gate g holding value v.
 
     Each justification is a tuple of (gate, value) pairs; see
-    ``_justifications`` for their order and the constant-0 case.
+    ``_justifications`` for their order and the constant-0 case.  IndexError
+    unless 0 <= g < num_gates.
     """
-    kids = circuit.fanin[g]
-    if kids is None:
+    if not 0 <= g < circuit.num_gates:
+        raise IndexError(f"gate {g} out of range")
+    kids = circuit.child_literals(g)
+    if not kids:
         raise InputGateHasNoJustification(f"gate {g} is an input gate")
     return list(_justifications(kids, v))
 
@@ -635,7 +623,7 @@ def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
             return False
     if _kernel.lib is not None:
         return _kernel.first_unjust(cc.circuit, values) < 0
-    return next(_unjustified(cc.circuit, values), None) is None
+    return next(_unjustified(cc.circuit._lists, values), None) is None
 
 
 def random_complete_extension(cc: ConstrainedCircuit, rng: random.Random) -> Assignment:

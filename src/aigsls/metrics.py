@@ -39,6 +39,7 @@ import csv
 import io
 import sys
 from array import array
+from operator import sub
 
 from . import _kernel
 from .circuit import Circuit
@@ -56,11 +57,16 @@ def _check_mode(kind: str, mode: str, modes: tuple):
         raise ValueError(f"unknown {kind} {mode!r}")
 
 
+def _as_lists(circuit: Circuit, *names) -> list:
+    """The named ``_csr`` arrays of ``circuit`` as lists, for one pass."""
+    return [getattr(circuit._csr, name).tolist() for name in names]
+
+
 def compute_depths(circuit: Circuit) -> list[int]:
+    order, off, fout = _as_lists(circuit, "order", "fout_off", "fout")
     depth = [0] * circuit.num_gates
-    fanout = circuit.fanout
-    for g in reversed(circuit.topo_order):
-        parents = fanout[g]
+    for g in reversed(order):
+        parents = fout[off[g]:off[g + 1]]
         if parents:
             depth[g] = 1 + max(depth[p] for p in parents)
     return depth
@@ -69,14 +75,15 @@ def compute_depths(circuit: Circuit) -> list[int]:
 def compute_levels(circuit: Circuit, alevel_mode: str = "self"):
     """Per-gate (level, llevel, alevel) distances from the input side."""
     _check_mode("alevel_mode", alevel_mode, ALEVEL_MODES)
+    order, off, kid = _as_lists(circuit, "order", "kid_off", "kid")
     n = circuit.num_gates
     level = [0] * n
     llevel = [0] * n
     alevel = [0.0] * n
     avg_base = alevel if alevel_mode == "self" else level
-    for g in circuit.topo_order:
-        kids = circuit.fanin_gates[g]
-        if kids is None:
+    for g in order:
+        kids = kid[off[g]:off[g + 1]]
+        if not kids:
             continue
         level[g] = 1 + max(level[c] for c in kids)
         llevel[g] = 1 + min(llevel[c] for c in kids)
@@ -86,13 +93,13 @@ def compute_levels(circuit: Circuit, alevel_mode: str = "self"):
 
 def compute_scoap_cc(circuit: Circuit):
     """Controllability cost pair (cc0, cc1) per gate."""
+    order, off, fin = _as_lists(circuit, "order", "fin_off", "fin")
     n = circuit.num_gates
     cc0 = [1] * n
     cc1 = [1] * n
-    fanin = circuit.fanin
-    for g in circuit.topo_order:
-        kids = fanin[g]
-        if kids is None:
+    for g in order:
+        kids = fin[off[g]:off[g + 1]]
+        if not kids:
             continue
         cc0[g] = 1 + min((cc1[p >> 1] if p & 1 else cc0[p >> 1]) for p in kids)
         cc1[g] = 1 + sum((cc0[p >> 1] if p & 1 else cc1[p >> 1]) for p in kids)
@@ -105,18 +112,17 @@ def compute_scoap_co(circuit: Circuit, cc0, cc1) -> list[int]:
     Observing g through a parent costs the parent's own observability plus
     the cost of driving every sibling edge to 1; the cheapest parent wins.
     """
-    n = circuit.num_gates
-    co = [0] * n
-    fanin = circuit.fanin
-    fanout = circuit.fanout
-    for g in reversed(circuit.topo_order):
-        parents = fanout[g]
+    order, fin_off, fin, fout_off, fout = _as_lists(circuit, "order", "fin_off", "fin",
+                                                    "fout_off", "fout")
+    co = [0] * circuit.num_gates
+    for g in reversed(order):
+        parents = fout[fout_off[g]:fout_off[g + 1]]
         if not parents:
             continue
         best = None
         for p in parents:
             total = co[p]
-            for q in fanin[p]:
+            for q in fin[fin_off[p]:fin_off[p + 1]]:
                 if q >> 1 != g:
                     total += cc0[q >> 1] if q & 1 else cc1[q >> 1]
             if best is None or total < best:
@@ -127,24 +133,20 @@ def compute_scoap_co(circuit: Circuit, cc0, cc1) -> list[int]:
 
 def compute_flow(circuit: Circuit, flow_mode: str = "conserving") -> list[float]:
     _check_mode("flow_mode", flow_mode, FLOW_MODES)
-    n = circuit.num_gates
-    flow = [0.0] * n
-    fanout = circuit.fanout
-    fanin_gates = circuit.fanin_gates
-    for g in reversed(circuit.topo_order):
-        parents = fanout[g]
+    order, fout_off, fout, kid_off = _as_lists(circuit, "order", "fout_off", "fout", "kid_off")
+    # the conserving mode splits by the parent's distinct children, the
+    # other by the parent's own fanout
+    split = kid_off if flow_mode == "conserving" else fout_off
+    flow = [0.0] * circuit.num_gates
+    for g in reversed(order):
+        parents = fout[fout_off[g]:fout_off[g + 1]]
         if not parents:
             flow[g] = 1.0
             continue
         total = 0.0
         for p in parents:
-            if flow_mode == "conserving":
-                denom = len(fanin_gates[p])
-            else:
-                # splitting by the parent's own fanout; parentless parents
-                # would divide by zero, so they keep their whole unit
-                denom = len(fanout[p]) or 1
-            total += flow[p] / denom
+            # a parentless parent would divide by zero, so it keeps its whole unit
+            total += flow[p] / (split[p + 1] - split[p] or 1)
         flow[g] = total
     return flow
 
@@ -207,7 +209,8 @@ class StructuralProfile:
         else:
             self.depth = compute_depths(circuit)
             self.level, self.llevel, self.alevel = compute_levels(circuit, alevel_mode)
-            self.fanout_size = [len(circuit.fanout[g]) for g in range(circuit.num_gates)]
+            off, = _as_lists(circuit, "fout_off")
+            self.fanout_size = list(map(sub, off[1:], off))
             self.cc0, self.cc1 = compute_scoap_cc(circuit)
             self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
             self.flow = compute_flow(circuit, flow_mode)
@@ -278,10 +281,11 @@ class StructuralProfile:
                                     sizes.buffer_info()[0], arg.buffer_info()[0], len(arg)) < 0:
                 raise IndexError("gate index out of range")
             return sizes
-        neighbours = self.circuit.fanout if measure == "tfo" else self.circuit.fanin_gates
+        csr = self.circuit._lists
+        off, adj = (csr.kid_off, csr.kid) if measure == "tfi" else (csr.fout_off, csr.fout)
         for g in gates:
             if sizes[g] < 0:
-                sizes[g] = _reach(g, neighbours)
+                sizes[g] = _reach(off, adj, g)
         return sizes
 
     # the closure sizes as lists, -1 where not walked yet
@@ -308,16 +312,21 @@ class StructuralProfile:
                            for g in range(self.circuit.num_gates))))
 
 
-def _reach(g: int, neighbours) -> int:
-    """Size of g's transitive closure over ``neighbours`` (a row of gates,
-    or None, per gate), g excluded."""
+def _reach(off, adj, g: int) -> int:
+    """Size of g's transitive closure over the CSR rows (``off``, ``adj``),
+    g excluded; the kernel's ``reach``."""
     seen = {g}
     stack = [g]
     while stack:
-        for nxt in neighbours[stack.pop()] or ():
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        x = stack.pop()
+        i = off[x]
+        end = off[x + 1]
+        while i < end:
+            y = adj[i]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+            i += 1
     return len(seen) - 1
 
 

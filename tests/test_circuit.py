@@ -47,8 +47,8 @@ def two_input_and():
 class TestBuildCircuit:
     def test_two_input_and(self):
         c = two_input_and()
-        assert c.fanout[0] == (2,)
-        assert c.fanout[1] == (2,)
+        assert c.parents(0).tolist() == [2]
+        assert c.parents(1).tolist() == [2]
         assert c.topo_order[-1] == 2
         assert c.inputs == (0, 1)
         assert c.outputs == (2,)
@@ -98,12 +98,12 @@ class TestBuildCircuit:
         for _ in range(20):
             c = random_dag(rng, 80)
             for g in range(c.num_gates):
-                for p in c.fanout[g]:
+                for p in c.parents(g):
                     assert any(l.gate == g for l in c.fanin[p])
                 kids = c.fanin[g]
                 if kids is not None:
                     for l in kids:
-                        assert g in c.fanout[l.gate]
+                        assert g in c.parents(l.gate)
 
     def test_a_circuit_is_its_int32_csr_arrays(self):
         c = random_dag(random.Random(13), 60)

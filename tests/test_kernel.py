@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate, chain
 
 import pytest
@@ -30,6 +31,7 @@ import test_metrics
 import test_search
 from aigsls import INPUT, Literal, _kernel, build_circuit, metrics
 from aigsls.aiger import (
+    export_dimacs,
     generate_random_sat_aig,
     load_aiger,
     parse_aiger,
@@ -39,7 +41,9 @@ from aigsls.aiger import (
 from aigsls.circuit import (
     Assignment,
     ConstrainedCircuit,
+    enumerate_minimal_justifications,
     evaluate,
+    is_justified,
     random_complete_extension,
     verify_satisfying,
 )
@@ -186,21 +190,28 @@ def _random_definitions(rng, n):
     return definitions
 
 
-#: the tuple attributes of a Circuit, which a circuit built from a CSR makes
-#: on first access
-VIEWS = ("fanin", "fanin_gates", "fanout", "topo_order", "topo_pos")
+#: the tuple views of a Circuit, which a circuit built from a CSR makes on
+#: first access and the package never reads
+VIEWS = ("fanin", "topo_order")
 CIRCUIT_ATTRIBUTES = ("num_gates", *VIEWS, "inputs", "outputs")
 
 
 def _reference_csr(circuit):
-    """The CSR arrays built from the circuit's tuples in Python."""
+    """The CSR arrays built in Python from the circuit's two views alone."""
     def pair(rows):
         rows = [row or () for row in rows]
         return array("i", [0, *accumulate(map(len, rows))]), array("i", chain(*rows))
 
-    return _kernel.CSR(*pair(circuit.fanin), *pair(circuit.fanout),
-                       array("i", circuit.topo_order), array("i", circuit.topo_pos),
-                       *pair(circuit.fanin_gates))
+    kids = [tuple(dict.fromkeys(p >> 1 for p in row or ())) for row in circuit.fanin]
+    parents = [[] for _ in kids]
+    for g, row in enumerate(kids):
+        for c in row:
+            parents[c].append(g)
+    tpos = [0] * len(kids)
+    for pos, g in enumerate(circuit.topo_order):
+        tpos[g] = pos
+    return _kernel.CSR(*pair(circuit.fanin), *pair(parents), array("i", circuit.topo_order),
+                       array("i", tpos), *pair(kids))
 
 
 PROFILE_COLUMNS = ("depth", "level", "llevel", "alevel", "fanout_size", "cc0", "cc1",
@@ -453,6 +464,7 @@ def test_verification_matches_on_both_paths(monkeypatch):
 
 @needs_kernel
 def test_search_from_a_file_builds_no_tuples(tmp_path):
+    # nor, on the kernel path, the pure-Python search's list copy of the CSR
     rng = random.Random(83)
     paths = [tmp_path / "a.aag", tmp_path / "a.aig"]
     cc = generate_random_sat_aig(16, 600, rng)
@@ -465,10 +477,18 @@ def test_search_from_a_file_builds_no_tuples(tmp_path):
             record = run_try(loaded, profile, path.name, heuristic, 0.2, 0, 7,
                              cutoff=100_000, clock="steps")
             assert record.outcome == "SAT"      # verified, or run_try raises
+        serialize_ascii(loaded)
+        export_dimacs(loaded)
         profile.tfi_size(5)
         profile.tfo_size(5)
         profile.materialize_closures()
-        assert not set(VIEWS) & set(vars(loaded.circuit))
+        unbuilt = set(VIEWS) if _kernel.lib is None else {*VIEWS, "_lists"}
+        assert not unbuilt & set(vars(loaded.circuit))
+
+
+@pytest.mark.usefixtures("python_path")
+def test_search_from_a_file_builds_no_tuples_in_python(tmp_path):
+    test_search_from_a_file_builds_no_tuples(tmp_path)
 
 
 def test_header_sized_binary_input_count_retains_little():
@@ -803,6 +823,29 @@ def test_closure_sizes_walked_by_selection_are_not_walked_again(monkeypatch):
     assert [profile.tfi_size(g) for g in walked] == [tfi[g] for g in walked]
 
 
+@needs_kernel
+def test_a_shared_profile_walks_closures_right_under_threads():
+    # selection and closure walks share the profile's walk scratch, so only
+    # one thread at a time may walk
+    cc = generate_random_sat_aig(64, 5000, random.Random(5))
+    tfi, tfo = ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(5):
+            profile = build_profile(cc.circuit)
+            runs = [SearchEngine(cc, profile, heuristic, 0.2, seed).run
+                    for heuristic in ("tfi-min", "tfi-max", "tfi-min", "tfo-min")]
+            with ThreadPoolExecutor(len(runs) + 1) as pool:
+                futures = [pool.submit(run, 300) for run in runs]
+                futures.append(pool.submit(profile.materialize_closures))
+                for future in futures:
+                    future.result(timeout=120)
+            assert (profile._tfi, profile._tfo) == (tfi, tfo)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("kernel", ["c", "python"])
 def test_stamps_restart_before_the_generation_overflows(kernel, monkeypatch):
     if kernel == "python":
@@ -838,7 +881,10 @@ def test_kernel_rejects_out_of_range_gates(monkeypatch):
         for call in (lambda: asg.flip(10), lambda: asg.flip(-1),
                      lambda: asg.propagate_forward([3, 10]), lambda: asg.rollback([-2]),
                      lambda: asg._trial([1, 10]), lambda: asg._trial([-1]),
-                     lambda: asg._move([-1])):
+                     lambda: asg._move([-1]), lambda: is_justified(circuit, asg, 10),
+                     lambda: is_justified(circuit, asg, -1),
+                     lambda: enumerate_minimal_justifications(circuit, 10, 0),
+                     lambda: enumerate_minimal_justifications(circuit, -1, 1)):
             with pytest.raises(IndexError):
                 call()
             assert (bytes(asg.values), asg.ulist) == before

@@ -56,7 +56,7 @@ class TestDepth:
         c = random_dag(rng, 120)
         depth = compute_depths(c)
         for g in range(c.num_gates):
-            parents = c.fanout[g]
+            parents = c.parents(g)
             if parents:
                 assert all(depth[g] >= depth[p] + 1 for p in parents)
                 assert any(depth[g] == depth[p] + 1 for p in parents)
@@ -126,7 +126,7 @@ class TestClosures:
         c = random_dag(rng, 70)
         profile = build_profile(c).materialize_closures()
         for g in range(c.num_gates):
-            kids = c.fanin_gates[g] or ()
+            kids = {p >> 1 for p in c.child_literals(g)}
             assert profile.tfi_size(g) >= len(kids)
             assert profile.tfo_size(g) >= profile.fanout_size[g]
 
