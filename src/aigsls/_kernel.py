@@ -674,16 +674,16 @@ def _compile(path: str):
 
 
 def _bind(path: str):
-    # select and closures walk on a profile's one walk scratch; called through
-    # PyDLL they keep the GIL, so threads can share a profile
-    dll, locked = ctypes.CDLL(path), ctypes.PyDLL(path)
+    # every call keeps the GIL through PyDLL: select and closures walk on a
+    # profile's one walk scratch, so threads can share a profile
+    dll = ctypes.PyDLL(path)
     functions = {}
     for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(locked if name in ("select", "closures") else dll, "aigsls_" + name)
+        fn = getattr(dll, "aigsls_" + name)
         fn.restype = restype
         fn.argtypes = argtypes
         functions[name] = fn
-    return types.SimpleNamespace(dll=dll, **functions)
+    return types.SimpleNamespace(**functions)
 
 
 def load():

@@ -1,4 +1,4 @@
-"""Constrained And-Inverter circuits: gates, assignments and justifications.
+"""Constrained And-Inverter circuits: gates and assignments.
 
 A circuit is a DAG of n-ary AND gates over complemented edges; inverters are
 never materialized as gates, a child reference simply carries a complement
@@ -39,10 +39,6 @@ class DanglingReference(CircuitError):
 
 
 class ConstraintNotOnOutput(CircuitError):
-    pass
-
-
-class InputGateHasNoJustification(CircuitError):
     pass
 
 
@@ -94,8 +90,9 @@ class Circuit:
     ``is_output`` and equality read the arrays.  ``fanin`` (a tuple of child
     ``Literal``s per gate, None for an input) and ``topo_order`` are tuple
     views for callers outside the package, built on first access and then
-    kept; the package never reads them.  The pure-Python search reads
-    ``_lists``, one list copy of the arrays that it builds on first use.
+    kept; the package never reads them.  The pure-Python assignment reads
+    ``_lists``, one list copy of the arrays that it builds on first use; a
+    search step reads its moves from ``_csr`` on both paths.
     """
 
     def __init__(self, csr: _kernel.CSR):
@@ -525,12 +522,14 @@ class Assignment:
         them; the assignment is restored afterwards."""
         if self._state is not None:
             return self._kernel_call(self._state.lib.trial, flips)
-        undo = self._in_range(flips)
-        for g in undo:
+        flips = self._in_range(flips)
+        undo = list(flips)
+        for g in flips:
             self._flip(g)
         self._propagate(flips, undo)
         count = self._meta[0]
-        self.rollback(undo)
+        for g in reversed(undo):
+            self._flip(g)
         return count
 
     def _move(self, flips) -> int:
@@ -571,53 +570,18 @@ def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
     return not _unjust(csr.fin_off, csr.fin, assignment.values, g)
 
 
-def _justifications(kids, value):
-    """Subset-minimal justifications of one AND gate holding ``value``.
-
-    ``kids`` is the gate's child literals, packed ints (``child_literals``).
-    Returns a tuple of justifications, each a tuple of (gate, value) pairs
-    giving the value required at a child *gate* (not at the child literal).
-    Holding 1 binds every child literal to 1; holding 0 needs one child
-    literal bound to 0.  Duplicate child references collapse, in
-    first-occurrence order.  A gate referencing both polarities of one child
-    is constantly 0: holding 1 is then impossible and holding 0 needs nothing
-    (the empty justification).
-    """
-    need = {}                       # child gate -> its value under literal 1
-    for p in kids:
-        v = (p & 1) ^ 1
-        if need.setdefault(p >> 1, v) != v:
-            return () if value else ((),)
-    if value:
-        return (tuple(need.items()),)
-    return tuple(((gate, v ^ 1),) for gate, v in need.items())
-
-
-def enumerate_minimal_justifications(circuit: Circuit, g: int, v) -> list:
-    """All subset-minimal justifications for gate g holding value v.
-
-    Each justification is a tuple of (gate, value) pairs; see
-    ``_justifications`` for their order and the constant-0 case.  IndexError
-    unless 0 <= g < num_gates.
-    """
-    if not 0 <= g < circuit.num_gates:
-        raise IndexError(f"gate {g} out of range")
-    kids = circuit.child_literals(g)
-    if not kids:
-        raise InputGateHasNoJustification(f"gate {g} is an input gate")
-    return list(_justifications(kids, v))
-
-
 def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
     """Check consistency at every gate plus every required output value.
 
     Scans the full circuit rather than trusting the tracked unjust set: in
     the C kernel when it is loaded, else with ``_unjustified``, the reference.
-    ValueError unless the assignment has a value for every gate.
+    ValueError unless the assignment has a value, 0 or 1, for every gate.
     """
     values = assignment.values
     if len(values) != cc.circuit.num_gates:
         raise ValueError("value vector length does not match gate count")
+    if values.translate(None, b"\0\1"):
+        raise ValueError("every gate value must be 0 or 1")
     for g, v in cc.constraints.items():
         if values[g] != v:
             return False

@@ -156,6 +156,9 @@ def run_cli(argv) -> int:
     except (CircuitError, aiger.AigerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def main():

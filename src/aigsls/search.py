@@ -4,8 +4,10 @@ One search step picks an unjustified gate (per the configured heuristic),
 chooses one of its subset-minimal justifications -- uniformly at random with
 probability ``wp``, otherwise greedily minimizing the number of unjustified
 gates the step would leave behind -- flips the disagreeing child gates, and
-propagates the flips toward the outputs.  Constrained gates are never
-flipped; the search succeeds when the unjustified set empties.
+propagates the flips toward the outputs.  A justification is held only as
+its move, the list of child gates it flips (``_moves``, read straight from
+the gate's CSR row).  Constrained gates are never flipped; the search
+succeeds when the unjustified set empties.
 
 ``SearchEngine`` is one resumable trajectory.  The try loop that budgets it,
 times it and verifies its SAT verdicts lives in ``aigsls.harness``.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import ConstrainedCircuit, _justifications, random_complete_extension
+from .circuit import ConstrainedCircuit, random_complete_extension
 from .metrics import COLUMNS, StructuralProfile
 
 #: Recognized gate-selection heuristics.  "rand" picks uniformly from the
@@ -47,11 +49,11 @@ class SearchStats:
     """What a trajectory's steps did, counted the same on both kernel paths.
 
     Every step is exactly one of: a random-walk move, a greedy move, a
-    forced move (the gate had one justification) or a burned step (no
-    justification keeps every pin).  ``trials`` counts the justifications
-    scored by greedy moves, ``flips`` the gates flipped by applied moves,
-    propagation included.  ``min_unjust`` is the smallest unjust count seen
-    at the top of a step (0 once the search is satisfied).
+    forced move (the gate had one move) or a burned step (every move would
+    flip a pinned gate).  ``trials`` counts the moves scored by greedy
+    steps, ``flips`` the gates flipped by applied moves, propagation
+    included.  ``min_unjust`` is the smallest unjust count seen at the top
+    of a step (0 once the search is satisfied).
     """
     walk: int = 0
     greedy: int = 0
@@ -97,6 +99,34 @@ def _argbest(gates, score, want_max, rng):
     return ties[rng.randrange(len(ties))]
 
 
+def _moves(fin_off, fin, values, g: int) -> list:
+    """The moves of the unjustified gate g, read from its CSR row
+    (``fin_off``, ``fin``): one list of child gates to flip per
+    subset-minimal justification.
+
+    At 0 every child literal is 1, and each distinct child gate is a move
+    of its own.  At 1 the one move flips every distinct child whose literal
+    is 0; there is none if g reads both polarities of one child, since g is
+    then constantly 0.  Children come in first-occurrence order.
+    """
+    row = range(fin_off[g], fin_off[g + 1])
+    if not values[g]:
+        return [[c] for c in dict.fromkeys(fin[i] >> 1 for i in row)]
+    polarity = {}                   # child gate -> the complement bit g reads it through
+    flips = []
+    for i in row:
+        p = fin[i]
+        c = p >> 1
+        if c in polarity:
+            if polarity[c] != p & 1:
+                return []
+        else:
+            polarity[c] = p & 1
+            if values[c] == p & 1:
+                flips.append(c)
+    return [flips]
+
+
 class SearchEngine:
     """One resumable search trajectory over a constrained circuit.
 
@@ -118,9 +148,9 @@ class SearchEngine:
         self.rng = random.Random(seed)
         self.assignment = random_complete_extension(cc, self.rng)
         self.stats = SearchStats(min_unjust=self.assignment.unjust_count)
-        # Only a parent of a constrained gate has justifications that would
-        # force a pin off its value, and ConstrainedCircuit pins no gate with
-        # parents but the constant.
+        # Only a parent of a constrained gate has moves that would flip a
+        # pinned gate, and ConstrainedCircuit pins no gate with parents but
+        # the constant.
         const = cc.const_gate
         self._pin_parents = frozenset(() if const is None else cc.circuit.parents(const))
         measure, _, direction = heuristic.rpartition("-")
@@ -148,10 +178,10 @@ class SearchEngine:
         """
         asg = self.assignment
         values = asg.values
+        pinned = asg.pinned
+        fin_off, fin = self.cc.circuit._csr[:2]
         rng = self.rng
         wp = self.wp
-        child_literals = self.cc.circuit.child_literals
-        pins = self.cc.constraints
         pin_parents = self._pin_parents
         select = self._select
         stats = self.stats
@@ -162,37 +192,34 @@ class SearchEngine:
             if not count:
                 return True
             g = select()
-            sigmas = _justifications(child_literals(g), values[g])
+            moves = _moves(fin_off, fin, values, g)
             if g in pin_parents:
-                # drop every justification that would flip a pinned gate
-                sigmas = [s for s in sigmas if all(pins.get(gt, v) == v for gt, v in s)]
+                # drop every move that would flip a pinned gate
+                moves = [flips for flips in moves if not any(pinned[c] for c in flips)]
             budget -= 1
-            if not sigmas:
-                # every justification would violate a pin; burn the step
+            if not moves:
+                # every move would flip a pinned gate; burn the step
                 stats.burned += 1
                 continue
-            if len(sigmas) == 1:
+            if len(moves) == 1:
                 stats.forced += 1
-                sigma = sigmas[0]
+                flips = moves[0]
             elif rng.random() < wp:
                 stats.walk += 1
-                sigma = sigmas[rng.randrange(len(sigmas))]  # random walk
+                flips = moves[rng.randrange(len(moves))]  # random walk
             else:
                 # downward move: the fewest unjustified gates left, ties uniform
                 stats.greedy += 1
-                stats.trials += len(sigmas)
+                stats.trials += len(moves)
                 best = None
-                for sigma in sigmas:
-                    flips = [gt for gt, v in sigma if values[gt] != v]
+                for flips in moves:
                     count = asg._trial(flips)
                     if best is None or count < best:
                         best, ties = count, [flips]
                     elif count == best:
                         ties.append(flips)
-                stats.flips += asg._move(ties[0] if len(ties) == 1
-                                         else ties[rng.randrange(len(ties))])
-                continue
-            stats.flips += asg._move([gt for gt, v in sigma if values[gt] != v])
+                flips = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+            stats.flips += asg._move(flips)
         return False
 
     def _select(self) -> int:

@@ -16,15 +16,14 @@ from aigsls.circuit import (
     ConstraintNotOnOutput,
     CycleDetected,
     DanglingReference,
-    InputGateHasNoJustification,
     Literal,
     build_circuit,
-    enumerate_minimal_justifications,
     evaluate,
     is_justified,
     random_complete_extension,
     verify_satisfying,
 )
+from aigsls.search import _moves
 from oracles import (
     brute_force_justifications,
     brute_force_sat,
@@ -181,65 +180,64 @@ class TestIsJustified:
         assert not is_justified(c, asg, 2)
 
 
+def moves(c, values, g):
+    csr = c._csr
+    return _moves(csr.fin_off, csr.fin, bytearray(values), g)
+
+
 class TestJustifications:
+    """``_moves``: the flip lists of an unjustified gate's justifications."""
+
     def test_and_forced_to_zero(self):
         c = two_input_and()
-        js = enumerate_minimal_justifications(c, 2, 0)
-        assert js == [((0, 0),), ((1, 0),)]
+        assert moves(c, [1, 1, 0], 2) == [[0], [1]]
 
     def test_and_forced_to_one(self):
         c = two_input_and()
-        js = enumerate_minimal_justifications(c, 2, 1)
-        assert js == [((0, 1), (1, 1))]
+        assert moves(c, [0, 1, 1], 2) == [[0]]
+        assert moves(c, [0, 0, 1], 2) == [[0, 1]]
 
     def test_three_children_with_complement(self):
         c = build_circuit([INPUT, INPUT, INPUT,
                            [lit(0), lit(1, True), lit(2)]])
-        js = enumerate_minimal_justifications(c, 3, 0)
-        got = {frozenset(j) for j in js}
-        assert got == brute_force_justifications(c, 3, 0)
-        assert got == {frozenset({(0, 0)}), frozenset({(1, 1)}), frozenset({(2, 0)})}
+        assert moves(c, [1, 0, 1, 0], 3) == [[0], [1], [2]]
+        assert moves(c, [0, 1, 1, 1], 3) == [[0, 1]]
 
-    def test_input_gate_has_none(self):
-        c = two_input_and()
-        with pytest.raises(InputGateHasNoJustification):
-            enumerate_minimal_justifications(c, 0, 1)
+    def test_duplicate_children_collapse(self):
+        c = build_circuit([INPUT, INPUT, [lit(1), lit(0), lit(1)]])
+        assert moves(c, [1, 1, 0], 2) == [[1], [0]]
+        assert moves(c, [0, 0, 1], 2) == [[1, 0]]
 
     def test_constant_zero_gate(self):
         c = build_circuit([INPUT, [lit(0), lit(0, True)]])
-        # forcing 1 is impossible; forcing 0 needs no bindings at all
-        assert enumerate_minimal_justifications(c, 1, 1) == []
-        zeros = enumerate_minimal_justifications(c, 1, 0)
-        assert zeros == [()]
+        # holding 1 is impossible whatever the child holds
+        assert moves(c, [0, 1], 1) == []
+        assert moves(c, [1, 1], 1) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**6), st.booleans())
-    def test_matches_brute_force(self, seed, value):
+    @given(st.integers(0, 10**6))
+    def test_matches_brute_force(self, seed):
         rng = random.Random(seed)
         c = random_dag(rng, rng.randint(2, 12), max_arity=4)
-        ands = [g for g in range(c.num_gates) if c.fanin[g] is not None]
-        if not ands:
-            return
-        g = ands[rng.randrange(len(ands))]
-        got = {frozenset(j) for j in enumerate_minimal_justifications(c, g, value)}
-        assert got == brute_force_justifications(c, g, int(value))
+        values = bytearray(rng.getrandbits(1) for _ in range(c.num_gates))
+        for g in ref_unjust(c, values):
+            got = moves(c, values, g)
+            assert {frozenset(m) for m in got} == {
+                frozenset(gt for gt, v in j if values[gt] != v)
+                for j in brute_force_justifications(c, g, values[g])}
+            assert len(set(map(frozenset, got))) == len(got)
 
     def test_applying_a_justification_justifies_the_gate(self):
         rng = random.Random(31)
         for _ in range(50):
             c = random_dag(rng, 30)
-            ands = [g for g in range(c.num_gates) if c.fanin[g] is not None]
-            if not ands:
-                continue
-            g = rng.choice(ands)
-            v = rng.getrandbits(1)
             values = bytearray(rng.getrandbits(1) for _ in range(c.num_gates))
-            values[g] = v
-            for j in enumerate_minimal_justifications(c, g, v):
-                trial = bytearray(values)
-                for gate, val in j:
-                    trial[gate] = val
-                assert g not in ref_unjust(c, trial)
+            for g in ref_unjust(c, values):
+                for m in moves(c, values, g):
+                    trial = bytearray(values)
+                    for gt in m:
+                        trial[gt] ^= 1
+                    assert g not in ref_unjust(c, trial)
 
 
 class TestVerifySatisfying:
@@ -277,6 +275,13 @@ class TestVerifySatisfying:
                 expected = all(asg.values[g] == v for g, v in cc.constraints.items())
                 assert verify_satisfying(cc, asg) == expected
         assert hits  # the sweep must exercise satisfiable cases too
+
+    def test_rejects_values_other_than_zero_and_one(self):
+        # read as true under either polarity, a 2 would satisfy AND(x, not x)
+        c = build_circuit([INPUT, INPUT, (Literal(1), Literal(1, True))])
+        cc = ConstrainedCircuit(c, {0: True, 2: True}, const_gate=0)
+        with pytest.raises(ValueError):
+            verify_satisfying(cc, Assignment(c, bytearray([1, 2, 1]), cc.pinned))
 
 
 class TestConstrainedCircuit:

@@ -301,6 +301,13 @@ class TestErrors:
         path.write_bytes(b"aig 1073741824 1073741824 0 0 0\n")
         _fails_before_allocating("solve", str(path))
 
+    def test_header_sized_circuit_past_memory_is_a_one_line_error(self, tmp_path):
+        # 3 * 10**8 inputs is a valid 30-byte binary file within the parsers'
+        # limit, whose gate arrays outgrow a 1 GiB address space
+        path = tmp_path / "wide.aig"
+        path.write_bytes(b"aig 300000000 300000000 0 0 0\n")
+        _fails_before_allocating("solve", str(path))
+
     def test_generator_past_max_var_fails_before_allocating(self, tmp_path):
         # a circuit past 2**30 - 1 variables fits no AIGER file; building its
         # gate list under a 1 GiB address space would raise MemoryError

@@ -41,7 +41,6 @@ from aigsls.aiger import (
 from aigsls.circuit import (
     Assignment,
     ConstrainedCircuit,
-    enumerate_minimal_justifications,
     evaluate,
     is_justified,
     random_complete_extension,
@@ -576,7 +575,7 @@ def test_kernel_source_compiles_without_warnings():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-UBSAN = """
+SANITIZED = """
 import json, random, sys
 from aigsls import _kernel, aiger, circuit, generate_random_sat_aig
 from aigsls.harness import SolverConfig, crsat_solve
@@ -613,14 +612,14 @@ print(len(corpus))
 """
 
 
-@needs_cc
-def test_parsers_and_searches_run_clean_under_ubsan(tmp_path):
-    library = tmp_path / "kernel-ubsan.so"
-    proc = subprocess.run(["cc", *_kernel.FLAGS, "-fsanitize=undefined",
-                           "-fno-sanitize-recover=all", "-x", "c", "-", "-o", str(library)],
+def _run_sanitized(tmp_path, flags, **env):
+    """Run SANITIZED on the kernel compiled with ``flags``, ``env`` added to
+    the subprocess's; skip when the sanitizer does not build or load."""
+    library = tmp_path / "kernel-sanitized.so"
+    proc = subprocess.run(["cc", *_kernel.FLAGS, *flags, "-x", "c", "-", "-o", str(library)],
                           input=_kernel.SOURCE.encode(), capture_output=True, timeout=300)
     if proc.returncode:
-        pytest.skip(f"no undefined-behaviour sanitizer: {proc.stderr[-200:]!r}")
+        pytest.skip(f"no sanitizer: {proc.stderr[-200:]!r}")
     corpus = [*MALFORMED_FILES, *(data for cc in (generate_random_sat_aig(
         3, 20, random.Random(84)),) for data, _ in _variants(cc))]
 
@@ -631,13 +630,29 @@ def test_parsers_and_searches_run_clean_under_ubsan(tmp_path):
 
     collect()
     (tmp_path / "corpus.json").write_text(json.dumps([data.hex() for data in corpus]))
-    proc = _python(UBSAN, tmp_path / "cache", library, tmp_path / "corpus.json",
-                   os.path.dirname(os.path.abspath(__file__)))
+    proc = _python(SANITIZED, tmp_path / "cache", library, tmp_path / "corpus.json",
+                   os.path.dirname(os.path.abspath(__file__)), **env)
     stdout, stderr = proc.communicate(timeout=600)
     if proc.returncode == 3:
         pytest.skip("the sanitized library does not load")
     assert (proc.returncode, stderr) == (0, b""), stderr.decode()[-2000:]
     assert int(stdout) == len(corpus) >= 300
+
+
+@needs_cc
+def test_parsers_and_searches_run_clean_under_ubsan(tmp_path):
+    _run_sanitized(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
+
+
+@needs_cc
+def test_parsers_and_searches_run_clean_under_asan(tmp_path):
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, timeout=60).stdout.strip()
+    if not (os.path.isabs(runtime) and os.path.isfile(runtime)):
+        pytest.skip("no address sanitizer runtime")
+    # pymalloc's arenas have no redzones, so Python allocates with malloc
+    _run_sanitized(tmp_path, ["-fsanitize=address", "-fno-omit-frame-pointer"],
+                   LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc")
 
 
 def _snapshot(engine):
@@ -882,13 +897,26 @@ def test_kernel_rejects_out_of_range_gates(monkeypatch):
                      lambda: asg.propagate_forward([3, 10]), lambda: asg.rollback([-2]),
                      lambda: asg._trial([1, 10]), lambda: asg._trial([-1]),
                      lambda: asg._move([-1]), lambda: is_justified(circuit, asg, 10),
-                     lambda: is_justified(circuit, asg, -1),
-                     lambda: enumerate_minimal_justifications(circuit, 10, 0),
-                     lambda: enumerate_minimal_justifications(circuit, -1, 1)):
+                     lambda: is_justified(circuit, asg, -1)):
             with pytest.raises(IndexError):
                 call()
             assert (bytes(asg.values), asg.ulist) == before
         assert asg.unjust == asg.recompute_unjust()
+
+
+@pytest.mark.usefixtures("python_path")
+def test_a_python_trial_range_checks_its_gates_once(monkeypatch):
+    calls = []
+    in_range = Assignment._in_range
+
+    def spy(self, gates):
+        calls.append(gates)
+        return in_range(self, gates)
+
+    monkeypatch.setattr(Assignment, "_in_range", spy)
+    cc, asg = test_search.two_branch_fixture()
+    assert asg._trial([2]) == 2
+    assert len(calls) == 1
 
 
 def test_pickled_and_copied_assignments_stay_independent():
@@ -907,8 +935,8 @@ def test_pickled_and_copied_assignments_stay_independent():
         assert (bytes(asg.values), asg.ulist) == before
 
 
-def _python(script, cache, *args):
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC)
+def _python(script, cache, *args, **env):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC, **env)
     return subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 

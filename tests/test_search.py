@@ -10,7 +10,6 @@ from aigsls.circuit import (
     ConstrainedCircuit,
     Literal,
     build_circuit,
-    enumerate_minimal_justifications,
     evaluate,
     random_complete_extension,
     verify_satisfying,
@@ -18,7 +17,13 @@ from aigsls.circuit import (
 from aigsls.harness import SolverConfig, crsat_solve
 from aigsls.metrics import build_profile
 from aigsls.search import HEURISTICS, EmptyUnjustSet, SearchEngine
-from oracles import random_constrained, random_dag, ref_propagate, ref_unjust
+from oracles import (
+    brute_force_justifications,
+    random_constrained,
+    random_dag,
+    ref_propagate,
+    ref_unjust,
+)
 
 
 def lit(g, neg=False):
@@ -149,7 +154,7 @@ class TestCountUnjustAfter:
             if not asg.ulist:
                 continue
             g = rng.choice(asg.ulist)
-            for sigma in enumerate_minimal_justifications(circuit, g, asg.values[g]):
+            for sigma in brute_force_justifications(circuit, g, asg.values[g]):
                 if any(cc.constraints.get(gt, v) != v for gt, v in sigma):
                     continue
                 clone = asg.copy()
