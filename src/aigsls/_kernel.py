@@ -15,11 +15,13 @@ unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
 place.  An assignment built while ``lib`` is loaded keeps a ``State`` on
 them and runs in C; one built without it runs in Python.  ``SearchEngine``
-calls ``aigsls_select`` for the former: it scans the unjustified list for
-the least int32 score (the profile's dense ranks, or closure sizes that it,
-like ``aigsls_closures``, walks the CSR for on first need) and returns the
-ties; the choice among them, the choice of justification and every random
-draw stay in Python, so both paths follow the same trajectory.
+calls ``aigsls_select`` for the former, and runs its Python twin for the
+latter: it scans the unjustified list for the least int32 score of
+``StructuralProfile.scores`` (the profile's dense ranks, or closure sizes
+that it, like ``aigsls_closures``, walks the CSR for on first need) and
+returns the ties in ``ulist`` order; the choice among them, the choice of
+justification and every random draw stay in Python, so both paths follow
+the same trajectory.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
@@ -282,20 +284,14 @@ int aigsls_move(State *s, const int *flips, int k)
     return k + propagate(s, flips, k, NULL);
 }
 
+/* sets each AND gate, in topological order, to the AND of its child
+   literals: _evaluate_ands */
 void aigsls_evaluate(int n, const int *order, const int *fin_off, const int *fin,
                      unsigned char *val)
 {
-    for (int i = 0; i < n; i++) {
-        int g = order[i], a = fin_off[g], b = fin_off[g + 1], v = 1;
-        if (a == b)
-            continue;
-        for (; a < b; a++)
-            if (!(val[fin[a] >> 1] ^ (fin[a] & 1))) {
-                v = 0;
-                break;
-            }
-        val[g] = v;
-    }
+    for (int i = 0; i < n; i++)
+        if (unjust(fin_off, fin, val, order[i]))
+            val[order[i]] ^= 1;
 }
 
 /* fill an empty unjustified list in index order */

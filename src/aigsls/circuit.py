@@ -251,6 +251,8 @@ class ConstrainedCircuit:
             if g != const_gate and not circuit.is_output(g):
                 raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
         if const_gate is not None:
+            if not 0 <= const_gate < n:
+                raise DanglingReference(f"constant gate {const_gate} is undefined")
             if not circuit.is_input(const_gate):
                 raise CircuitError("constant gate must be an input gate")
             if self.constraints.get(const_gate) is not True:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import ConstrainedCircuit, random_complete_extension
-from .metrics import COLUMNS, StructuralProfile
+from .metrics import CLOSURES, StructuralProfile
 
 #: Recognized gate-selection heuristics.  "rand" picks uniformly from the
 #: unjustified set; "<measure>-max"/"<measure>-min" pick uniformly among the
@@ -72,49 +72,24 @@ def check_settings(heuristic: str, wp: float):
         raise ValueError(f"noise must be within [0, 1], got {wp}")
 
 
-def _make_scorer(profile: StructuralProfile, base: str, values):
-    if base == "tfo":
-        return profile.tfo_size
-    if base == "tfi":
-        return profile.tfi_size
-    if base == "cc":
-        cc0, cc1 = profile.cc0, profile.cc1
-        return lambda g: cc1[g] if values[g] else cc0[g]
-    return getattr(profile, COLUMNS[base]).__getitem__
+def _moves(csr, values, g: int) -> list:
+    """The moves of the unjustified gate g, read from its rows of the
+    circuit's ``csr``: one list of child gates to flip per subset-minimal
+    justification.
 
-
-def _argbest(gates, score, want_max, rng):
-    best_gate = gates[0]
-    best = score(best_gate)
-    ties = [best_gate]
-    for g in gates[1:]:
-        v = score(g)
-        if v == best:
-            ties.append(g)
-        elif (v > best) if want_max else (v < best):
-            best = v
-            ties = [g]
-    if len(ties) == 1:
-        return ties[0]
-    return ties[rng.randrange(len(ties))]
-
-
-def _moves(fin_off, fin, values, g: int) -> list:
-    """The moves of the unjustified gate g, read from its CSR row
-    (``fin_off``, ``fin``): one list of child gates to flip per
-    subset-minimal justification.
-
-    At 0 every child literal is 1, and each distinct child gate is a move
-    of its own.  At 1 the one move flips every distinct child whose literal
-    is 0; there is none if g reads both polarities of one child, since g is
-    then constantly 0.  Children come in first-occurrence order.
+    At 0 every child literal is 1, and each distinct child gate (g's
+    ``kid`` row) is a move of its own.  At 1 the one move flips every
+    distinct child whose literal is 0; there is none if g reads both
+    polarities of one child, since g is then constantly 0.  Children come
+    in first-occurrence order.
     """
-    row = range(fin_off[g], fin_off[g + 1])
     if not values[g]:
-        return [[c] for c in dict.fromkeys(fin[i] >> 1 for i in row)]
+        off = csr.kid_off
+        return [[c] for c in csr.kid[off[g]:off[g + 1]]]
+    fin = csr.fin
     polarity = {}                   # child gate -> the complement bit g reads it through
     flips = []
-    for i in row:
+    for i in range(csr.fin_off[g], csr.fin_off[g + 1]):
         p = fin[i]
         c = p >> 1
         if c in polarity:
@@ -154,13 +129,16 @@ class SearchEngine:
         const = cc.const_gate
         self._pin_parents = frozenset(() if const is None else cc.circuit.parents(const))
         measure, _, direction = heuristic.rpartition("-")
-        self._measure = measure or None      # "rand" has no measure
-        self._want_max = direction == "max"
-        self._select_args = None            # aigsls_select's arguments after the state
-        if measure and self.assignment._state is not None:
+        # the scores as (lo, hi, neg, walk), walk naming the closure lo caches,
+        # and aigsls_select's arguments after the state; None under "rand"
+        self._scores = self._select_args = None
+        if measure:
             lo, hi = profile.scores(measure)    # kept alive by self.profile
-            self._select_args = (lo.buffer_info()[0], hi.buffer_info()[0], self._want_max,
-                                 *profile.kernel_walk(measure))
+            neg = direction == "max"
+            self._scores = lo, hi, neg, measure if measure in CLOSURES else None
+            if self.assignment._state is not None:
+                self._select_args = (lo.buffer_info()[0], hi.buffer_info()[0], neg,
+                                     *profile.kernel_walk(measure))
 
     @property
     def steps(self) -> int:
@@ -179,7 +157,7 @@ class SearchEngine:
         asg = self.assignment
         values = asg.values
         pinned = asg.pinned
-        fin_off, fin = self.cc.circuit._csr[:2]
+        csr = self.cc.circuit._csr
         rng = self.rng
         wp = self.wp
         pin_parents = self._pin_parents
@@ -192,7 +170,7 @@ class SearchEngine:
             if not count:
                 return True
             g = select()
-            moves = _moves(fin_off, fin, values, g)
+            moves = _moves(csr, values, g)
             if g in pin_parents:
                 # drop every move that would flip a pinned gate
                 moves = [flips for flips in moves if not any(pinned[c] for c in flips)]
@@ -226,9 +204,13 @@ class SearchEngine:
         """Pick one unjustified gate per the heuristic, ties uniform.
 
         A lone unjustified gate, or a lone best one, is taken without
-        drawing from the RNG.  The cc measure reads the current assignment's
-        values at every call.  An engine built with the kernel calls
-        ``aigsls_select``; ``_argbest`` over the raw measures is the reference.
+        drawing from the RNG.  A measure heuristic scans the unjustified
+        gates in ``ulist`` order for the least int32 score of
+        ``profile.scores``: ``hi[g]`` while g is at 1, else ``lo[g]``,
+        negated for ``-max``, with a closure size walked on first need.  An
+        engine built with the kernel calls ``aigsls_select``, else the loop
+        below, its line-for-line twin; both keep the ties in ``ulist``
+        order for the same draw.
         """
         asg = self.assignment
         count = asg.unjust_count
@@ -236,13 +218,27 @@ class SearchEngine:
             raise EmptyUnjustSet("no unjustified gates to select from")
         if count == 1:
             return asg.ubuf[0]
-        measure = self._measure
-        if measure is None:
+        if self._scores is None:
             return asg.ubuf[self.rng.randrange(count)]
         if self._select_args is None:
-            score = _make_scorer(self.profile, measure, asg.values)
-            return _argbest(asg.ulist, score, self._want_max, self.rng)
-        state = asg._state
-        ties = state.lib.select(state.addr, *self._select_args)
-        best = state.ties
-        return best[0] if ties == 1 else best[self.rng.randrange(ties)]
+            lo, hi, neg, walk = self._scores
+            values = asg.values
+            best = 0x7FFFFFFF                   # INT_MAX, as in the kernel
+            ties = []
+            for g in asg.ubuf[:count]:
+                if walk and lo[g] < 0:
+                    self.profile._fill(walk, (g,))
+                v = hi[g] if values[g] else lo[g]
+                if neg:
+                    v = -v
+                if v < best:
+                    best = v
+                    ties.clear()
+                if v == best:
+                    ties.append(g)
+            k = len(ties)
+        else:
+            state = asg._state
+            k = state.lib.select(state.addr, *self._select_args)
+            ties = state.ties
+        return ties[0] if k == 1 else ties[self.rng.randrange(k)]

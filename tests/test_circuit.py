@@ -181,8 +181,7 @@ class TestIsJustified:
 
 
 def moves(c, values, g):
-    csr = c._csr
-    return _moves(csr.fin_off, csr.fin, bytearray(values), g)
+    return _moves(c._csr, bytearray(values), g)
 
 
 class TestJustifications:
@@ -310,6 +309,10 @@ class TestConstrainedCircuit:
     def test_out_of_range_constraint(self):
         with pytest.raises(DanglingReference):
             ConstrainedCircuit(two_input_and(), {9: True})
+        # a constant gate past either end, negative indices included
+        for const_gate in (3, 7, -1, -3):
+            with pytest.raises(DanglingReference):
+                ConstrainedCircuit(two_input_and(), {}, const_gate=const_gate)
 
 
 class TestRandomCompleteExtension:

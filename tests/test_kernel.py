@@ -150,6 +150,11 @@ class TestCountUnjustAfterPython(test_search.TestCountUnjustAfter):
 
 
 @pytest.mark.usefixtures("python_path")
+class TestSelectGatePython(test_search.TestSelectGate):
+    pass
+
+
+@pytest.mark.usefixtures("python_path")
 class TestGoldenTrajectoryPython(test_harness.TestGoldenTrajectory):
     pass
 
@@ -525,8 +530,8 @@ def _observed_through_big_siblings(hops):
 @needs_kernel
 def test_kernel_costs_past_int64_equal_the_python_bigints(monkeypatch):
     rng = random.Random(77)
-    cases = [(_fibonacci_chain(rng, 120), _kernel.CC_OVERFLOW | _kernel.CO_OVERFLOW),
-             (_fibonacci_chain(rng, 60), 0),
+    cases = [(test_metrics.fibonacci_chain(rng, 120), _kernel.CC_OVERFLOW | _kernel.CO_OVERFLOW),
+             (test_metrics.fibonacci_chain(rng, 60), 0),
              (_observed_through_big_siblings(8), _kernel.CO_OVERFLOW),
              (_observed_through_big_siblings(1), 0)]
     for circuit, overflow in cases:
@@ -601,13 +606,17 @@ profile = build_profile(cc.circuit)
 for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min"):
     crsat_solve(cc, profile, SolverConfig(heuristic, 0.3, 3000, 1))
 sys.path.insert(0, sys.argv[3])
-from oracles import random_dag
+from oracles import random_dag, ref_tfi_sizes, ref_tfo_sizes
+from test_kernel import walk_a_shared_profile_in_threads
 rng = random.Random(6)
 for k in range(4):
     profile = build_profile(random_dag(rng, rng.randint(1, 400)))
     if k % 2:
         profile._walk[0] = 0x7FFFFFFF - 5    # the stamps restart midway
     profile.materialize_closures()
+cc = generate_random_sat_aig(32, 2000, random.Random(5))
+profile = walk_a_shared_profile_in_threads(cc, 1)
+assert (profile._tfi, profile._tfo) == (ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit))
 print(len(corpus))
 """
 
@@ -732,23 +741,11 @@ def test_constant_readers_match_on_both_paths(monkeypatch):
             _run_both(monkeypatch, cc, heuristic, 0.3, rng.randrange(10**6), (50, 500))
 
 
-def _fibonacci_chain(rng, length):
-    """Each chain gate ANDs the two before it, so cc1 grows like Fibonacci
-    numbers; side gates read chain gates through complemented edges."""
-    definitions = [INPUT, INPUT]
-    for g in range(2, length):
-        definitions.append((Literal(g - 1), Literal(g - 2)))
-    for _ in range(length // 3):
-        definitions.append((Literal(rng.randrange(length)),
-                            Literal(rng.randrange(len(definitions)), True)))
-    return build_circuit(definitions)
-
-
 @needs_kernel
 def test_measures_past_int64_rank_exactly(monkeypatch):
     rng = random.Random(77)
     for _ in range(3):
-        circuit = _fibonacci_chain(rng, 120)
+        circuit = test_metrics.fibonacci_chain(rng, 120)
         profile = build_profile(circuit)
         assert max(profile.cc1) > 2**63 and max(profile.co) > 2**63
         cc = random_constrained(rng, circuit)
@@ -793,16 +790,19 @@ def test_selection_resolves_its_kernel_arguments_at_construction(monkeypatch):
     def no_lookup(*args):
         raise AssertionError("selection arguments looked up during the search")
 
-    for heuristic in ("depth-max", "tfi-min"):
-        reference = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
-        reference.run(200)
-        engine = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
-        with monkeypatch.context() as patch:
-            for name in ("scores", "kernel_walk"):
-                patch.setattr(metrics.StructuralProfile, name, no_lookup)
-            engine.run(200)
-        assert engine.steps == 200
-        assert _snapshot(engine) == _snapshot(reference)
+    for lib in (_kernel.lib, None):
+        monkeypatch.setattr(_kernel, "lib", lib)
+        for heuristic in ("depth-max", "cc-min", "tfi-min"):
+            reference = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
+            reference.run(200)
+            engine = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
+            assert (engine._select_args is None) == (lib is None)
+            with monkeypatch.context() as patch:
+                for name in ("scores", "kernel_walk"):
+                    patch.setattr(metrics.StructuralProfile, name, no_lookup)
+                engine.run(200)
+            assert engine.steps == 200
+            assert _snapshot(engine) == _snapshot(reference)
 
 
 @needs_kernel
@@ -838,27 +838,34 @@ def test_closure_sizes_walked_by_selection_are_not_walked_again(monkeypatch):
     assert [profile.tfi_size(g) for g in walked] == [tfi[g] for g in walked]
 
 
+def walk_a_shared_profile_in_threads(cc, seed):
+    """Four engines and a bulk walk in five threads, on one new profile of
+    ``cc``; the profile once all are done."""
+    profile = build_profile(cc.circuit)
+    runs = [SearchEngine(cc, profile, heuristic, 0.2, seed).run
+            for heuristic in ("tfi-min", "tfi-max", "tfi-min", "tfo-min")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(runs) + 1) as pool:
+            futures = [pool.submit(run, 300) for run in runs]
+            futures.append(pool.submit(profile.materialize_closures))
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    return profile
+
+
 @needs_kernel
 def test_a_shared_profile_walks_closures_right_under_threads():
     # selection and closure walks share the profile's walk scratch, so only
     # one thread at a time may walk
     cc = generate_random_sat_aig(64, 5000, random.Random(5))
     tfi, tfo = ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for seed in range(5):
-            profile = build_profile(cc.circuit)
-            runs = [SearchEngine(cc, profile, heuristic, 0.2, seed).run
-                    for heuristic in ("tfi-min", "tfi-max", "tfi-min", "tfo-min")]
-            with ThreadPoolExecutor(len(runs) + 1) as pool:
-                futures = [pool.submit(run, 300) for run in runs]
-                futures.append(pool.submit(profile.materialize_closures))
-                for future in futures:
-                    future.result(timeout=120)
-            assert (profile._tfi, profile._tfo) == (tfi, tfo)
-    finally:
-        sys.setswitchinterval(interval)
+    for seed in range(5):
+        profile = walk_a_shared_profile_in_threads(cc, seed)
+        assert (profile._tfi, profile._tfo) == (tfi, tfo)
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])

@@ -4,16 +4,20 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aigsls.aiger import generate_random_sat_aig
 from aigsls.circuit import INPUT, Literal, build_circuit
 from aigsls.metrics import (
+    COLUMNS,
     build_profile,
     compute_depths,
     compute_flow,
     compute_levels,
     compute_scoap_cc,
     compute_scoap_co,
+    dense_ranks,
 )
 from oracles import (
     random_dag,
@@ -34,6 +38,26 @@ def lit(g, neg=False):
 def chain():
     # in(0) -> a(1) -> out(2), unary references
     return build_circuit([INPUT, [lit(0)], [lit(1)]])
+
+
+def fibonacci_chain(rng, length):
+    """Each chain gate ANDs the two before it, so cc1 grows like Fibonacci
+    numbers; side gates read chain gates through complemented edges."""
+    definitions = [INPUT, INPUT]
+    for g in range(2, length):
+        definitions.append((Literal(g - 1), Literal(g - 2)))
+    for _ in range(length // 3):
+        definitions.append((Literal(rng.randrange(length)),
+                            Literal(rng.randrange(len(definitions)), True)))
+    return build_circuit(definitions)
+
+
+def assert_same_order(keys, scores):
+    """``scores`` compare with each other exactly as ``keys`` do."""
+    ordered = sorted(range(len(keys)), key=keys.__getitem__)
+    for a, b in zip(ordered, ordered[1:]):
+        assert (keys[a] == keys[b]) == (scores[a] == scores[b])
+        assert (keys[a] < keys[b]) == (scores[a] < scores[b])
 
 
 class TestDepth:
@@ -254,8 +278,36 @@ class TestProfile:
         assert lines[0] == "gate,depth,level,llevel,alevel,fo,tfo,tfi,cc0,cc1,co,flow"
         assert len(lines) == 1 + c.num_gates
 
+    def test_scores_order_gates_as_the_measures_do(self):
+        # cc is read at each gate's value; the chain's costs pass 2**63
+        rng = random.Random(14)
+        for circuit in (random_dag(rng, 150), fibonacci_chain(rng, 120)):
+            p = build_profile(circuit)
+            gates = range(circuit.num_gates)
+            values = [rng.getrandbits(1) for _ in gates]
+            for measure in (*COLUMNS, "cc"):
+                lo, hi = p.scores(measure)
+                if measure == "cc":
+                    column = [(p.cc1 if v else p.cc0)[g] for g, v in zip(gates, values)]
+                else:
+                    column = getattr(p, COLUMNS[measure])
+                assert_same_order(column, [(hi if v else lo)[g] for g, v in zip(gates, values)])
+        assert max(p.cc1) > 2**63 and max(p.co) > 2**63
+
     def test_large_circuit_builds_within_budget(self):
         cc = generate_random_sat_aig(200, 100_000, random.Random(13))
         start = time.process_time()
         build_profile(cc.circuit)
         assert time.process_time() - start < 10.0
+
+
+RANKED = st.one_of(st.integers(2**63 - 2, 2**63 + 2), st.integers(), st.floats(allow_nan=False))
+
+
+@example([[2**63, 2**63 + 1]])
+@given(st.lists(st.lists(RANKED, max_size=12), min_size=1, max_size=3))
+def test_dense_ranks_order_values_exactly_as_they_compare(columns):
+    # integers past 2**63 that differ by 1 round to one float
+    ranks = dense_ranks(*columns)
+    assert [len(r) for r in ranks] == [len(c) for c in columns]
+    assert_same_order([v for c in columns for v in c], [r for c in ranks for r in c])
