@@ -8,7 +8,10 @@ literals straight into the fanin buffers, and ``aigsls_topology`` builds the
 rest from them; ``build_circuit`` hands it the literals of a definition list
 instead.  Without the kernel, ``build_circuit``'s pure-Python code packs the
 same buffers with ``rows``.  ``aigsls_profile`` fills every column of
-``StructuralProfile`` from them.
+``StructuralProfile`` from them in two passes, the twins of ``metrics``'s
+``_forward`` and ``_backward``, and names each pass whose columns Python
+must compute again: where costs outgrow int64, or where the interpreter's
+float ``sum`` would differ from the plain sum in C.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
 unjustified list, its positions and the propagation stamps ``array('i')``).
@@ -494,11 +497,9 @@ int aigsls_topology(int n, const int *fin_off, const int *fin, int *kid_off, int
     return edges;
 }
 
-/* aigsls_profile's flags: cc0/cc1 or co left int64, a gate with three or
-   more distinct children */
-#define CC_OVERFLOW 1
-#define CO_OVERFLOW 2
-#define WIDE 4
+/* aigsls_profile's flags: the passes whose columns Python computes again */
+#define FORWARD 1
+#define BACKWARD 2
 
 /* a literal's cost of driving it to 1: its gate's cc1, or cc0 through an
    inverter */
@@ -508,21 +509,24 @@ static long long to_one(const long long *cc0, const long long *cc1, int lit)
 }
 
 /* Every column of StructuralProfile in two passes over the topological
-   order, with the same operations in the same order as the pure-Python
-   compute_* functions, so integers and floats come out identical.
-   Children first: level, llevel, alevel (averaging child alevel, or child
-   level when level_sum), cc0, cc1.  Parents first: depth, fanout size, co
-   and flow (split by the parent's distinct children, or by its fanout when
-   fanout_split).  Returns the flags above; a column whose overflow flag is
-   set holds no meaningful values, and co is not computed after a cc
-   overflow. */
+   order, the same operations in the same order as their pure-Python twins
+   metrics._forward and metrics._backward, so integers and floats come out
+   identical.  Children first: level, llevel, alevel (averaging child
+   alevel, or child level when level_sum), cc0, cc1.  Parents first: depth,
+   fanout size, co and flow (split by the parent's distinct children, or by
+   its fanout when fanout_split).  Returns the passes whose columns differ
+   from the twin's: FORWARD when cc0/cc1 pass int64, or when some gate has
+   three or more distinct children and alevel averages alevel with a
+   compensated sum, which the left-to-right sum here matches only for two
+   terms; BACKWARD when co passes int64.  After a cc overflow the backward
+   pass is not run and both flags are set. */
 int aigsls_profile(int n, const int *order, const int *fin_off, const int *fin,
                    const int *fout_off, const int *fout, const int *kid_off, const int *kid,
-                   int level_sum, int fanout_split,
+                   int level_sum, int fanout_split, int compensated,
                    int *depth, int *level, int *llevel, double *alevel, int *fo,
                    long long *cc0, long long *cc1, long long *co, double *flow)
 {
-    int flags = 0;
+    int overflow = 0, wide = 0;
     for (int i = 0; i < n; i++) {
         int g = order[i], a = kid_off[g], b = kid_off[g + 1];
         if (a == b) {
@@ -532,7 +536,7 @@ int aigsls_profile(int n, const int *order, const int *fin_off, const int *fin,
             continue;
         }
         if (b - a >= 3)
-            flags |= WIDE;
+            wide = 1;
         int hi = level[kid[a]], lo = llevel[kid[a]];
         long long levels = 0;
         double sum = 0.0;
@@ -554,14 +558,13 @@ int aigsls_profile(int n, const int *order, const int *fin_off, const int *fin,
             long long zero = p & 1 ? cc1[p >> 1] : cc0[p >> 1];
             if (zero < least)
                 least = zero;
-            if (__builtin_add_overflow(total, to_one(cc0, cc1, p), &total))
-                flags |= CC_OVERFLOW;
+            overflow |= __builtin_add_overflow(total, to_one(cc0, cc1, p), &total);
         }
-        if (__builtin_add_overflow(least, 1, &cc0[g]) || __builtin_add_overflow(total, 1, &cc1[g]))
-            flags |= CC_OVERFLOW;
+        overflow |= __builtin_add_overflow(least, 1, &cc0[g]);
+        overflow |= __builtin_add_overflow(total, 1, &cc1[g]);
     }
-    if (flags & CC_OVERFLOW)
-        flags |= CO_OVERFLOW;
+    if (overflow)
+        return FORWARD | BACKWARD;
     for (int i = n - 1; i >= 0; i--) {
         int g = order[i], a = fout_off[g], b = fout_off[g + 1];
         fo[g] = b - a;
@@ -578,24 +581,21 @@ int aigsls_profile(int n, const int *order, const int *fin_off, const int *fin,
             int p = fout[j];
             if (depth[p] > deepest)
                 deepest = depth[p];
-            if (!(flags & CO_OVERFLOW)) {
-                /* observe g through p: p's co plus driving every sibling edge to 1 */
-                long long cost = co[p];
-                for (int k = fin_off[p]; k < fin_off[p + 1]; k++)
-                    if (fin[k] >> 1 != g && __builtin_add_overflow(cost, to_one(cc0, cc1, fin[k]), &cost))
-                        flags |= CO_OVERFLOW;
-                if (cost < best)
-                    best = cost;
-            }
+            /* observe g through p: p's co plus driving every sibling edge to 1 */
+            long long cost = co[p];
+            for (int k = fin_off[p]; k < fin_off[p + 1]; k++)
+                if (fin[k] >> 1 != g)
+                    overflow |= __builtin_add_overflow(cost, to_one(cc0, cc1, fin[k]), &cost);
+            if (cost < best)
+                best = cost;
             int split = fanout_split ? fout_off[p + 1] - fout_off[p] : kid_off[p + 1] - kid_off[p];
             total += flow[p] / (split ? split : 1);
         }
         depth[g] = 1 + deepest;
-        if (!(flags & CO_OVERFLOW) && __builtin_add_overflow(best, 1, &co[g]))
-            flags |= CO_OVERFLOW;
+        overflow |= __builtin_add_overflow(best, 1, &co[g]);
         flow[g] = total;
     }
-    return flags;
+    return (wide && compensated && !level_sum ? FORWARD : 0) | (overflow ? BACKWARD : 0);
 }
 """
 
@@ -613,7 +613,7 @@ _SIGNATURES = {
     "select": (_I, [_P, _P, _P, _I, _P, _P, _P]),
     "closures": (_I, [_I] + [_P] * 5 + [_I]),
     "topology": (_I, [_I] + [_P] * 8),
-    "profile": (_I, [_I] + [_P] * 7 + [_I, _I] + [_P] * 9),
+    "profile": (_I, [_I] + [_P] * 7 + [_I] * 3 + [_P] * 9),
     "first_unjust": (_I, [_I, _P, _P, _P]),
     "parse_binary": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _P, _P]),
     "parse_ascii": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _I, _I, _P, _P, _P]),
@@ -622,8 +622,8 @@ _SIGNATURES = {
 #: the most AIGER variables the parsers take: 2 * MAX_VAR + 1 fits an int
 MAX_VAR = 2**30 - 1
 
-#: ``aigsls_profile``'s flags
-CC_OVERFLOW, CO_OVERFLOW, WIDE = 1, 2, 4
+#: ``aigsls_profile``'s flags: the passes whose columns Python computes again
+FORWARD, BACKWARD = 1, 2
 
 _CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos")
 _BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo", "ties")
@@ -796,17 +796,19 @@ def parse_ascii(data: bytes, pos: int, max_var: int, inputs: int, outputs: int,
     return None if arrays is None else (arrays, out)
 
 
-def profile(circuit, level_sum: bool, fanout_split: bool) -> tuple:
+def profile(circuit, level_sum: bool, fanout_split: bool, compensated: bool) -> tuple:
     """``aigsls_profile``'s flags and columns: depth, level, llevel, alevel,
-    fanout size, cc0, cc1, co and flow, each an array of one entry per gate."""
+    fanout size, cc0, cc1, co and flow, each a list of one entry per gate.
+    ``compensated`` says whether the interpreter's float ``sum`` is
+    compensated."""
     n = circuit.num_gates
     arrays = circuit._csr
     inputs = (arrays.order, arrays.fin_off, arrays.fin, arrays.fout_off, arrays.fout,
               arrays.kid_off, arrays.kid)
     columns = tuple(array(code, [0]) * n for code in "iiidiqqqd")
-    flags = lib.profile(n, *map(_addr, inputs), level_sum, fanout_split,
+    flags = lib.profile(n, *map(_addr, inputs), level_sum, fanout_split, compensated,
                         *map(_addr, columns))
-    return flags, columns
+    return flags, [column.tolist() for column in columns]
 
 
 def _view(buf):

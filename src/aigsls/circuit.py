@@ -90,9 +90,9 @@ class Circuit:
     ``is_output`` and equality read the arrays.  ``fanin`` (a tuple of child
     ``Literal``s per gate, None for an input) and ``topo_order`` are tuple
     views for callers outside the package, built on first access and then
-    kept; the package never reads them.  The pure-Python assignment reads
-    ``_lists``, one list copy of the arrays that it builds on first use; a
-    search step reads its moves from ``_csr`` on both paths.
+    kept; the package never reads them.  The pure-Python assignment and
+    profile passes read ``_lists``, one list copy of the arrays built on
+    first use; a search step reads its moves from ``_csr`` on both paths.
     """
 
     def __init__(self, csr: _kernel.CSR):
@@ -315,10 +315,11 @@ _GEN_LIMIT = 0x7FFFFFFD
 class Assignment:
     """Complete truth assignment with an incrementally maintained unjust set.
 
-    ``values[g]`` is 0 or 1 for every gate.  A non-input gate is unjustified
-    when its value differs from the AND of its child literal values; input
-    gates are always justified.  ``pinned[g]`` marks gates that forward
-    propagation must never flip (the constrained gates), fixed at construction.
+    ``values[g]`` is 0 or 1 for every gate; any other value is refused with
+    CircuitError.  A non-input gate is unjustified when its value differs
+    from the AND of its child literal values; input gates are always
+    justified.  ``pinned[g]`` marks gates that forward propagation must
+    never flip (the constrained gates), fixed at construction.
 
     The state lives in flat buffers that the C kernel (``aigsls._kernel``)
     shares: the first ``unjust_count`` entries of ``ubuf`` are the
@@ -339,6 +340,8 @@ class Assignment:
             raise CircuitError("value vector length does not match gate count")
         self.circuit = circuit
         self.values = bytearray(values)
+        if self.values.translate(None, b"\0\1"):
+            raise CircuitError("every gate value must be 0 or 1")
         self._pinned = bytes(n) if pinned is None else bytes(pinned)
         if len(self._pinned) != n:
             raise CircuitError("pin vector length does not match gate count")

@@ -271,6 +271,8 @@ def summarize(records: Sequence[TryRecord], tries: int) -> InstanceSummary:
     the time median at their recorded (timeout-censored) time.  An instance
     is solved when at least half its tries succeeded.
     """
+    if tries < 1:
+        raise ValueError(f"tries must be at least 1, got {tries}")
     if len(records) != tries:
         raise ValueError(f"expected {tries} records, got {len(records)}")
     first = records[0]

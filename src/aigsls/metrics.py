@@ -31,6 +31,11 @@ Connectivity measures:
                children (flow_mode="conserving", the default, divides by the
                parent's fanin size so flow is conserved; "fanout-split"
                divides by the parent's fanout size instead)
+
+All but the closure sizes come from two passes over the topological order:
+children first for level, llevel, alevel, cc0 and cc1 (``_forward``), then
+parents first for depth, fanout size, co and flow (``_backward``).  The C
+kernel's ``aigsls_profile`` runs the same two passes.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import csv
 import io
 import sys
 from array import array
-from operator import sub
 
 from . import _kernel
 from .circuit import Circuit
@@ -57,98 +61,84 @@ def _check_mode(kind: str, mode: str, modes: tuple):
         raise ValueError(f"unknown {kind} {mode!r}")
 
 
-def _as_lists(circuit: Circuit, *names) -> list:
-    """The named ``_csr`` arrays of ``circuit`` as lists, for one pass."""
-    return [getattr(circuit._csr, name).tolist() for name in names]
-
-
-def compute_depths(circuit: Circuit) -> list[int]:
-    order, off, fout = _as_lists(circuit, "order", "fout_off", "fout")
-    depth = [0] * circuit.num_gates
-    for g in reversed(order):
-        parents = fout[off[g]:off[g + 1]]
-        if parents:
-            depth[g] = 1 + max(depth[p] for p in parents)
-    return depth
-
-
-def compute_levels(circuit: Circuit, alevel_mode: str = "self"):
-    """Per-gate (level, llevel, alevel) distances from the input side."""
-    _check_mode("alevel_mode", alevel_mode, ALEVEL_MODES)
-    order, off, kid = _as_lists(circuit, "order", "kid_off", "kid")
+def _forward(circuit: Circuit, level_sum: bool) -> tuple:
+    """(level, llevel, alevel, cc0, cc1): the first pass of ``aigsls_profile``,
+    children first, in Python ints, which never overflow.  alevel averages
+    child alevel, or child level when ``level_sum``, with the interpreter's
+    ``sum``."""
+    csr = circuit._lists
+    fin_off, fin, kid_off, kid = csr.fin_off, csr.fin, csr.kid_off, csr.kid
     n = circuit.num_gates
-    level = [0] * n
-    llevel = [0] * n
-    alevel = [0.0] * n
-    avg_base = alevel if alevel_mode == "self" else level
-    for g in order:
-        kids = kid[off[g]:off[g + 1]]
-        if not kids:
+    level, llevel, alevel = [0] * n, [0] * n, [0.0] * n
+    cc0, cc1 = [1] * n, [1] * n
+    base = level if level_sum else alevel
+    for g in csr.order:
+        a = kid_off[g]
+        b = kid_off[g + 1]
+        if a == b:
             continue
-        level[g] = 1 + max(level[c] for c in kids)
-        llevel[g] = 1 + min(llevel[c] for c in kids)
-        alevel[g] = 1.0 + sum(avg_base[c] for c in kids) / len(kids)
-    return level, llevel, alevel
+        hi = level[kid[a]]
+        lo = llevel[kid[a]]
+        terms = []
+        for c in kid[a:b]:
+            if level[c] > hi:
+                hi = level[c]
+            if llevel[c] < lo:
+                lo = llevel[c]
+            terms.append(base[c])
+        level[g] = 1 + hi
+        llevel[g] = 1 + lo
+        alevel[g] = 1.0 + sum(terms) / (b - a)
+        least = None
+        total = 0
+        for p in fin[fin_off[g]:fin_off[g + 1]]:
+            zero = cc1[p >> 1] if p & 1 else cc0[p >> 1]
+            if least is None or zero < least:
+                least = zero
+            total += cc0[p >> 1] if p & 1 else cc1[p >> 1]
+        cc0[g] = 1 + least
+        cc1[g] = 1 + total
+    return level, llevel, alevel, cc0, cc1
 
 
-def compute_scoap_cc(circuit: Circuit):
-    """Controllability cost pair (cc0, cc1) per gate."""
-    order, off, fin = _as_lists(circuit, "order", "fin_off", "fin")
-    n = circuit.num_gates
-    cc0 = [1] * n
-    cc1 = [1] * n
-    for g in order:
-        kids = fin[off[g]:off[g + 1]]
-        if not kids:
-            continue
-        cc0[g] = 1 + min((cc1[p >> 1] if p & 1 else cc0[p >> 1]) for p in kids)
-        cc1[g] = 1 + sum((cc0[p >> 1] if p & 1 else cc1[p >> 1]) for p in kids)
-    return cc0, cc1
-
-
-def compute_scoap_co(circuit: Circuit, cc0, cc1) -> list[int]:
-    """Observability cost per gate, given the controllability costs.
+def _backward(circuit: Circuit, cc0, cc1, fanout_split: bool) -> tuple:
+    """(depth, fanout size, co, flow): the second pass of ``aigsls_profile``,
+    parents first, given the controllability costs.
 
     Observing g through a parent costs the parent's own observability plus
     the cost of driving every sibling edge to 1; the cheapest parent wins.
+    Flow splits by the parent's distinct children, or by its fanout when
+    ``fanout_split``.
     """
-    order, fin_off, fin, fout_off, fout = _as_lists(circuit, "order", "fin_off", "fin",
-                                                    "fout_off", "fout")
-    co = [0] * circuit.num_gates
-    for g in reversed(order):
-        parents = fout[fout_off[g]:fout_off[g + 1]]
-        if not parents:
+    csr = circuit._lists
+    fin_off, fin, fout_off, fout = csr.fin_off, csr.fin, csr.fout_off, csr.fout
+    split = fout_off if fanout_split else csr.kid_off
+    n = circuit.num_gates
+    depth, fanout_size, co, flow = [0] * n, [0] * n, [0] * n, [1.0] * n
+    for g in reversed(csr.order):
+        a = fout_off[g]
+        b = fout_off[g + 1]
+        fanout_size[g] = b - a
+        if a == b:
             continue
+        deepest = 0
         best = None
-        for p in parents:
-            total = co[p]
+        total = 0.0
+        for p in fout[a:b]:
+            if depth[p] > deepest:
+                deepest = depth[p]
+            cost = co[p]
             for q in fin[fin_off[p]:fin_off[p + 1]]:
                 if q >> 1 != g:
-                    total += cc0[q >> 1] if q & 1 else cc1[q >> 1]
-            if best is None or total < best:
-                best = total
-        co[g] = 1 + best
-    return co
-
-
-def compute_flow(circuit: Circuit, flow_mode: str = "conserving") -> list[float]:
-    _check_mode("flow_mode", flow_mode, FLOW_MODES)
-    order, fout_off, fout, kid_off = _as_lists(circuit, "order", "fout_off", "fout", "kid_off")
-    # the conserving mode splits by the parent's distinct children, the
-    # other by the parent's own fanout
-    split = kid_off if flow_mode == "conserving" else fout_off
-    flow = [0.0] * circuit.num_gates
-    for g in reversed(order):
-        parents = fout[fout_off[g]:fout_off[g + 1]]
-        if not parents:
-            flow[g] = 1.0
-            continue
-        total = 0.0
-        for p in parents:
+                    cost += cc0[q >> 1] if q & 1 else cc1[q >> 1]
+            if best is None or cost < best:
+                best = cost
             # a parentless parent would divide by zero, so it keeps its whole unit
             total += flow[p] / (split[p + 1] - split[p] or 1)
+        depth[g] = 1 + deepest
+        co[g] = 1 + best
         flow[g] = total
-    return flow
+    return depth, fanout_size, co, flow
 
 
 def dense_ranks(*columns) -> tuple:
@@ -182,17 +172,19 @@ def csv_text(header, rows) -> str:
 class StructuralProfile:
     """All per-gate measures of one circuit, ready for constant-time lookup.
 
-    The cheap measures are precomputed eagerly in O(gates + edges): by the
-    C kernel's ``aigsls_profile`` when it is loaded, else by the compute_*
-    functions above, which stay the reference.  Either way every column is
-    a list of Python ints or floats with the same values.  Where the kernel
-    cannot match them exactly it hands the column back to its function:
-    cc0/cc1 and co when they outgrow int64, and alevel where the
-    interpreter's float ``sum`` is compensated and some gate has three or
-    more distinct children.  The transitive closure sizes are walked on
-    first need per gate, the kernel's ``reach`` or else ``_reach``, into one
-    int32 cache per direction that the kernel's selection fills too.
-    ``scores`` gives the C kernel's int32 form of each measure.
+    The cheap measures are precomputed eagerly in O(gates + edges), in two
+    passes: by the C kernel's ``aigsls_profile`` when it is loaded, else by
+    its twins ``_forward`` and ``_backward``, which stay the reference.
+    Either way every column is a list of Python ints or floats with the same
+    values.  Where the kernel cannot match them exactly it hands the whole
+    pass back to its twin: the forward pass when cc0/cc1 outgrow int64, or
+    when the interpreter's float ``sum`` is compensated and some gate has
+    three or more distinct children; the backward pass when co outgrows
+    int64, as it does whenever cc0/cc1 do.  The transitive closure sizes
+    are walked on first need per gate, the kernel's ``reach`` or else
+    ``_reach``, into one int32 cache per direction that the kernel's
+    selection fills too.  ``scores`` gives the C kernel's int32 form of
+    each measure.
     """
 
     __slots__ = ("circuit", "depth", "level", "llevel", "alevel", "fanout_size",
@@ -201,40 +193,29 @@ class StructuralProfile:
 
     def __init__(self, circuit: Circuit, alevel_mode: str = "self",
                  flow_mode: str = "conserving"):
+        _check_mode("alevel_mode", alevel_mode, ALEVEL_MODES)
+        _check_mode("flow_mode", flow_mode, FLOW_MODES)
         self.circuit = circuit
         self.alevel_mode = alevel_mode
         self.flow_mode = flow_mode
+        level_sum = alevel_mode == "level-sum"
+        fanout_split = flow_mode == "fanout-split"
+        redo = _kernel.FORWARD | _kernel.BACKWARD
         if _kernel.lib is not None:
-            self._kernel_columns()
-        else:
-            self.depth = compute_depths(circuit)
-            self.level, self.llevel, self.alevel = compute_levels(circuit, alevel_mode)
-            off, = _as_lists(circuit, "fout_off")
-            self.fanout_size = list(map(sub, off[1:], off))
-            self.cc0, self.cc1 = compute_scoap_cc(circuit)
-            self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
-            self.flow = compute_flow(circuit, flow_mode)
+            redo, (self.depth, self.level, self.llevel, self.alevel, self.fanout_size,
+                   self.cc0, self.cc1, self.co, self.flow) = _kernel.profile(
+                circuit, level_sum, fanout_split, COMPENSATED_SUM)
+        if redo & _kernel.FORWARD:
+            self.level, self.llevel, self.alevel, self.cc0, self.cc1 = _forward(circuit, level_sum)
+        if redo & _kernel.BACKWARD:
+            self.depth, self.fanout_size, self.co, self.flow = _backward(
+                circuit, self.cc0, self.cc1, fanout_split)
         self._scores = {}
         for measure in CLOSURES:
             sizes = array("i", [-1]) * circuit.num_gates
             self._scores[measure] = sizes, sizes
         # the kernel's closure walks: generation, stamps, then stack
         self._walk = array("i", [0]) * (2 * circuit.num_gates + 1)
-
-    def _kernel_columns(self):
-        circuit = self.circuit
-        _check_mode("alevel_mode", self.alevel_mode, ALEVEL_MODES)
-        _check_mode("flow_mode", self.flow_mode, FLOW_MODES)
-        flags, columns = _kernel.profile(circuit, self.alevel_mode == "level-sum",
-                                         self.flow_mode == "fanout-split")
-        (self.depth, self.level, self.llevel, self.alevel, self.fanout_size,
-         self.cc0, self.cc1, self.co, self.flow) = (column.tolist() for column in columns)
-        if flags & _kernel.CC_OVERFLOW:
-            self.cc0, self.cc1 = compute_scoap_cc(circuit)
-        if flags & _kernel.CO_OVERFLOW:
-            self.co = compute_scoap_co(circuit, self.cc0, self.cc1)
-        if flags & _kernel.WIDE and COMPENSATED_SUM and self.alevel_mode == "self":
-            self.alevel = compute_levels(circuit)[2]
 
     def scores(self, measure: str) -> tuple:
         """(lo, hi): int32 scores of ``measure`` for gates at value 0 and at 1.

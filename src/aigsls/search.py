@@ -72,20 +72,24 @@ def check_settings(heuristic: str, wp: float):
         raise ValueError(f"noise must be within [0, 1], got {wp}")
 
 
-def _moves(csr, values, g: int) -> list:
+def _moves(csr, values, pinned, g: int) -> list:
     """The moves of the unjustified gate g, read from its rows of the
     circuit's ``csr``: one list of child gates to flip per subset-minimal
-    justification.
+    justification that flips no gate set in ``pinned``.
 
     At 0 every child literal is 1, and each distinct child gate (g's
-    ``kid`` row) is a move of its own.  At 1 the one move flips every
-    distinct child whose literal is 0; there is none if g reads both
-    polarities of one child, since g is then constantly 0.  Children come
-    in first-occurrence order.
+    ``kid`` row) that is not pinned is a move of its own.  At 1 the one
+    move flips every distinct child whose literal is 0; there is none if
+    one of them is pinned, or if g reads both polarities of one child,
+    since g is then constantly 0.  Children come in first-occurrence order.
     """
     if not values[g]:
         off = csr.kid_off
-        return [[c] for c in csr.kid[off[g]:off[g + 1]]]
+        moves = []
+        for c in csr.kid[off[g]:off[g + 1]]:
+            if not pinned[c]:
+                moves.append([c])
+        return moves
     fin = csr.fin
     polarity = {}                   # child gate -> the complement bit g reads it through
     flips = []
@@ -98,6 +102,8 @@ def _moves(csr, values, g: int) -> list:
         else:
             polarity[c] = p & 1
             if values[c] == p & 1:
+                if pinned[c]:
+                    return []
                 flips.append(c)
     return [flips]
 
@@ -123,11 +129,6 @@ class SearchEngine:
         self.rng = random.Random(seed)
         self.assignment = random_complete_extension(cc, self.rng)
         self.stats = SearchStats(min_unjust=self.assignment.unjust_count)
-        # Only a parent of a constrained gate has moves that would flip a
-        # pinned gate, and ConstrainedCircuit pins no gate with parents but
-        # the constant.
-        const = cc.const_gate
-        self._pin_parents = frozenset(() if const is None else cc.circuit.parents(const))
         measure, _, direction = heuristic.rpartition("-")
         # the scores as (lo, hi, neg, walk), walk naming the closure lo caches,
         # and aigsls_select's arguments after the state; None under "rand"
@@ -160,7 +161,6 @@ class SearchEngine:
         csr = self.cc.circuit._csr
         rng = self.rng
         wp = self.wp
-        pin_parents = self._pin_parents
         select = self._select
         stats = self.stats
         while budget > 0:
@@ -170,10 +170,7 @@ class SearchEngine:
             if not count:
                 return True
             g = select()
-            moves = _moves(csr, values, g)
-            if g in pin_parents:
-                # drop every move that would flip a pinned gate
-                moves = [flips for flips in moves if not any(pinned[c] for c in flips)]
+            moves = _moves(csr, values, pinned, g)
             budget -= 1
             if not moves:
                 # every move would flip a pinned gate; burn the step

@@ -180,8 +180,8 @@ class TestIsJustified:
         assert not is_justified(c, asg, 2)
 
 
-def moves(c, values, g):
-    return _moves(c._csr, bytearray(values), g)
+def moves(c, values, g, pinned=None):
+    return _moves(c._csr, bytearray(values), pinned or bytes(c.num_gates), g)
 
 
 class TestJustifications:
@@ -212,6 +212,16 @@ class TestJustifications:
         # holding 1 is impossible whatever the child holds
         assert moves(c, [0, 1], 1) == []
         assert moves(c, [1, 1], 1) == []
+
+    def test_no_move_flips_a_pinned_gate(self):
+        # gate 0 is the constant, pinned to 1, as in a parsed AIGER file
+        pinned = bytes([1, 0, 0, 0])
+        c = build_circuit([INPUT, INPUT, [lit(0), lit(1)], [lit(0, True), lit(1)]])
+        assert moves(c, [1, 1, 0, 0], 2, pinned) == [[1]]
+        assert moves(c, [1, 0, 1, 0], 2, pinned) == [[1]]
+        # read complemented, the constant is the literal at 0 to flip
+        assert moves(c, [1, 1, 0, 1], 3) == [[0]]
+        assert moves(c, [1, 1, 0, 1], 3, pinned) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -279,8 +289,10 @@ class TestVerifySatisfying:
         # read as true under either polarity, a 2 would satisfy AND(x, not x)
         c = build_circuit([INPUT, INPUT, (Literal(1), Literal(1, True))])
         cc = ConstrainedCircuit(c, {0: True, 2: True}, const_gate=0)
+        asg = Assignment(c, bytearray([1, 1, 1]), cc.pinned)
+        asg.values[1] = 2           # Assignment itself refuses a 2
         with pytest.raises(ValueError):
-            verify_satisfying(cc, Assignment(c, bytearray([1, 2, 1]), cc.pinned))
+            verify_satisfying(cc, asg)
 
 
 class TestConstrainedCircuit:
@@ -385,3 +397,10 @@ class TestIncrementalUnjust:
         assert asg.pinned == cc.pinned
         with pytest.raises(CircuitError):
             Assignment(c, asg.values, bytes(c.num_gates - 1))
+
+    def test_values_other_than_zero_and_one_are_rejected(self):
+        # read as true under either polarity, a 2 would leave AND(x, not x) at 1 justified
+        c = build_circuit([INPUT, (Literal(0), Literal(0, True))])
+        for values in ([2, 1], [0, 2], [1, 255]):
+            with pytest.raises(CircuitError):
+                Assignment(c, values)

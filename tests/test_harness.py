@@ -190,6 +190,11 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(tries_batch(2, 2), 25)
 
+    def test_no_tries_rejected(self):
+        for tries in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                summarize([], tries)
+
     def test_mixed_groups_rejected(self):
         records = tries_batch(1, 0) + tries_batch(1, 0, heuristic="depth-max")
         with pytest.raises(ValueError):

@@ -530,19 +530,21 @@ def _observed_through_big_siblings(hops):
 @needs_kernel
 def test_kernel_costs_past_int64_equal_the_python_bigints(monkeypatch):
     rng = random.Random(77)
-    cases = [(test_metrics.fibonacci_chain(rng, 120), _kernel.CC_OVERFLOW | _kernel.CO_OVERFLOW),
+    both = _kernel.FORWARD | _kernel.BACKWARD
+    cases = [(test_metrics.fibonacci_chain(rng, 120), both),
              (test_metrics.fibonacci_chain(rng, 60), 0),
-             (_observed_through_big_siblings(8), _kernel.CO_OVERFLOW),
+             (_observed_through_big_siblings(8), _kernel.BACKWARD),
              (_observed_through_big_siblings(1), 0)]
-    for circuit, overflow in cases:
-        flags, _ = _kernel.profile(circuit, False, False)
-        assert flags & (_kernel.CC_OVERFLOW | _kernel.CO_OVERFLOW) == overflow
+    for circuit, passes in cases:
+        # no gate here has three children, so only an overflow sets a bit
+        flags, _ = _kernel.profile(circuit, False, False, True)
+        assert flags == passes
         fast, slow = _on_both_paths(monkeypatch, lambda: build_profile(circuit))
         _assert_same_profiles(fast, slow)
         assert all(type(v) is int for v in fast.cc0 + fast.cc1 + fast.co)
-        if overflow & _kernel.CC_OVERFLOW:
+        if passes & _kernel.FORWARD:
             assert max(fast.cc1) > 2**63
-        if overflow:
+        if passes:
             assert max(fast.co) > 2**63
         else:
             assert max(fast.cc1 + fast.co) < 2**63
@@ -552,25 +554,29 @@ def test_kernel_costs_past_int64_equal_the_python_bigints(monkeypatch):
 @pytest.mark.parametrize("compensated", [False, True])
 def test_alevel_of_wide_gates_follows_the_interpreters_sum(monkeypatch, compensated):
     # CPython 3.12 compensates float sums; the kernel's plain sum matches
-    # that only for two terms, so wider gates take alevel from Python there
+    # that only for two terms, so wider gates take the forward pass from
+    # Python there
     monkeypatch.setattr(metrics, "COMPENSATED_SUM", compensated)
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return compute_levels(*args)
+        return forward(*args)
 
-    compute_levels = metrics.compute_levels
-    monkeypatch.setattr(metrics, "compute_levels", spy)
+    forward = metrics._forward
+    monkeypatch.setattr(metrics, "_forward", spy)
     narrow = build_circuit([INPUT, INPUT, (Literal(0), Literal(1)),
                             (Literal(2), Literal(0, True), Literal(2, True))])
     wide = build_circuit([INPUT, INPUT, INPUT, (Literal(0), Literal(1), Literal(2))])
     for circuit, alevel_mode, routed in ((narrow, "self", False), (wide, "self", compensated),
                                          (wide, "level-sum", False)):
+        level_sum = alevel_mode == "level-sum"
         calls.clear()
         profile = build_profile(circuit, alevel_mode)
-        assert calls == ([(circuit,)] if routed else [])
-        assert profile.alevel == compute_levels(circuit, alevel_mode)[2]
+        assert calls == ([(circuit, level_sum)] if routed else [])
+        flags, _ = _kernel.profile(circuit, level_sum, False, compensated)
+        assert flags == (_kernel.FORWARD if routed else 0)
+        assert profile.alevel == forward(circuit, level_sum)[2]
 
 
 @needs_cc
@@ -582,7 +588,7 @@ def test_kernel_source_compiles_without_warnings():
 
 SANITIZED = """
 import json, random, sys
-from aigsls import _kernel, aiger, circuit, generate_random_sat_aig
+from aigsls import _kernel, aiger, circuit, generate_random_sat_aig, metrics
 from aigsls.harness import SolverConfig, crsat_solve
 from aigsls.metrics import build_profile
 try:
@@ -607,7 +613,8 @@ for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min
     crsat_solve(cc, profile, SolverConfig(heuristic, 0.3, 3000, 1))
 sys.path.insert(0, sys.argv[3])
 from oracles import random_dag, ref_tfi_sizes, ref_tfo_sizes
-from test_kernel import walk_a_shared_profile_in_threads
+from test_kernel import _observed_through_big_siblings, walk_a_shared_profile_in_threads
+from test_metrics import fibonacci_chain
 rng = random.Random(6)
 for k in range(4):
     profile = build_profile(random_dag(rng, rng.randint(1, 400)))
@@ -617,6 +624,13 @@ for k in range(4):
 cc = generate_random_sat_aig(32, 2000, random.Random(5))
 profile = walk_a_shared_profile_in_threads(cc, 1)
 assert (profile._tfi, profile._tfo) == (ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit))
+# each pass handed back: costs past int64 in both, in co only, and a wide gate
+wide = circuit.build_circuit([circuit.INPUT] * 3 + [[circuit.Literal(g) for g in range(3)]])
+for c, compensated, passes in ((fibonacci_chain(rng, 120), False, 3),
+                               (_observed_through_big_siblings(8), False, 2), (wide, True, 1)):
+    metrics.COMPENSATED_SUM = compensated
+    assert _kernel.profile(c, False, False, compensated)[0] == passes
+    build_profile(c)
 print(len(corpus))
 """
 

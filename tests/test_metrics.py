@@ -9,16 +9,7 @@ from hypothesis import strategies as st
 
 from aigsls.aiger import generate_random_sat_aig
 from aigsls.circuit import INPUT, Literal, build_circuit
-from aigsls.metrics import (
-    COLUMNS,
-    build_profile,
-    compute_depths,
-    compute_flow,
-    compute_levels,
-    compute_scoap_cc,
-    compute_scoap_co,
-    dense_ranks,
-)
+from aigsls.metrics import COLUMNS, build_profile, dense_ranks
 from oracles import (
     random_dag,
     ref_cc,
@@ -52,6 +43,16 @@ def fibonacci_chain(rng, length):
     return build_circuit(definitions)
 
 
+def levels(c, alevel_mode="self"):
+    p = build_profile(c, alevel_mode)
+    return p.level, p.llevel, p.alevel
+
+
+def scoap_cc(c):
+    p = build_profile(c)
+    return p.cc0, p.cc1
+
+
 def assert_same_order(keys, scores):
     """``scores`` compare with each other exactly as ``keys`` do."""
     ordered = sorted(range(len(keys)), key=keys.__getitem__)
@@ -63,22 +64,22 @@ def assert_same_order(keys, scores):
 class TestDepth:
     def test_output_gate_is_zero(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        assert compute_depths(c)[2] == 0
+        assert build_profile(c).depth[2] == 0
 
     def test_chain(self):
-        depth = compute_depths(chain())
+        depth = build_profile(chain()).depth
         assert depth == [2, 1, 0]
 
     def test_matches_longest_path_oracle(self):
         rng = random.Random(1)
         for _ in range(15):
             c = random_dag(rng, 100)
-            assert compute_depths(c) == ref_depth(c)
+            assert build_profile(c).depth == ref_depth(c)
 
     def test_duality_along_edges(self):
         rng = random.Random(2)
         c = random_dag(rng, 120)
-        depth = compute_depths(c)
+        depth = build_profile(c).depth
         for g in range(c.num_gates):
             parents = c.parents(g)
             if parents:
@@ -89,13 +90,13 @@ class TestDepth:
 class TestLevels:
     def test_input_gate_all_zero(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        level, llevel, alevel = compute_levels(c)
+        level, llevel, alevel = levels(c)
         assert (level[0], llevel[0], alevel[0]) == (0, 0, 0.0)
 
     def test_max_min_recursion(self):
         # b sits at level 2; g = And(a, b) with a an input
         c = build_circuit([INPUT, INPUT, [lit(1)], [lit(2)], [lit(0), lit(3)]])
-        level, llevel, _ = compute_levels(c)
+        level, llevel, _ = levels(c)
         assert level[3] == 2
         assert level[4] == 3
         assert llevel[4] == 1
@@ -105,7 +106,7 @@ class TestLevels:
         rng = random.Random(3)
         for _ in range(15):
             c = random_dag(rng, 100)
-            level, llevel, alevel = compute_levels(c, mode)
+            level, llevel, alevel = levels(c, mode)
             for g in range(c.num_gates):
                 assert llevel[g] <= alevel[g] + 1e-12
                 assert alevel[g] <= level[g] + 1e-12
@@ -115,11 +116,11 @@ class TestLevels:
         rng = random.Random(4)
         for _ in range(10):
             c = random_dag(rng, 80)
-            assert compute_levels(c, mode) == ref_levels(c, mode)
+            assert levels(c, mode) == ref_levels(c, mode)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            compute_levels(chain(), "bogus")
+            build_profile(chain(), "bogus")
 
 
 class TestClosures:
@@ -171,18 +172,18 @@ class TestClosures:
 class TestScoap:
     def test_input_controllability(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        cc0, cc1 = compute_scoap_cc(c)
+        cc0, cc1 = scoap_cc(c)
         assert (cc0[0], cc1[0]) == (1, 1)
 
     def test_plain_and(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        cc0, cc1 = compute_scoap_cc(c)
+        cc0, cc1 = scoap_cc(c)
         assert cc0[2] == 2
         assert cc1[2] == 3
 
     def test_complemented_child_swaps_costs(self):
         c = build_circuit([INPUT, INPUT, [lit(0, True), lit(1)]])
-        cc0, cc1 = compute_scoap_cc(c)
+        cc0, cc1 = scoap_cc(c)
         assert cc1[2] == 3
         assert cc0[2] == 2
 
@@ -191,44 +192,41 @@ class TestScoap:
         c = build_circuit([INPUT, INPUT, INPUT,
                            [lit(0), lit(1)],
                            [lit(3, True), lit(2)]])
-        cc0, cc1 = compute_scoap_cc(c)
+        cc0, cc1 = scoap_cc(c)
         assert cc0[4] == 1 + min(cc1[3], cc0[2])  # = 1 + min(3, 1) = 2
         assert cc1[4] == 1 + cc0[3] + cc1[2]      # = 1 + 2 + 1 = 4
 
     def test_output_observability_zero(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        cc0, cc1 = compute_scoap_cc(c)
-        assert compute_scoap_co(c, cc0, cc1)[2] == 0
+        assert build_profile(c).co[2] == 0
 
     def test_single_parent_observability(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        cc0, cc1 = compute_scoap_cc(c)
-        co = compute_scoap_co(c, cc0, cc1)
-        assert co[0] == 1 + 0 + cc1[1]  # = 2
+        p = build_profile(c)
+        assert p.co[0] == 1 + 0 + p.cc1[1]  # = 2
 
     def test_matches_recursive_oracles(self):
         rng = random.Random(7)
         for _ in range(10):
             c = random_dag(rng, 80)
-            assert compute_scoap_cc(c) == tuple(ref_cc(c)) or \
-                list(compute_scoap_cc(c)) == list(ref_cc(c))
-            cc0, cc1 = compute_scoap_cc(c)
-            assert compute_scoap_co(c, cc0, cc1) == ref_co(c)
+            p = build_profile(c)
+            assert (p.cc0, p.cc1) == ref_cc(c)
+            assert p.co == ref_co(c)
 
 
 class TestFlow:
     def test_single_and_splits_evenly(self):
         c = build_circuit([INPUT, INPUT, [lit(0), lit(1)]])
-        assert compute_flow(c) == [0.5, 0.5, 1.0]
+        assert build_profile(c).flow == [0.5, 0.5, 1.0]
 
     def test_unary_chain_conserves_the_unit(self):
-        assert compute_flow(chain()) == [1.0, 1.0, 1.0]
+        assert build_profile(chain()).flow == [1.0, 1.0, 1.0]
 
     def test_conservation_law(self):
         rng = random.Random(8)
         for _ in range(15):
             c = random_dag(rng, 100)
-            flow = compute_flow(c)
+            flow = build_profile(c).flow
             assert abs(sum(flow[g] for g in c.inputs) - len(c.outputs)) < 1e-9
 
     @pytest.mark.parametrize("mode", ["conserving", "fanout-split"])
@@ -236,7 +234,7 @@ class TestFlow:
         rng = random.Random(9)
         for _ in range(10):
             c = random_dag(rng, 80)
-            got = compute_flow(c, mode)
+            got = build_profile(c, flow_mode=mode).flow
             want = ref_flow(c, mode)
             assert all(abs(a - b) < 1e-9 for a, b in zip(got, want))
 
