@@ -3,15 +3,15 @@ search steps.
 
 A circuit is its CSR ``array('i')`` buffers (``CSR``: fanin, distinct child
 gates, fanout, topological order and positions) on both paths.  At load time
-``aigsls_parse_binary`` or ``aigsls_parse_ascii`` writes a file's child
-literals straight into the fanin buffers, and ``aigsls_topology`` builds the
-rest from them; ``build_circuit`` hands it the literals of a definition list
-instead.  Without the kernel, ``build_circuit``'s pure-Python code packs the
-same buffers with ``rows``.  ``aigsls_profile`` fills every column of
-``StructuralProfile`` from them in two passes, the twins of ``metrics``'s
-``_forward`` and ``_backward``, and names each pass whose columns Python
-must compute again: where costs outgrow int64, or where the interpreter's
-float ``sum`` would differ from the plain sum in C.
+``aigsls_parse_binary`` or ``aigsls_parse_ascii`` reads a file's body into
+the fanin buffers plus the output literals, as ``aiger``'s Python readers
+do, and ``circuit.topology`` builds the rest with ``aigsls_topology``, from
+a reader's buffers or from ``build_circuit``'s ``rows`` of a definition
+list.  ``aigsls_profile`` fills every column of ``StructuralProfile`` from
+them in two passes, the twins of ``metrics``'s ``_forward`` and
+``_backward``, and names each pass whose columns Python must compute again:
+where costs outgrow int64, or where the interpreter's float ``sum`` would
+differ from the plain sum in C.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
 unjustified list, its positions and the propagation stamps ``array('i')``).
@@ -318,22 +318,50 @@ int aigsls_first_unjust(int n, const int *fin_off, const int *fin, const unsigne
 }
 
 /* The AIGER parsers write the packed child literals of gates 0..m as CSR
-   rows (fin_off, fin): an input's row is empty, and AIGER's constant
-   literals 0 and 1 swap (lit ^ (lit < 2)) because gate 0 is an input pinned
-   to 1.  They accept only a strict grammar and return -1, declining, on
-   anything else, valid or not; the pure-Python parser then reads the file
-   and gives every diagnostic.  The caller keeps m at most 2^30 - 1, so every
-   literal fits an int. */
+   rows (fin_off, fin), and the output literals, as written, to out: an
+   input's row is empty, and AIGER's constant literals 0 and 1 swap
+   (lit ^ (lit < 2)) in the rows because gate 0 is an input pinned to 1.
+   They accept only a strict grammar and return -1, declining, on anything
+   else, valid or not; the pure-Python parser then reads the file and gives
+   every diagnostic.  The caller keeps m at most 2^30 - 1, so every literal
+   fits an int. */
 
-/* binary AIGER's a AND gates as delta pairs in data[pos..len), gates 1..i
-   being the inputs: fin_off needs i + a + 2 entries and fin 2a.  Declines a
-   delta code past 32 bits or past the end of data, and operands out of
-   order. */
-int aigsls_parse_binary(const unsigned char *data, long long len, long long pos, int i, int a,
-                        int *fin_off, int *fin)
+/* the decimal field [0-9]+ at data[*pos], ended by the byte end, which is
+   skipped too; -1 when it is not there or exceeds limit */
+static long long field(const unsigned char *data, long long len, long long *pos, int end,
+                       long long limit)
 {
+    long long p = *pos, v = 0;
+    if (p >= len || data[p] < '0' || data[p] > '9')
+        return -1;
+    for (; p < len && data[p] >= '0' && data[p] <= '9'; p++) {
+        v = 10 * v + (data[p] - '0');
+        if (v > limit)
+            return -1;
+    }
+    if (p >= len || data[p] != end)
+        return -1;
+    *pos = p + 1;
+    return v;
+}
+
+/* binary AIGER's o output lines, each [0-9]+ ended by '\n', then its a AND
+   gates as delta pairs, from data[pos]; gates 1..i are the inputs and
+   m = i + a.  fin_off needs i + a + 2 entries and fin 2a.  Declines an
+   output literal past 2m + 1, a delta code past 32 bits or past the end of
+   data, and operands out of order. */
+int aigsls_parse_binary(const unsigned char *data, long long len, long long pos, int i, int o,
+                        int a, int *out, int *fin_off, int *fin)
+{
+    long long top = 2LL * ((long long)i + a) + 1;
     if (pos < 0)
         return -1;
+    for (int k = 0; k < o; k++) {
+        long long lit = field(data, len, &pos, '\n', top);
+        if (lit < 0)
+            return -1;
+        out[k] = (int)lit;
+    }
     for (int g = 0; g <= i; g++)
         fin_off[g] = 0;
     for (int k = 0; k < a; k++) {
@@ -361,29 +389,10 @@ int aigsls_parse_binary(const unsigned char *data, long long len, long long pos,
     return 0;
 }
 
-/* the decimal field [0-9]+ at data[*pos], ended by the byte end, which is
-   skipped too; -1 when it is not there or exceeds limit */
-static long long field(const unsigned char *data, long long len, long long *pos, int end,
-                       long long limit)
-{
-    long long p = *pos, v = 0;
-    if (p >= len || data[p] < '0' || data[p] > '9')
-        return -1;
-    for (; p < len && data[p] >= '0' && data[p] <= '9'; p++) {
-        v = 10 * v + (data[p] - '0');
-        if (v > limit)
-            return -1;
-    }
-    if (p >= len || data[p] != end)
-        return -1;
-    *pos = p + 1;
-    return v;
-}
-
 /* ASCII AIGER's input, output and AND sections from data[pos]: i lines of
-   one field, o lines of one field (their literals go to out) and a lines of
-   three fields, each field [0-9]+, fields separated by one space, every line
-   ended by '\n'; what follows the AND section is ignored.  fin_off needs
+   one field, o lines of one field and a lines of three fields, each field
+   [0-9]+, fields separated by one space, every line ended by '\n'; what
+   follows the AND section is ignored.  fin_off needs
    m + 2 entries and fin 2m + 2.  Declines a literal out of range, a
    variable defined twice or never, and a line that breaks the grammar.
    Returns the number of child literals. */
@@ -438,8 +447,8 @@ int aigsls_parse_ascii(const unsigned char *data, long long len, long long pos, 
     return edges;
 }
 
-/* build_circuit's topology from the packed child literals (fin_off, fin)
-   of n gates: each gate's distinct child gates in first-occurrence order
+/* circuit.topology: the CSR built from the packed child literals
+   (fin_off, fin) of n gates: each gate's distinct child gates in first-occurrence order
    (kid_off, kid), its parents in index order (fout_off, fout), and Kahn's
    topological order, seeded in index order, with each gate's position in
    it.  kid and fout need room for fin_off[n] entries.  Returns the number
@@ -615,7 +624,7 @@ _SIGNATURES = {
     "topology": (_I, [_I] + [_P] * 8),
     "profile": (_I, [_I] + [_P] * 7 + [_I] * 3 + [_P] * 9),
     "first_unjust": (_I, [_I, _P, _P, _P]),
-    "parse_binary": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _P, _P]),
+    "parse_binary": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _I, _P, _P, _P]),
     "parse_ascii": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _I, _I, _P, _P, _P]),
 }
 
@@ -724,18 +733,14 @@ def _addr(buf) -> int:
     return buf.buffer_info()[0]
 
 
-def rows(table) -> Optional[tuple]:
+def rows(table) -> tuple:
     """A sequence of int rows as a CSR pair ``(offsets, entries)``, a None
     row empty: the packed child literals of a definition list, say, or the
-    parents of each gate.  None when an entry does not fit an int32."""
+    parents of each gate."""
     rows = [() if row is None else row for row in table]
-    try:
-        entries = array("i", chain.from_iterable(rows))
-    except OverflowError:
-        return None
     offsets = array("i", [0])
     offsets.extend(accumulate(map(len, rows)))
-    return offsets, entries
+    return offsets, array("i", chain.from_iterable(rows))
 
 
 def topology(fin_off: array, fin: array) -> Optional[CSR]:
@@ -760,31 +765,29 @@ def topology(fin_off: array, fin: array) -> Optional[CSR]:
     return arrays
 
 
-def parse_binary(data: bytes, pos: int, inputs: int, ands: int) -> Optional[CSR]:
-    """The CSR of a binary AIGER file whose AND section starts at ``pos``,
-    decoded by ``aigsls_parse_binary``; None when it declines.
-
-    The caller has checked that ``data`` holds two bytes per AND at least.
-    """
-    if inputs + ands > MAX_VAR:
-        return None
+def parse_binary(data: bytes, pos: int, inputs: int, outputs: int,
+                 ands: int) -> Optional[tuple]:
+    """``(fin_off, fin, outputs)`` of a binary AIGER file whose output
+    section starts at ``pos``, read by ``aigsls_parse_binary``; None when it
+    declines, or when ``data`` lacks the two bytes each output line and each
+    AND takes at least."""
+    if inputs + ands > MAX_VAR or len(data) - pos < 2 * (outputs + ands):
+        return None             # checked before allocating anything sized by the counts
+    out = array("i", [0]) * outputs
     fin_off, fin = array("i", [0]) * (inputs + ands + 2), array("i", [0]) * (2 * ands)
-    if lib.parse_binary(bytes(data), len(data), pos, inputs, ands, _addr(fin_off),
-                        _addr(fin)) < 0:
+    if lib.parse_binary(bytes(data), len(data), pos, inputs, outputs, ands, _addr(out),
+                        _addr(fin_off), _addr(fin)) < 0:
         return None
-    return topology(fin_off, fin)
+    return fin_off, fin, out
 
 
 def parse_ascii(data: bytes, pos: int, max_var: int, inputs: int, outputs: int,
                 ands: int) -> Optional[tuple]:
-    """(CSR, output literals) of an ASCII AIGER file whose input section
-    starts at ``pos``, read by ``aigsls_parse_ascii``; None when it declines.
-
-    The caller has checked that ``data`` holds a line for every input, output
-    and AND.
-    """
-    if max_var > MAX_VAR or outputs > MAX_VAR:
-        return None
+    """``(fin_off, fin, outputs)`` of an ASCII AIGER file whose input
+    section starts at ``pos``, read by ``aigsls_parse_ascii``; None when it
+    declines, or when ``data`` lacks a line for every input, output and AND."""
+    if max_var > MAX_VAR or data.count(b"\n", pos) < inputs + outputs + ands:
+        return None             # checked before allocating anything sized by the counts
     out = array("i", [0]) * outputs
     fin_off, fin = array("i", [0]) * (max_var + 2), array("i", [0]) * (2 * max_var + 2)
     edges = lib.parse_ascii(bytes(data), len(data), pos, max_var, inputs, outputs, ands,
@@ -792,8 +795,7 @@ def parse_ascii(data: bytes, pos: int, max_var: int, inputs: int, outputs: int,
     if edges < 0:
         return None
     del fin[edges:]
-    arrays = topology(fin_off, fin)
-    return None if arrays is None else (arrays, out)
+    return fin_off, fin, out
 
 
 def profile(circuit, level_sum: bool, fanout_split: bool, compensated: bool) -> tuple:

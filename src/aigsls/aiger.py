@@ -5,19 +5,21 @@ as a reserved input gate pinned to value 1 (so AIGER literal 1 is the plain
 gate-0 literal and AIGER literal 0 is its complement).  Each output literal
 becomes the constraint that the literal evaluates to true.
 
-With the C kernel loaded, C reads the body of a file in a strict form
-straight into the circuit's CSR arrays, so no definition list or
-``Literal`` is made: an ASCII file's input, output and AND lines, each field
-``[0-9]+``, fields separated by one space and every line ended by a
-newline; a binary file's AND section, every delta code within 32 bits.  The
-header, a binary file's output lines and the constraints stay in Python.
-The C parsers decline anything else, valid or not, and the pure-Python
-parser below, the reference, reads it and gives every diagnostic.
+One pipeline loads a file on both paths: a reader turns the body into each
+gate's packed child literals as CSR rows (``fin_off``, ``fin``) plus the
+output literals, ``circuit.topology`` builds the circuit from the rows and
+``_constrain`` pins the outputs.  With the C kernel loaded, C reads a body
+in a strict form: an ASCII file's input, output and AND lines, or a binary
+file's output lines and AND section; each field ``[0-9]+``, fields
+separated by one space, every line ended by a newline, every delta code
+within 32 bits.  It declines anything else, valid or not, and the
+pure-Python readers below, the reference, read it and give every diagnostic.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import NamedTuple
 
 from . import _kernel
@@ -29,6 +31,7 @@ from .circuit import (
     Literal,
     build_circuit,
     evaluate,
+    topology,
 )
 
 
@@ -64,12 +67,10 @@ class AigerHeader(NamedTuple):
     ands: int
 
 
-def _decode_literal(lit: int, max_var: int) -> Literal:
+def _decode_literal(lit: int, max_var: int) -> int:
     if lit < 0 or lit > 2 * max_var + 1:
         raise LiteralOutOfRange(f"literal {lit} out of range for {max_var} variables")
-    lit ^= lit < 2          # gate 0 holds 1 while AIGER variable 0 is FALSE
-    # the packed value is the literal itself; skip Literal's (gate, complement) form
-    return int.__new__(Literal, lit)
+    return lit ^ (lit < 2)      # gate 0 holds 1 while AIGER variable 0 is FALSE
 
 
 def _parse_header(line: bytes) -> tuple[str, AigerHeader]:
@@ -95,13 +96,6 @@ def _parse_header(line: bytes) -> tuple[str, AigerHeader]:
     return parts[0].decode(), AigerHeader(m, i, l, o, a)
 
 
-def _finish(max_var, definitions, output_literals) -> ConstrainedCircuit:
-    for var in range(1, max_var + 1):
-        if definitions[var] is _UNDEFINED:
-            raise MalformedHeader(f"variable {var} never defined")
-    return _constrain(build_circuit(definitions), max_var, output_literals)
-
-
 def _constrain(circuit, max_var, output_literals) -> ConstrainedCircuit:
     constraints = {0: True}
     for lit in output_literals:
@@ -116,7 +110,7 @@ def _constrain(circuit, max_var, output_literals) -> ConstrainedCircuit:
 _UNDEFINED = object()
 
 
-def _parse_ascii(lines, header: AigerHeader) -> ConstrainedCircuit:
+def _parse_ascii(lines, header: AigerHeader) -> tuple:
     if lines and not lines[-1]:
         lines.pop()             # the newline that ends the last line
     promised = header.inputs + header.outputs + header.ands
@@ -152,19 +146,9 @@ def _parse_ascii(lines, header: AigerHeader) -> ConstrainedCircuit:
             raise DuplicateDefinition(f"variable {var} defined twice")
         definitions[var] = (_decode_literal(rhs0, m), _decode_literal(rhs1, m))
     # anything after the AND section (symbols, comments) is ignored
-    return _finish(m, definitions, output_literals)
-
-
-def _parse_ascii_kernel(data: bytes, start: int, header: AigerHeader):
-    """The C parser's reading of an ASCII body at ``start``; None when it declines."""
-    if data.count(b"\n", start) < header.inputs + header.outputs + header.ands:
-        return None             # checked before allocating anything sized by the header
-    parsed = _kernel.parse_ascii(data, start, header.max_var, header.inputs,
-                                 header.outputs, header.ands)
-    if parsed is None:
-        return None
-    csr, output_literals = parsed
-    return _constrain(Circuit(csr), header.max_var, output_literals)
+    if _UNDEFINED in definitions:
+        raise MalformedHeader(f"variable {definitions.index(_UNDEFINED)} never defined")
+    return (*_kernel.rows(definitions), output_literals)
 
 
 def _parse_int(text) -> int:
@@ -174,7 +158,7 @@ def _parse_int(text) -> int:
         raise MalformedHeader(f"expected integer, got {text!r}") from None
 
 
-def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> ConstrainedCircuit:
+def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> tuple:
     m, i, a = header.max_var, header.inputs, header.ands
     pos = header_end
     output_literals = []
@@ -189,11 +173,7 @@ def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> Constrai
         raise TruncatedDeltaEncoding(
             f"truncated file: header promises A={a} (at least {2 * a} delta bytes), "
             f"but {len(data) - pos} follow the outputs")
-    if _kernel.lib is not None:
-        csr = _kernel.parse_binary(data, pos, i, a)
-        if csr is not None:
-            return _constrain(Circuit(csr), m, output_literals)
-    definitions = [INPUT] * (i + 1) + [_UNDEFINED] * a
+    fin = array("i", [0]) * (2 * a)
 
     def decode_delta():
         nonlocal pos
@@ -209,14 +189,17 @@ def _parse_binary(data: bytes, header_end: int, header: AigerHeader) -> Constrai
                 return value
             shift += 7
 
-    for k in range(1, a + 1):
-        lhs = 2 * (i + k)
+    for k in range(a):
+        lhs = 2 * (i + k + 1)
         rhs0 = lhs - decode_delta()
         rhs1 = rhs0 - decode_delta()
         if rhs0 < 0 or rhs1 < 0 or rhs0 >= lhs:
             raise LiteralOutOfRange(f"AND {lhs} has out-of-order operands {rhs0},{rhs1}")
-        definitions[i + k] = (_decode_literal(rhs0, m), _decode_literal(rhs1, m))
-    return _finish(m, definitions, output_literals)
+        fin[2 * k] = _decode_literal(rhs0, m)
+        fin[2 * k + 1] = _decode_literal(rhs1, m)
+    # gates 0..i are inputs with empty rows; AND gate i + 1 + k holds fin[2k:2k + 2]
+    fin_off = array("i", [0]) * (i + 1) + array("i", range(0, 2 * a + 1, 2))
+    return fin_off, fin, output_literals
 
 
 def parse_aiger(data: bytes) -> ConstrainedCircuit:
@@ -226,16 +209,18 @@ def parse_aiger(data: bytes) -> ConstrainedCircuit:
     end = data.find(b"\n")
     header_line = data if end < 0 else data[:end]
     fmt, header = _parse_header(header_line)
-    if fmt == "aag":
-        if _kernel.lib is not None and end >= 0:
-            cc = _parse_ascii_kernel(data, end + 1, header)
-            if cc is not None:
-                return cc
-        lines = data.split(b"\n")[1:]
-        return _parse_ascii(lines, header)
-    if end < 0:
+    m, i, o, a = header.max_var, header.inputs, header.outputs, header.ands
+    if fmt == "aig" and end < 0:
         raise MalformedHeader("binary file has no body")
-    return _parse_binary(data, end + 1, header)
+    parsed = None
+    if _kernel.lib is not None and end >= 0:
+        parsed = (_kernel.parse_ascii(data, end + 1, m, i, o, a) if fmt == "aag"
+                  else _kernel.parse_binary(data, end + 1, i, o, a))
+    if parsed is None:
+        parsed = (_parse_ascii(data.split(b"\n")[1:], header) if fmt == "aag"
+                  else _parse_binary(data, end + 1, header))
+    fin_off, fin, output_literals = parsed
+    return _constrain(Circuit(topology(fin_off, fin)), m, output_literals)
 
 
 def load_aiger(path) -> ConstrainedCircuit:

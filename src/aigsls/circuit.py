@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
@@ -168,11 +167,8 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
 
     Raises DanglingReference for out-of-range children, CircuitError for
     non-int (or bool) children and childless AND gates and CycleDetected
-    when no topological order exists.
-
-    With the C kernel loaded, ``aigsls_topology`` builds the CSR arrays;
-    the pure-Python path below is the reference, it judges every definition
-    list the kernel declines, and it packs the same arrays.
+    when no topological order exists.  The checked literals go to
+    ``topology`` as CSR rows, as a file reader's do.
     """
     fanin = tuple(None if record is None else tuple(record) for record in definitions)
     bad = {t for t in set(map(type, chain.from_iterable(filter(None, fanin))))
@@ -180,19 +176,7 @@ def build_circuit(definitions: Sequence[Optional[Iterable]]) -> Circuit:
     if bad:
         g = next(g for g, kids in enumerate(fanin) if kids and bad & set(map(type, kids)))
         raise CircuitError(f"gate {g}: every child must be an int literal")
-    if _kernel.lib is not None and () not in fanin:
-        rows = _kernel.rows(fanin)
-        csr = None if rows is None else _kernel.topology(*rows)
-        if csr is not None:
-            return Circuit(csr)
-    return _build_python(fanin)
-
-
-def _build_python(fanin) -> Circuit:
     n = len(fanin)
-    fanin_gates = [None] * n
-    fanout = [[] for _ in range(n)]
-    remaining = [0] * n             # distinct children not yet placed, for Kahn
     for g, kids in enumerate(fanin):
         if kids is None:
             continue
@@ -201,31 +185,44 @@ def _build_python(fanin) -> Circuit:
         for p in kids:
             if not 0 <= p >> 1 < n:
                 raise DanglingReference(f"gate {g} references undefined gate {p >> 1}")
-        fanin_gates[g] = gates = tuple(dict.fromkeys(p >> 1 for p in kids))
-        remaining[g] = len(gates)
-        # parents arrive in index order, so every fanout list is sorted and distinct
-        for c in gates:
-            fanout[c].append(g)
+    return Circuit(topology(*_kernel.rows(fanin)))
 
-    # Kahn's algorithm; every gate must be placed after its children.
-    ready = deque(g for g in range(n) if remaining[g] == 0)
-    topo_order = []
-    while ready:
-        g = ready.popleft()
-        topo_order.append(g)
+
+def topology(fin_off: array, fin: array) -> _kernel.CSR:
+    """The CSR of the circuit whose gate g has the packed child literals
+    ``fin[fin_off[g]:fin_off[g + 1]]``, each naming a gate (none: an input).
+
+    ``aigsls_topology`` builds it; the Python below builds the same arrays
+    when the kernel is absent or declines, and raises CycleDetected: child
+    gates in first-occurrence order, parents in index order, and Kahn's
+    order seeded in index order, the list doubling as its queue.
+    """
+    if _kernel.lib is not None:
+        csr = _kernel.topology(fin_off, fin)
+        if csr is not None:
+            return csr
+    offsets, literals = fin_off.tolist(), fin.tolist()
+    n = len(offsets) - 1
+    kids = [tuple(dict.fromkeys(p >> 1 for p in literals[a:b])) if a != b else ()
+            for a, b in zip(offsets, offsets[1:])]
+    fanout = [[] for _ in range(n)]
+    for g, row in enumerate(kids):
+        for c in row:
+            fanout[c].append(g)
+    remaining = list(map(len, kids))        # children not yet placed
+    order = [g for g in range(n) if not remaining[g]]
+    for g in order:
         for p in fanout[g]:
             remaining[p] -= 1
-            if remaining[p] == 0:
-                ready.append(p)
-    if len(topo_order) != n:
-        raise CycleDetected(f"{n - len(topo_order)} gates lie on a cycle")
-    topo_pos = array("i", [0]) * n
-    for pos, g in enumerate(topo_order):
-        topo_pos[g] = pos
-
-    return Circuit(_kernel.CSR(*_kernel.rows(fanin), *_kernel.rows(fanout),
-                               array("i", topo_order), topo_pos,
-                               *_kernel.rows(fanin_gates)))
+            if not remaining[p]:
+                order.append(p)
+    if len(order) != n:
+        raise CycleDetected(f"{n - len(order)} gates lie on a cycle")
+    tpos = array("i", [0]) * n
+    for pos, g in enumerate(order):
+        tpos[g] = pos
+    return _kernel.CSR(fin_off, fin, *_kernel.rows(fanout), array("i", order), tpos,
+                       *_kernel.rows(kids))
 
 
 class ConstrainedCircuit:
@@ -235,21 +232,30 @@ class ConstrainedCircuit:
     only accepted on output gates (gates without parents), with a single
     exception: ``const_gate`` may designate an input gate pinned to True even
     when it is referenced, which is how a constant-true signal is modeled.
+    Every gate named must be an int and not a bool, else CircuitError.
     """
 
     __slots__ = ("circuit", "constraints", "const_gate", "pinned")
 
     def __init__(self, circuit: Circuit, constraints: Mapping[int, bool],
                  const_gate: Optional[int] = None):
+        if const_gate is not None and (not isinstance(const_gate, int)
+                                       or isinstance(const_gate, bool)):
+            raise CircuitError(f"constant gate {const_gate!r} is not an int")
         self.circuit = circuit
-        self.constraints = {int(g): bool(v) for g, v in constraints.items()}
+        self.constraints = {}
         self.const_gate = const_gate
         n = circuit.num_gates
-        for g, v in self.constraints.items():
+        pinned = bytearray(n)
+        for g, v in constraints.items():
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise CircuitError(f"constraint gate {g!r} is not an int")
             if not 0 <= g < n:
                 raise DanglingReference(f"constraint on undefined gate {g}")
             if g != const_gate and not circuit.is_output(g):
                 raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
+            self.constraints[int(g)] = bool(v)
+            pinned[g] = 1
         if const_gate is not None:
             if not 0 <= const_gate < n:
                 raise DanglingReference(f"constant gate {const_gate} is undefined")
@@ -257,9 +263,6 @@ class ConstrainedCircuit:
                 raise CircuitError("constant gate must be an input gate")
             if self.constraints.get(const_gate) is not True:
                 raise CircuitError("constant gate must be constrained to True")
-        pinned = bytearray(n)
-        for g in self.constraints:
-            pinned[g] = 1
         self.pinned = bytes(pinned)
 
     def __eq__(self, other) -> bool:

@@ -326,6 +326,22 @@ class TestConstrainedCircuit:
             with pytest.raises(DanglingReference):
                 ConstrainedCircuit(two_input_and(), {}, const_gate=const_gate)
 
+    def test_gates_that_are_not_ints_rejected(self):
+        # none may stand for gate 2 or gate 0, however near an int it comes
+        c = two_input_and()
+        for gate in (2.5, 2.0, "2", None, True, b"2"):
+            with pytest.raises(CircuitError, match="is not an int"):
+                ConstrainedCircuit(c, {gate: True})
+        for const_gate in (0.0, "0", True, False):
+            with pytest.raises(CircuitError, match="is not an int"):
+                ConstrainedCircuit(c, {0: True}, const_gate=const_gate)
+        # an int subclass is an int, and is kept as a plain one
+        gate = type("Gate", (int,), {})
+        cc = ConstrainedCircuit(c, {gate(2): True, 0: True}, const_gate=0)
+        assert cc.constraints == {2: True, 0: True}
+        assert [type(g) for g in cc.constraints] == [int, int]
+        assert cc.pinned == b"\1\0\1"
+
 
 class TestRandomCompleteExtension:
     def test_unconstrained_circuit_has_empty_unjust(self):

@@ -41,6 +41,7 @@ from aigsls.aiger import (
 from aigsls.circuit import (
     Assignment,
     ConstrainedCircuit,
+    CycleDetected,
     evaluate,
     is_justified,
     random_complete_extension,
@@ -283,6 +284,40 @@ def test_malformed_definitions_fail_alike_on_both_paths(monkeypatch):
         assert fast == slow
 
 
+def _built(definitions):
+    """The CSR build_circuit makes of ``definitions``, or its error's class
+    and message."""
+    try:
+        return build_circuit(definitions)._csr
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@needs_kernel
+def test_cyclic_definitions_fail_alike_on_both_paths(monkeypatch):
+    # _random_definitions' DAGs with some children redrawn from every gate:
+    # back edges close cycles of every size, or leave the graph acyclic
+    rng = random.Random(86)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        definitions = _random_definitions(rng, n)
+        for g, kids in enumerate(definitions):
+            if kids is not INPUT and rng.random() < 0.15:
+                kids = list(kids)
+                kids[rng.randrange(len(kids))] = Literal(rng.randrange(n), rng.random() < 0.5)
+                definitions[g] = tuple(kids)
+        fast, slow = _on_both_paths(monkeypatch, lambda: _built(definitions))
+        assert fast == slow
+        if isinstance(fast, _kernel.CSR):
+            outcomes.add("acyclic")
+        else:
+            assert fast[0] is CycleDetected, fast
+            outcomes.add(fast[1])
+    # acyclic graphs and cycles through several different numbers of gates
+    assert "acyclic" in outcomes and len(outcomes) > 5, outcomes
+
+
 @needs_kernel
 def test_unknown_profile_modes_fail_alike_on_both_paths(monkeypatch):
     circuit = build_circuit([INPUT, INPUT, (Literal(0), Literal(1))])
@@ -315,7 +350,8 @@ def test_metrics_csv_bytes_match_on_both_paths(monkeypatch, tmp_path, capsys):
 
 
 #: every malformed file of test_aiger.py, plus a cycle, a delta code and a
-#: field past 32 bits, and more variables than the C parsers take
+#: field past 32 bits, binary output literals past 2M + 1, and more
+#: variables than the C parsers take
 MALFORMED_FILES = [
     b"aag 1 1 0 1 0\n2\n0\n",
     b"aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\n",
@@ -334,6 +370,8 @@ MALFORMED_FILES = [
     b"aig 3 2 0 1 1\n6\n\x80\x80\x80\x80\x80\x01\x02",
     b"aag 3 2 0 1 1\n2\n4\n6\n6 2 99999999999999999999\n",
     b"aag 1073741824 1 0 1 1073741823\n2\n3\n",
+    b"aig 3 2 0 1 1\n8\n\x02\x02",
+    b"aig 3 2 0 1 1\n99999999999999999999\n\x02\x02",
 ]
 
 
@@ -395,15 +433,18 @@ def _delta(value, groups):
 def _variants(cc):
     """(file, what the C parser says of it) for an instance in both formats,
     plainly written and with the liberties the Python parser also allows.
-    The C parser accepts (``[True]``), declines (``[False]``) or is not
-    asked, when the file has fewer newlines than the header promises lines
-    (``[]``)."""
+    The C parser accepts (``[True]``) or declines (``[False]``)."""
     text = serialize_ascii(cc).encode()
     head, body = text.split(b"\n", 1)
     binary = serialize_binary(cc)
     outputs = int(head.split()[4])
-    *lines, ands = binary.split(b"\n", 1 + outputs)
-    lines = b"".join(line + b"\n" for line in lines)
+    binary_head, *output_lines, ands = binary.split(b"\n", 1 + outputs)
+
+    def binary_with(form):
+        """The binary file with every output line rewritten by ``form``."""
+        return b"".join(line + b"\n" for line in (binary_head, *map(form, output_lines))) + ands
+
+    lines = binary[:len(binary) - len(ands)]
     first = next(k for k, byte in enumerate(ands) if not byte & 0x80) + 1
     delta = sum((byte & 0x7F) << 7 * k for k, byte in enumerate(ands[:first]))
     trailer = b"i0 a\no0 out\nc\nwritten by a test\n"
@@ -416,9 +457,13 @@ def _variants(cc):
         (text.replace(b"\n", b" \n"), [False]),
         (re.sub(rb"\n(\d)", rb"\n+\1", text), [False]),
         (text.replace(b"\n", b"\n\t"), [False]),
-        (text.rstrip(b"\n"), []),
+        (text.rstrip(b"\n"), [False]),
         (binary, [True]),
         (binary + trailer, [True]),
+        (binary_with(lambda line: b"00" + line), [True]),
+        (binary_with(lambda line: b"+" + line), [False]),
+        (binary_with(lambda line: b" " + line), [False]),
+        (binary_with(lambda line: line + b"\r"), [False]),
         # 5 bytes still hold 32 bits; the C parser takes no sixth
         (lines + _delta(delta, 5) + ands[first:], [True]),
         (lines + _delta(delta, 6) + ands[first:], [False]),
@@ -602,10 +647,13 @@ for data in corpus:
         aiger.parse_aiger(data)
     except (aiger.AigerError, circuit.CircuitError):
         pass
-    # the entry points themselves, with counts the bytes cannot meet
+    # the entry points themselves, with counts the bytes cannot meet: some
+    # pass the wrappers' bounds on the bytes, so C reads to the end
     for pos in range(min(len(data), 6)):
-        for i, o, a in ((0, 0, 1), (2, 1, 3), (1, 0, len(data))):
-            _kernel.parse_binary(data, pos, i, a)
+        room = (len(data) - pos) // 2
+        for i, o, a in ((0, 0, 1), (2, 1, 3), (1, 0, len(data)), (0, room, 0),
+                        (1, 1, max(room - 1, 0))):
+            _kernel.parse_binary(data, pos, i, o, a)
             _kernel.parse_ascii(data, pos, i + a, i, o, a)
 cc = generate_random_sat_aig(12, 300, random.Random(5))
 profile = build_profile(cc.circuit)
