@@ -17,14 +17,21 @@ differ from the plain sum in C.
 unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
 place.  An assignment built while ``lib`` is loaded keeps a ``State`` on
-them and runs in C; one built without it runs in Python.  ``SearchEngine``
-calls ``aigsls_select`` for the former, and runs its Python twin for the
-latter: it scans the unjustified list for the least int32 score of
-``StructuralProfile.scores`` (the profile's dense ranks, or closure sizes
-that it, like ``aigsls_closures``, walks the CSR for on first need) and
-returns the ties in ``ulist`` order; the choice among them, the choice of
-justification and every random draw stay in Python, so both paths follow
-the same trajectory.
+them and runs in C; one built without it runs in Python.
+
+``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection
+(the scan of the unjustified list for the least int32 score of
+``StructuralProfile.scores``, walking closure sizes on first need as
+``aigsls_closures`` does, with the ties kept in ``ulist`` order), the
+moves read from the gate's CSR rows as ``search._moves`` reads them, the
+greedy trials, the move and every ``SearchStats`` counter.  Its random
+draws come from a copy of CPython's MT19937, which starts from and ends in
+the engine's ``random.Random`` state, so both loops draw the same stream
+and follow the same trajectory.  ``_bind`` checks the copy against
+``random.Random`` on a fixed draw sequence and leaves ``run`` None when
+they differ; ``SearchEngine`` then keeps its Python loop.  ``aigsls_select``,
+``aigsls_trial`` and ``aigsls_move`` expose single operations of the loop
+for that Python loop and the tests.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
@@ -40,6 +47,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import random
 import shutil
 import stat
 import subprocess
@@ -47,6 +55,7 @@ import tempfile
 import types
 from array import array
 from itertools import accumulate, chain
+from operator import eq
 from typing import NamedTuple, Optional
 
 SOURCE = r"""
@@ -56,7 +65,7 @@ SOURCE = r"""
 /* CSR circuit plus one assignment's buffers; mirrors State in _kernel.py */
 typedef struct {
     int n;
-    const int *fin_off, *fin, *fout_off, *fout, *order, *tpos;
+    const int *fin_off, *fin, *fout_off, *fout, *order, *tpos, *kid_off, *kid;
     unsigned char *val;
     const unsigned char *pin;
     int *ulist, *upos, *meta, *stamp, *heap, *undo, *ties;
@@ -206,20 +215,30 @@ static int reach(const int *off, const int *adj, int n, int *walk, int g)
     return count;
 }
 
+/* A search's settings; mirrors Search in _kernel.py.  A gate scores lo[g]
+   while at 0 and hi[g] while at 1, negated when neg; lo is NULL under
+   "rand".  A walk makes lo the closure-size cache of the CSR (off, adj): a
+   candidate's negative entry is first filled by reach. */
+typedef struct {
+    int *lo;
+    const int *hi;
+    int neg;
+    const int *off, *adj;
+    int *walk;
+    double wp;
+} Search;
+
 /* Gate selection: writes the unjustified gates of least score to ties, in
-   ulist order, and returns how many there are.  A gate scores lo[g] while
-   at 0 and hi[g] while at 1, negated when neg.  A walk makes lo the
-   closure-size cache of the CSR (off, adj): a candidate's negative entry
-   is first filled by reach. */
-int aigsls_select(State *s, int *lo, const int *hi, int neg, const int *off, const int *adj, int *walk)
+   ulist order, and returns how many there are. */
+static int select_ties(State *s, const Search *p)
 {
     int count = s->meta[0], k = 0, best = INT_MAX;
     for (int i = 0; i < count; i++) {
         int g = s->ulist[i];
-        if (walk && lo[g] < 0)
-            lo[g] = reach(off, adj, s->n, walk, g);
-        int v = s->val[g] ? hi[g] : lo[g];
-        if (neg)
+        if (p->walk && p->lo[g] < 0)
+            p->lo[g] = reach(p->off, p->adj, s->n, p->walk, g);
+        int v = s->val[g] ? p->hi[g] : p->lo[g];
+        if (p->neg)
             v = -v;
         if (v < best) {
             best = v;
@@ -230,6 +249,168 @@ int aigsls_select(State *s, int *lo, const int *hi, int neg, const int *off, con
     }
     return k;
 }
+
+/* unjust count after flipping the k gates and propagating, then undone */
+static int trial(State *s, const int *flips, int k)
+{
+    for (int i = 0; i < k; i++)
+        flip(s, flips[i]);
+    int n = propagate(s, flips, k, s->undo);
+    int count = s->meta[0];
+    rollback(s, s->undo, n);
+    rollback(s, flips, k);
+    return count;
+}
+
+/* flip the k gates and propagate; returns the number of gates flipped */
+static int move(State *s, const int *flips, int k)
+{
+    for (int i = 0; i < k; i++)
+        flip(s, flips[i]);
+    return k + propagate(s, flips, k, NULL);
+}
+
+/* CPython's MT19937 (Modules/_randommodule.c): mt[0..623] are the state
+   words and mt[624] the index, as random.Random.getstate() lays them out. */
+static unsigned genrand(unsigned *mt)
+{
+    unsigned y;
+    if (mt[624] >= 624) {
+        for (int k = 0; k < 624; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % 624] & 0x7fffffffU);
+            mt[k] = mt[(k + 397) % 624] ^ (y >> 1) ^ (y & 1 ? 0x9908b0dfU : 0);
+        }
+        mt[624] = 0;
+    }
+    y = mt[mt[624]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* random.random(): genrand_res53 */
+static double random53(unsigned *mt)
+{
+    unsigned a = genrand(mt) >> 5, b = genrand(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.randrange(n) for 0 < n < 2^31: getrandbits(n.bit_length()) until
+   it is below n */
+static int randbelow(unsigned *mt, int n)
+{
+    int shift = __builtin_clz((unsigned)n);
+    unsigned r;
+    do
+        r = genrand(mt) >> shift;
+    while (r >= (unsigned)n);
+    return (int)r;
+}
+
+/* search._moves of the unjustified gate g, written to mv; returns how many.
+   At 0 each distinct child that is not pinned is a move of its own, and
+   *width is 1.  At 1 the one move flips the *width distinct children whose
+   literal is 0, in first-occurrence order; there is none when one of them
+   is pinned or g reads both polarities of one child.  mark is scratch
+   indexed by gate. */
+static int moves(State *s, int g, int *mv, int *mark, int *width)
+{
+    const int *kid_off = s->kid_off, *kid = s->kid;
+    int k = 0;
+    *width = 1;
+    if (!s->val[g]) {
+        for (int i = kid_off[g]; i < kid_off[g + 1]; i++)
+            if (!s->pin[kid[i]])
+                mv[k++] = kid[i];
+        return k;
+    }
+    /* mark[c]: the complement bit g reads c through, -1 before the first */
+    for (int i = kid_off[g]; i < kid_off[g + 1]; i++)
+        mark[kid[i]] = -1;
+    for (int i = s->fin_off[g]; i < s->fin_off[g + 1]; i++) {
+        int c = s->fin[i] >> 1, bit = s->fin[i] & 1;
+        if (mark[c] >= 0) {
+            if (mark[c] != bit)
+                return 0;
+        } else {
+            mark[c] = bit;
+            if (s->val[c] == bit) {
+                if (s->pin[c])
+                    return 0;
+                mv[k++] = c;
+            }
+        }
+    }
+    *width = k;
+    return 1;
+}
+
+/* SearchStats' fields, in order */
+enum { WALK, GREEDY, FORCED, BURNED, TRIALS, FLIPS, MIN_UNJUST };
+
+/* SearchEngine.run's loop, step for step, drawing from mt as the engine's
+   random.Random would: up to budget steps, counted into stats; returns 1
+   once the circuit is satisfied, else 0.  The moves go to ties, after the
+   selection is done with it, and heap serves as their mark scratch. */
+int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long long budget)
+{
+    int *mv = s->ties;
+    for (; budget > 0; budget--) {
+        int count = s->meta[0], g, width, pick = 0;
+        if (count < stats[MIN_UNJUST])
+            stats[MIN_UNJUST] = count;
+        if (!count)
+            return 1;
+        if (count == 1)
+            g = s->ulist[0];
+        else if (!p->lo)
+            g = s->ulist[randbelow(mt, count)];
+        else {
+            int k = select_ties(s, p);
+            g = s->ties[k == 1 ? 0 : randbelow(mt, k)];
+        }
+        int k = moves(s, g, mv, s->heap, &width);
+        if (!k) {
+            stats[BURNED]++;
+            continue;
+        }
+        if (k == 1)
+            stats[FORCED]++;
+        else if (random53(mt) < p->wp) {
+            stats[WALK]++;
+            pick = randbelow(mt, k);
+        } else {
+            /* several moves only at 0, one gate each: the least count wins,
+               ties kept in mv in first-seen order */
+            int best = INT_MAX, ties = 0;
+            stats[GREEDY]++;
+            stats[TRIALS] += k;
+            for (int i = 0; i < k; i++) {
+                int c = trial(s, &mv[i], 1);
+                if (c < best) {
+                    best = c;
+                    ties = 0;
+                }
+                if (c == best)
+                    mv[ties++] = mv[i];
+            }
+            pick = ties == 1 ? 0 : randbelow(mt, ties);
+        }
+        stats[FLIPS] += move(s, &mv[pick], width);
+    }
+    return 0;
+}
+
+/* k draws from mt into out: random() where n[i] is 0, else randrange(n[i]);
+   the kernel's side of the load-time check of the copied generator */
+void aigsls_draws(unsigned *mt, const int *n, int k, double *out)
+{
+    for (int i = 0; i < k; i++)
+        out[i] = n[i] ? randbelow(mt, n[i]) : random53(mt);
+}
+
+int aigsls_select(State *s, const Search *p) { return select_ties(s, p); }
 
 /* The entry points below that take a gate list return -1, and change
    nothing, when a gate is out of range. */
@@ -263,28 +444,14 @@ int aigsls_propagate(State *s, const int *origins, int k)
     return propagate(s, origins, k, s->undo);
 }
 
-/* unjust count after flipping the k gates and propagating, then undone */
 int aigsls_trial(State *s, const int *flips, int k)
 {
-    if (!in_range(s->n, flips, k))
-        return -1;
-    for (int i = 0; i < k; i++)
-        flip(s, flips[i]);
-    int n = propagate(s, flips, k, s->undo);
-    int count = s->meta[0];
-    rollback(s, s->undo, n);
-    rollback(s, flips, k);
-    return count;
+    return in_range(s->n, flips, k) ? trial(s, flips, k) : -1;
 }
 
-/* flip the k gates and propagate; returns the number of gates flipped */
 int aigsls_move(State *s, const int *flips, int k)
 {
-    if (!in_range(s->n, flips, k))
-        return -1;
-    for (int i = 0; i < k; i++)
-        flip(s, flips[i]);
-    return k + propagate(s, flips, k, NULL);
+    return in_range(s->n, flips, k) ? move(s, flips, k) : -1;
 }
 
 /* sets each AND gate, in topological order, to the AND of its child
@@ -619,7 +786,9 @@ _SIGNATURES = {
     "move": (_I, [_P, _P, _I]),
     "evaluate": (None, [_I, _P, _P, _P, _P]),
     "scan": (None, [_P]),
-    "select": (_I, [_P, _P, _P, _I, _P, _P, _P]),
+    "select": (_I, [_P, _P]),
+    "run": (_I, [_P, _P, _P, _P, _L]),
+    "draws": (None, [_P, _P, _I, _P]),
     "closures": (_I, [_I] + [_P] * 5 + [_I]),
     "topology": (_I, [_I] + [_P] * 8),
     "profile": (_I, [_I] + [_P] * 7 + [_I] * 3 + [_P] * 9),
@@ -634,12 +803,17 @@ MAX_VAR = 2**30 - 1
 #: ``aigsls_profile``'s flags: the passes whose columns Python computes again
 FORWARD, BACKWARD = 1, 2
 
-_CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos")
+_CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos", "kid_off", "kid")
 _BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo", "ties")
 
 
 class _StateStruct(ctypes.Structure):
     _fields_ = [("n", _I)] + [(name, _P) for name in _CSR_FIELDS + _BUFFER_FIELDS]
+
+
+class _SearchStruct(ctypes.Structure):
+    _fields_ = [("lo", _P), ("hi", _P), ("neg", _I), ("off", _P), ("adj", _P), ("walk", _P),
+                ("wp", ctypes.c_double)]
 
 
 def _cache_dir() -> str:
@@ -678,9 +852,31 @@ def _compile(path: str):
             os.remove(tmp)
 
 
+#: the seed of the load-time check of the kernel's copy of random.Random
+_GUARD_SEED = 20110
+
+
+def _reference_draws(rng: random.Random, ns):
+    """``rng``'s draws for ``ns``, one at a time, as ``aigsls_draws`` makes them."""
+    return (rng.randrange(n) if n else rng.random() for n in ns)
+
+
+def _same_stream(draws) -> bool:
+    """Whether ``aigsls_draws`` reproduces ``random.Random``: 3 000 draws from
+    a fixed seed, ``random()`` or ``randrange(n)`` for n of every bit length
+    up to 31, and the generator's state after them."""
+    rng = random.Random(_GUARD_SEED)
+    mt = array("I", rng.getstate()[1])
+    ns = array("i", (0 if i % 3 == 0 else 1 + i * 2654435761 % ((1 << (i % 31 + 1)) - 1)
+                     for i in range(3000)))
+    out = array("d", bytes(8 * len(ns)))
+    draws(_addr(mt), _addr(ns), len(ns), _addr(out))
+    return all(map(eq, out, _reference_draws(rng, ns))) and tuple(mt) == rng.getstate()[1]
+
+
 def _bind(path: str):
-    # every call keeps the GIL through PyDLL: select and closures walk on a
-    # profile's one walk scratch, so threads can share a profile
+    # every call keeps the GIL through PyDLL: select, run and closures walk
+    # on a profile's one walk scratch, so threads can share a profile
     dll = ctypes.PyDLL(path)
     functions = {}
     for name, (restype, argtypes) in _SIGNATURES.items():
@@ -688,6 +884,8 @@ def _bind(path: str):
         fn.restype = restype
         fn.argtypes = argtypes
         functions[name] = fn
+    if not _same_stream(functions["draws"]):
+        functions["run"] = None         # SearchEngine.run keeps its Python loop
     return types.SimpleNamespace(**functions)
 
 
@@ -831,6 +1029,21 @@ def first_unjust(circuit, values: bytearray) -> int:
     arrays = circuit._csr
     return lib.first_unjust(circuit.num_gates, _addr(arrays.fin_off), _addr(arrays.fin),
                             _view(values))
+
+
+class Search:
+    """A search's settings as ``aigsls_select`` and ``aigsls_run`` read them,
+    at ``addr``: the int32 scores ``lo`` and ``hi`` of a measure heuristic
+    (None under "rand") and ``neg``, ``walk`` the addresses of the CSR and
+    scratch of the closure walk that fills ``lo`` (Nones when none does),
+    and the noise ``wp``.  The caller keeps the score arrays alive."""
+
+    __slots__ = ("_struct", "addr")
+
+    def __init__(self, lo, hi, neg: bool, walk: tuple, wp: float):
+        self._struct = _SearchStruct(None if lo is None else _addr(lo),
+                                     None if hi is None else _addr(hi), neg, *walk, wp)
+        self.addr = ctypes.addressof(self._struct)
 
 
 class State:

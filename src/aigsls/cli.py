@@ -7,10 +7,10 @@ import dataclasses
 import sys
 import time
 
-from . import _kernel, aiger, harness, metrics
+from . import aiger, harness, metrics
 from .circuit import CircuitError
 from .harness import SolverConfig, crsat_solve
-from .search import HEURISTICS
+from .search import HEURISTICS, loop_name
 
 # SAT-competition exit codes
 EXIT_SAT = 10
@@ -79,8 +79,7 @@ def _cmd_solve(args) -> int:
     print(f"steps {result.steps_used}")
     print(f"cpu_time {result.cpu_time:.6f}", file=sys.stderr)
     counts = " ".join(f"{k}={v}" for k, v in dataclasses.asdict(result.stats).items())
-    kernel = "python" if _kernel.lib is None else "c"
-    print(f"search kernel={kernel} {counts}", file=sys.stderr)
+    print(f"search kernel={loop_name()} {counts}", file=sys.stderr)
     print(f"phases parse_s={parsed - start:.6f} profile_s={profiled - parsed:.6f} "
           f"search_s={search_s:.6f} verify_s={result.verify_time:.6f}", file=sys.stderr)
     if result.status == "SAT":
@@ -115,7 +114,10 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    result = harness.run_experiment(harness.load_config(args.config))
+    def started():
+        print(f"kernel {loop_name()}", file=sys.stderr)
+
+    result = harness.run_experiment(harness.load_config(args.config), started)
     for name in sorted(result.files):
         print(f"wrote {result.files[name]}", file=sys.stderr)
     return 0

@@ -28,7 +28,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._kernel import MAX_VAR
 from .aiger import generate_random_sat_aig, load_aiger, serialize_ascii
@@ -495,17 +495,22 @@ def _instances(config: ExperimentConfig):
         yield os.path.basename(path), path
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig,
+                   started: Optional[Callable[[], None]] = None) -> ExperimentResult:
     """Run the full protocol and write tries/summaries/cactus/scatter CSVs.
 
     One instance at a time is loaded and profiled, then every heuristic
-    tunes its noise on it through ``optimize_noise``.
+    tunes its noise on it through ``optimize_noise``.  ``started``, when
+    given, is called once, before the first try.
     """
     config.validate()
     records, summaries = [], []
     for instance, path in _instances(config):
         cc = load_aiger(path)
         profile = build_profile(cc.circuit)
+        if started is not None:
+            started()
+            started = None
         for heuristic in config.heuristics:
             best, tried = optimize_noise(
                 cc, profile, instance, heuristic, tries=config.tries,

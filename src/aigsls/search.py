@@ -9,15 +9,22 @@ its move, the list of child gates it flips (``_moves``, read straight from
 the gate's CSR row).  Constrained gates are never flipped; the search
 succeeds when the unjustified set empties.
 
-``SearchEngine`` is one resumable trajectory.  The try loop that budgets it,
+``SearchEngine`` is one resumable trajectory.  Its ``run`` is a Python loop,
+the reference, and the C kernel's ``aigsls_run``, the loop's twin, which
+runs a whole step budget in one call and draws from a C copy of the
+engine's ``random.Random`` stream; both leave the assignment, the counters
+and the generator in the same state.  The try loop that budgets an engine,
 times it and verifies its SAT verdicts lives in ``aigsls.harness``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
+from . import _kernel
 from .circuit import ConstrainedCircuit, random_complete_extension
 from .metrics import CLOSURES, StructuralProfile
 
@@ -62,6 +69,22 @@ class SearchStats:
     trials: int = 0
     flips: int = 0
     min_unjust: int = 0
+
+
+#: SearchStats' fields, in the order aigsls_run counts them
+_COUNTERS = tuple(field.name for field in fields(SearchStats))
+_counters = attrgetter(*_COUNTERS)
+
+#: the most steps one aigsls_run call takes; a larger budget is not
+#: reached in practice, and the call must fit int64
+_MAX_BUDGET = 1 << 62
+
+
+def loop_name() -> str:
+    """The loop ``SearchEngine.run`` takes for an engine built now, drawing
+    from its own ``random.Random``: "c" for ``aigsls_run``, else "python"."""
+    lib = _kernel.lib
+    return "c" if lib is not None and lib.run is not None else "python"
 
 
 def check_settings(heuristic: str, wp: float):
@@ -130,16 +153,17 @@ class SearchEngine:
         self.assignment = random_complete_extension(cc, self.rng)
         self.stats = SearchStats(min_unjust=self.assignment.unjust_count)
         measure, _, direction = heuristic.rpartition("-")
-        # the scores as (lo, hi, neg, walk), walk naming the closure lo caches,
-        # and aigsls_select's arguments after the state; None under "rand"
-        self._scores = self._select_args = None
+        neg = direction == "max"
+        # the scores as (lo, hi, neg, walk), walk naming the closure lo
+        # caches; None under "rand"
+        self._scores = lo = hi = None
         if measure:
             lo, hi = profile.scores(measure)    # kept alive by self.profile
-            neg = direction == "max"
             self._scores = lo, hi, neg, measure if measure in CLOSURES else None
-            if self.assignment._state is not None:
-                self._select_args = (lo.buffer_info()[0], hi.buffer_info()[0], neg,
-                                     *profile.kernel_walk(measure))
+        # the settings aigsls_select and aigsls_run read, with the kernel
+        self._search = None
+        if self.assignment._state is not None:
+            self._search = _kernel.Search(lo, hi, neg, profile.kernel_walk(measure), wp)
 
     @property
     def steps(self) -> int:
@@ -154,8 +178,13 @@ class SearchEngine:
         run whose budget is exhausted reports False even if the very last
         step happened to justify everything; the next call returns True
         immediately.
+
+        The loop below is the reference.  ``aigsls_run`` is its twin in C,
+        and runs instead when ``uses_kernel_loop`` says so.
         """
         asg = self.assignment
+        if self.uses_kernel_loop:
+            return self._run_kernel(budget)
         values = asg.values
         pinned = asg.pinned
         csr = self.cc.circuit._csr
@@ -197,6 +226,32 @@ class SearchEngine:
             stats.flips += asg._move(flips)
         return False
 
+    @property
+    def uses_kernel_loop(self) -> bool:
+        """Whether ``run`` takes ``aigsls_run``: the assignment is on the
+        kernel, whose copy of the random stream passed its load-time check,
+        and the engine draws from a plain ``random.Random``, whose stream
+        that copy reproduces."""
+        state = self.assignment._state
+        return (state is not None and state.lib.run is not None
+                and self._search is not None and type(self.rng) is random.Random)
+
+    def _run_kernel(self, budget: int) -> bool:
+        """``run`` in one ``aigsls_run`` call.  The generator's state goes
+        to C as its MT19937 words and comes back to ``rng`` after the call,
+        ``gauss_next`` kept; the counters go and come back the same way."""
+        state = self.assignment._state
+        rng, stats = self.rng, self.stats
+        version, words, gauss = rng.getstate()
+        mt = array("I", words)
+        counts = array("q", _counters(stats))
+        found = state.lib.run(state.addr, mt.buffer_info()[0], self._search.addr,
+                              counts.buffer_info()[0], min(budget, _MAX_BUDGET))
+        rng.setstate((version, tuple(mt), gauss))
+        for name, count in zip(_COUNTERS, counts):
+            setattr(stats, name, count)
+        return bool(found)
+
     def _select(self) -> int:
         """Pick one unjustified gate per the heuristic, ties uniform.
 
@@ -217,7 +272,7 @@ class SearchEngine:
             return asg.ubuf[0]
         if self._scores is None:
             return asg.ubuf[self.rng.randrange(count)]
-        if self._select_args is None:
+        if self._search is None:
             lo, hi, neg, walk = self._scores
             values = asg.values
             best = 0x7FFFFFFF                   # INT_MAX, as in the kernel
@@ -236,6 +291,6 @@ class SearchEngine:
             k = len(ties)
         else:
             state = asg._state
-            k = state.lib.select(state.addr, *self._select_args)
+            k = state.lib.select(state.addr, self._search.addr)
             ties = state.ties
         return ties[0] if k == 1 else ties[self.rng.randrange(k)]

@@ -17,6 +17,8 @@ from aigsls import _kernel
 from aigsls.aiger import parse_aiger
 from aigsls.circuit import Assignment, verify_satisfying
 from aigsls.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, run_cli
+from aigsls.metrics import build_profile
+from aigsls.search import SearchEngine
 from oracles import dpll, parse_dimacs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -24,6 +26,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 UNCONSTRAINED = "aag 1 1 0 0 0\n2\n"
 # And(x, not x) required to be 1: violated from the first assignment on
 VIOLATED = "aag 2 1 0 1 1\n2\n4\n4 2 3\n"
+
+
+def _loop():
+    """The search loop a new engine runs: "c" for the kernel's, else "python"."""
+    cc = parse_aiger(VIOLATED.encode())
+    return "c" if SearchEngine(cc, build_profile(cc.circuit)).uses_kernel_loop else "python"
 
 
 @pytest.fixture
@@ -81,12 +89,26 @@ class TestSolve:
         assert out == "UNKNOWN\nsteps 50\n"
         cpu_time, search, phases = err.splitlines()
         assert cpu_time.startswith("cpu_time ")
-        kernel = "python" if _kernel.lib is None else "c"
-        assert search == (f"search kernel={kernel} walk=0 greedy=0 forced=0 burned=50 "
+        assert search == (f"search kernel={_loop()} walk=0 greedy=0 forced=0 burned=50 "
                           "trials=0 flips=0 min_unjust=1")
         # an UNKNOWN verdict is never verified
         assert re.fullmatch(r"phases parse_s=\d+\.\d{6} profile_s=\d+\.\d{6} "
                             r"search_s=\d+\.\d{6} verify_s=0\.000000", phases), phases
+
+    @pytest.mark.parametrize("fault", ["no-kernel", "failed-check"])
+    def test_stderr_names_the_python_loop_when_it_ran(self, aag, capsys, monkeypatch, fault):
+        if fault == "no-kernel":
+            monkeypatch.setattr(_kernel, "lib", None)
+        elif _kernel.lib is None:
+            pytest.skip("no working C compiler")
+        else:
+            # the kernel's copy of random.Random fails its load-time check
+            monkeypatch.setattr(_kernel, "_reference_draws", lambda rng, ns: [0] * len(ns))
+            monkeypatch.setattr(_kernel, "lib", _kernel.load())
+        assert _loop() == "python"
+        assert run_cli(["solve", aag("bad.aag", VIOLATED), "--cutoff", "50"]) == EXIT_UNKNOWN
+        search = capsys.readouterr().err.splitlines()[1]
+        assert search.startswith("search kernel=python walk=0 greedy=0 forced=0 burned=50 ")
 
     def test_stderr_reports_the_phase_times(self, aag, capsys):
         path = aag("free.aag", UNCONSTRAINED)
@@ -182,6 +204,10 @@ class TestBench:
         assert run_cli(["bench", str(path)]) == 0
         for name in ("tries.csv", "summaries.csv", "cactus.csv", "scatter.csv"):
             assert (tmp_path / "out" / name).exists()
+        # the search loop, once and before every other line
+        kernel, *wrote = capsys.readouterr().err.splitlines()
+        assert kernel == f"kernel {_loop()}"
+        assert wrote and all(line.startswith("wrote ") for line in wrote)
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({"tries": "3"}, id="tries-3"),

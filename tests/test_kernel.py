@@ -8,6 +8,7 @@ kernel turned off; their originals run on the kernel wherever it builds.
 """
 
 import copy
+import glob
 import json
 import os
 import pickle
@@ -23,6 +24,7 @@ from itertools import accumulate, chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import test_aiger
 import test_circuit
@@ -57,6 +59,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 needs_kernel = pytest.mark.skipif(_kernel.lib is None, reason="no working C compiler")
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+needs_loop = pytest.mark.skipif(_kernel.lib is None or _kernel.lib.run is None,
+                                reason="no kernel search loop")
 
 
 @pytest.fixture
@@ -655,15 +659,40 @@ for data in corpus:
                         (1, 1, max(room - 1, 0))):
             _kernel.parse_binary(data, pos, i, o, a)
             _kernel.parse_ascii(data, pos, i + a, i, o, a)
+assert _kernel.lib.run is not None     # the searches below run aigsls_run
 cc = generate_random_sat_aig(12, 300, random.Random(5))
 profile = build_profile(cc.circuit)
 for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min"):
     crsat_solve(cc, profile, SolverConfig(heuristic, 0.3, 3000, 1))
 sys.path.insert(0, sys.argv[3])
-from oracles import random_dag, ref_tfi_sizes, ref_tfo_sizes
+from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
+from test_harness import const_reader_instance
 from test_kernel import _observed_through_big_siblings, walk_a_shared_profile_in_threads
 from test_metrics import fibonacci_chain
+from aigsls.search import SearchEngine
 rng = random.Random(6)
+# readers of the pinned constant under conflicting constraints, which burn
+# steps, and gates of up to 6 children; both stamp generations restart
+# inside the loop; each trajectory ends one step at a time
+base = const_reader_instance(rng, 5, 60)
+conflicting = circuit.ConstrainedCircuit(
+    base.circuit, {g: g == 0 or not v for g, v in base.constraints.items()}, const_gate=0)
+burned, restarts = 0, set()
+for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6))):
+    profile = build_profile(cc.circuit)
+    for heuristic in ("rand", "cc-min", "tfi-min"):
+        engine = SearchEngine(cc, profile, heuristic, 0.3, 1)
+        engine.assignment._meta[1] = 0x7FFFFFFF - 40
+        profile._walk[0] = 0x7FFFFFFF - 5
+        assert engine.uses_kernel_loop and not engine.run(300)
+        for _ in range(100):
+            engine.run(1)
+        burned += engine.stats.burned
+        if engine.assignment._meta[1] < 0x7FFFFFFF - 40:
+            restarts.add("propagation")
+        if profile._walk[0] < 0x7FFFFFFF - 5:
+            restarts.add("walk")
+assert burned and restarts == {"propagation", "walk"}
 for k in range(4):
     profile = build_profile(random_dag(rng, rng.randint(1, 400)))
     if k % 2:
@@ -726,9 +755,59 @@ def test_parsers_and_searches_run_clean_under_asan(tmp_path):
                    LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc")
 
 
+#: interpreters the package supports, looked for on PATH and under pyenv
+OTHER_PYTHONS = (*(f"python3.{minor}" for minor in range(10, 14)),
+                 *sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.1*/bin/python"))))
+
+GOLDEN = """
+import pathlib, sys, tempfile, types
+sys.path.insert(0, sys.argv[1])
+sys.modules["pytest"] = types.ModuleType("pytest")  # the golden tests call none of it
+from aigsls import _kernel
+assert _kernel.lib is not None and _kernel.lib.run is not None, "no kernel loop"
+import test_harness
+golden = test_harness.TestGoldenTrajectory()
+with tempfile.TemporaryDirectory() as tmp:
+    golden.test_every_heuristic_reproduces_recorded_outputs(pathlib.Path(tmp))
+golden.test_readers_of_the_constant_gate_reproduce_recorded_outputs()
+"""
+
+
+def _answering_interpreters() -> list:
+    """The interpreters of OTHER_PYTHONS that answer ``--version``, one path
+    per executable: a PATH shim may name no installed version."""
+    found = {}
+    for name in OTHER_PYTHONS:
+        path = shutil.which(name)
+        if path is None:
+            continue
+        try:
+            proc = subprocess.run([path, "--version"], capture_output=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0:
+            found.setdefault(os.path.realpath(path), path)
+    return list(found.values())
+
+
+@needs_cc
+def test_every_interpreter_runs_the_kernel_loop_on_the_golden_trajectories():
+    # the kernel's copy of random.Random must pass its check, and reproduce
+    # the recorded trajectories, on each interpreter found, not only this one
+    interpreters = _answering_interpreters()
+    if not interpreters:
+        pytest.skip("no other interpreter answers --version")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for path in interpreters:
+        proc = subprocess.run([path, "-c", GOLDEN, tests], env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, b""), (path, proc.stderr.decode()[-2000:])
+
+
 def _snapshot(engine):
     asg = engine.assignment
-    return (engine.steps, bytes(asg.values), asg.ulist, list(asg.upos), engine.stats)
+    return (engine.steps, bytes(asg.values), asg.ulist, list(asg.upos), engine.stats,
+            engine.rng.getstate())
 
 
 def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
@@ -803,6 +882,81 @@ def test_constant_readers_match_on_both_paths(monkeypatch):
             _run_both(monkeypatch, cc, heuristic, 0.3, rng.randrange(10**6), (50, 500))
 
 
+@st.composite
+def search_cases(draw):
+    """A constrained circuit, heuristic, noise, seed and chunk split: random
+    DAGs with up to 6 children per AND (repeated children and both
+    polarities of one child included), or readers of the pinned constant,
+    which burn steps; chunks include runs of single steps."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        circuit = random_dag(rng, draw(st.integers(2, 120)), max_arity=draw(st.integers(1, 6)))
+        cc = random_constrained(rng, circuit)
+    else:
+        cc = test_harness.const_reader_instance(rng, draw(st.integers(1, 6)),
+                                                draw(st.integers(1, 60)))
+    chunks = draw(st.lists(st.one_of(st.integers(1, 300), st.just(1)), min_size=1, max_size=12))
+    return (cc, draw(st.sampled_from(HEURISTICS)), draw(st.sampled_from((0.0, 0.3, 1.0))),
+            draw(st.integers(0, 10**6)), chunks)
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(search_cases())
+def test_both_search_loops_take_the_same_steps_and_draws(monkeypatch, case):
+    _run_both(monkeypatch, *case)
+
+
+def _selections(engine) -> list:
+    """A list that gains one entry per gate the engine's Python loop selects."""
+    calls = []
+    select = engine._select
+    engine._select = lambda: calls.append(1) or select()
+    return calls
+
+
+@needs_loop
+def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch):
+    lib = _kernel.lib
+    monkeypatch.setattr(_kernel, "_reference_draws", lambda rng, ns: [0] * len(ns))
+    guarded = _kernel.load()
+    assert guarded.run is None and lib.run is not None
+    cc = generate_random_sat_aig(16, 600, random.Random(88))
+    for heuristic in ("rand", "cc-min", "tfi-min"):
+        profile = build_profile(cc.circuit)
+        fast = SearchEngine(cc, profile, heuristic, 0.3, 6)
+        monkeypatch.setattr(_kernel, "lib", guarded)
+        slow = SearchEngine(cc, profile, heuristic, 0.3, 6)
+        monkeypatch.setattr(_kernel, "lib", lib)
+        # the slow engine's assignment is still on the kernel; only its loop is Python
+        assert isinstance(slow.assignment._state, _kernel.State)
+        assert fast.uses_kernel_loop and not slow.uses_kernel_loop
+        selections = _selections(slow)
+        for k in (1, 1, 30, 200):
+            assert fast.run(k) == slow.run(k)
+            assert _snapshot(fast) == _snapshot(slow)
+        assert len(selections) == slow.steps > 20
+
+
+@needs_loop
+def test_an_rng_subclass_keeps_the_python_loop():
+    class Sub(random.Random):
+        pass
+
+    cc = generate_random_sat_aig(16, 600, random.Random(89))
+    profile = build_profile(cc.circuit)
+    fast, slow = (SearchEngine(cc, profile, "depth-max", 0.3, 4) for _ in range(2))
+    slow.rng = Sub()
+    slow.rng.setstate(fast.rng.getstate())
+    assert fast.uses_kernel_loop and not slow.uses_kernel_loop
+    selections = _selections(slow)
+    for k in (1, 50, 200):
+        assert fast.run(k) == slow.run(k)
+        assert _snapshot(fast) == _snapshot(slow)
+    assert len(selections) == slow.steps > 20
+
+
 @needs_kernel
 def test_measures_past_int64_rank_exactly(monkeypatch):
     rng = random.Random(77)
@@ -858,7 +1012,7 @@ def test_selection_resolves_its_kernel_arguments_at_construction(monkeypatch):
             reference = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
             reference.run(200)
             engine = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.2, 5)
-            assert (engine._select_args is None) == (lib is None)
+            assert (engine._search is None) == (lib is None)
             with monkeypatch.context() as patch:
                 for name in ("scores", "kernel_walk"):
                     patch.setattr(metrics.StructuralProfile, name, no_lookup)
