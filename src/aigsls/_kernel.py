@@ -17,7 +17,10 @@ differ from the plain sum in C.
 unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
 place.  An assignment built while ``lib`` is loaded keeps a ``State`` on
-them and runs in C; one built without it runs in Python.
+them and runs in C; one built without it runs in Python.  Both paths flip
+the same gates in the same order; forward propagation keeps its pending
+gates in a bitmap over topological positions in C, where Python keeps a
+``heapq``, and both pop them in rising position.
 
 ``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection
 (the scan of the unjustified list for the least int32 score of
@@ -68,8 +71,9 @@ typedef struct {
     const int *fin_off, *fin, *fout_off, *fout, *order, *tpos, *kid_off, *kid;
     unsigned char *val;
     const unsigned char *pin;
-    int *ulist, *upos, *meta, *stamp, *heap, *undo, *ties;
-    /* meta: unjust count, propagation generation */
+    int *ulist, *upos, *meta, *stamp, *scratch, *undo, *ties;
+    /* meta: unjust count, propagation generation; scratch: n ints of mark
+       scratch, then the pending bitmap of propagate, ceil(n / 32) words */
 } State;
 
 /* 1 iff g is an AND gate whose value differs from the AND of its child literals */
@@ -110,39 +114,17 @@ static void flip(State *s, int g)
         refresh(s, s->fout[i]);
 }
 
-static void push(int *heap, int h, int x)
-{
-    while (h > 0 && heap[(h - 1) >> 1] > x) {
-        heap[h] = heap[(h - 1) >> 1];
-        h = (h - 1) >> 1;
-    }
-    heap[h] = x;
-}
-
-/* remove and return the smallest of the h entries */
-static int pop(int *heap, int h)
-{
-    int top = heap[0], x = heap[--h], i = 0;
-    for (;;) {
-        int c = 2 * i + 1;
-        if (c >= h)
-            break;
-        if (c + 1 < h && heap[c + 1] < heap[c])
-            c++;
-        if (x <= heap[c])
-            break;
-        heap[i] = heap[c];
-        i = c;
-    }
-    heap[i] = x;
-    return top;
-}
-
 /* Assignment.propagate_forward; returns the number of gates it flipped and
-   writes them to log when log is not NULL */
+   writes them to log when log is not NULL.  The pending gates are bits over
+   topological positions, past the mark scratch in s->scratch.  The origins
+   are all set before the first pop, and every later push is a parent of the
+   gate just popped, so it lies later in the order: scanning forward from
+   the first pending word pops the gates in rising position, as Python's
+   heapq does, and leaves every bit clear again. */
 static int propagate(State *s, const int *origins, int k, int *log)
 {
-    int *stamp = s->stamp, *heap = s->heap, h = 0, flipped = 0;
+    int *stamp = s->stamp, flipped = 0, pending = 0, w = INT_MAX;
+    unsigned *bits = (unsigned *)(s->scratch + s->n);
     if (s->meta[1] > INT_MAX - 2) {
         memset(stamp, 0, sizeof(int) * (size_t)s->n);
         s->meta[1] = 0;
@@ -151,11 +133,18 @@ static int propagate(State *s, const int *origins, int k, int *log)
     s->meta[1] = origin;
     for (int i = 0; i < k; i++)
         if (stamp[origins[i]] != origin) {
+            int t = s->tpos[origins[i]];
             stamp[origins[i]] = origin;
-            push(heap, h++, s->tpos[origins[i]]);
+            bits[t >> 5] |= 1U << (t & 31);
+            pending++;
+            if (t >> 5 < w)
+                w = t >> 5;
         }
-    while (h > 0) {
-        int g = s->order[pop(heap, h--)];
+    for (; pending > 0; pending--) {
+        while (!bits[w])
+            w++;
+        int g = s->order[32 * w + __builtin_ctz(bits[w])];
+        bits[w] &= bits[w] - 1;
         if (stamp[g] != origin) {
             if (s->upos[g] < 0 || s->pin[g])
                 continue;
@@ -167,8 +156,10 @@ static int propagate(State *s, const int *origins, int k, int *log)
         for (int i = s->fout_off[g]; i < s->fout_off[g + 1]; i++) {
             int p = s->fout[i];
             if (stamp[p] < seen) {
+                int t = s->tpos[p];
                 stamp[p] = seen;
-                push(heap, h++, s->tpos[p]);
+                bits[t >> 5] |= 1U << (t & 31);
+                pending++;
             }
         }
     }
@@ -352,7 +343,7 @@ enum { WALK, GREEDY, FORCED, BURNED, TRIALS, FLIPS, MIN_UNJUST };
 /* SearchEngine.run's loop, step for step, drawing from mt as the engine's
    random.Random would: up to budget steps, counted into stats; returns 1
    once the circuit is satisfied, else 0.  The moves go to ties, after the
-   selection is done with it, and heap serves as their mark scratch. */
+   selection is done with it, and the first n ints of scratch are moves' mark. */
 int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long long budget)
 {
     int *mv = s->ties;
@@ -370,7 +361,7 @@ int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long l
             int k = select_ties(s, p);
             g = s->ties[k == 1 ? 0 : randbelow(mt, k)];
         }
-        int k = moves(s, g, mv, s->heap, &width);
+        int k = moves(s, g, mv, s->scratch, &width);
         if (!k) {
             stats[BURNED]++;
             continue;
@@ -804,7 +795,7 @@ MAX_VAR = 2**30 - 1
 FORWARD, BACKWARD = 1, 2
 
 _CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos", "kid_off", "kid")
-_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "heap", "undo", "ties")
+_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "scratch", "undo", "ties")
 
 
 class _StateStruct(ctypes.Structure):
@@ -1061,9 +1052,10 @@ class State:
         self.lib = lib
         n = asg.circuit.num_gates
         arrays = asg.circuit._csr
-        heap, self.undo, self.ties = (array("i", [0]) * n for _ in range(3))
+        scratch = array("i", [0]) * (n + (n + 31) // 32)
+        self.undo, self.ties = array("i", [0]) * n, array("i", [0]) * n
         views = (_view(asg.values), (ctypes.c_char * n).from_buffer_copy(asg.pinned),
-                 *map(_view, (asg.ubuf, asg.upos, asg._meta, asg._stamp, heap, self.undo,
+                 *map(_view, (asg.ubuf, asg.upos, asg._meta, asg._stamp, scratch, self.undo,
                               self.ties)))
         self._keep = (arrays, views)
         self._struct = _StateStruct(n, *(_addr(getattr(arrays, name))

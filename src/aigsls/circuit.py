@@ -411,7 +411,7 @@ class Assignment:
             raise IndexError("gate index out of range")
         return gates
 
-    # -- pure-Python path: the reference the kernel must match, line for line --
+    # -- pure-Python path: the reference the kernel must match, step for step --
     # The while loops over CSR rows are the kernel's for loops: CPython runs
     # them faster than it copies the row out of the list with a slice.
 
@@ -450,7 +450,8 @@ class Assignment:
 
     def _propagate(self, origins, log: Optional[list]) -> int:
         # the kernel's propagate: returns the number of gates it flipped,
-        # appending them to log when given
+        # appending them to log when given; a heap where the kernel keeps a
+        # bitmap, popped in the same order
         csr = self.circuit._lists
         fout_off, fout, order, tpos = csr.fout_off, csr.fout, csr.order, csr.tpos
         stamp, meta, upos, pin = self._stamp, self._meta, self.upos, self._pinned
@@ -508,13 +509,16 @@ class Assignment:
     def propagate_forward(self, flipped, undo: Optional[list] = None) -> "Assignment":
         """Limited forward propagation of just-flipped gate values.
 
-        Processes gates in topological order through a no-duplicates priority
-        queue seeded with ``flipped``.  A popped origin gate only forwards to
-        its parents; any other popped gate that is unjustified and not pinned
-        is flipped (which justifies it, since its children are already final)
-        and its parents are enqueued in turn.  Propagation stops along a path
-        as soon as a popped gate is found justified.  Every gate it flips is
-        appended to ``undo`` when given.
+        Processes gates in topological order through a no-duplicates queue
+        of pending gates seeded with ``flipped``: a ``heapq`` of topological
+        positions in Python, a bitmap over them in the kernel, which pops
+        them in the same rising order because every gate enqueued after the
+        seeds lies after the gate just popped.  A popped origin gate only
+        forwards to its parents; any other popped gate that is unjustified
+        and not pinned is flipped (which justifies it, since its children are
+        already final) and its parents are enqueued in turn.  Propagation
+        stops along a path as soon as a popped gate is found justified.
+        Every gate it flips is appended to ``undo`` when given.
         """
         state = self._state
         if state is None:

@@ -630,7 +630,10 @@ def test_alevel_of_wide_gates_follows_the_interpreters_sum(monkeypatch, compensa
 
 @needs_cc
 def test_kernel_source_compiles_without_warnings():
-    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+    # a full -O2 compile, not -fsyntax-only: only it reports unused static
+    # functions
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-O2", "-c", "-o", os.devnull,
+                           "-x", "c", "-"],
                           input=_kernel.SOURCE.encode(), capture_output=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, b"")
 
@@ -693,6 +696,17 @@ for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6
         if profile._walk[0] < 0x7FFFFFFF - 5:
             restarts.add("walk")
 assert burned and restarts == {"propagation", "walk"}
+# 161 % 32 == 1: the last gate in topological order is the one bit of the
+# pending bitmap's last word
+cc = random_constrained(rng, random_dag(rng, 161))
+asg = circuit.random_complete_extension(cc, rng)
+free = [g for g in range(161) if not cc.pinned[g]]
+for origins in (*([g] for g in free), free, [cc.circuit.topo_order[-1]]):
+    undo = []
+    for g in origins:
+        asg.flip(g, undo)
+    asg.propagate_forward(origins, undo)
+    asg.rollback(undo)
 for k in range(4):
     profile = build_profile(random_dag(rng, rng.randint(1, 400)))
     if k % 2:
@@ -859,6 +873,38 @@ def test_an_assignment_stays_on_the_path_it_was_built_on(monkeypatch):
         assert _buffers(fast) == _buffers(slow)
     assert slow._state is None
     assert slow.unjust == slow.recompute_unjust()
+
+
+@needs_kernel
+@pytest.mark.parametrize("num_gates", [1, 2, 31, 32, 33, 63, 64, 65, 150])
+def test_propagation_matches_at_the_bitmap_word_edges(monkeypatch, num_gates):
+    # the kernel keeps pending gates as bits over topological positions, 32
+    # to a word: origins at the last position of each word and of the order,
+    # all free gates at once, and none, which must touch no word
+    rng = random.Random(num_gates)
+    circuit = random_dag(rng, num_gates)
+    cc = random_constrained(rng, circuit)
+    values = random_complete_extension(cc, rng).values
+    fast, slow = _on_both_paths(monkeypatch, lambda: Assignment(circuit, values, cc.pinned))
+    order = circuit.topo_order
+    free = [g for g in range(num_gates) if not cc.pinned[g]]
+    edges = [order[t] for t in range(31, num_gates, 32)]
+    cases = [[order[-1]], free, [], edges, [*edges, order[-1]], *([g] for g in free),
+             *(rng.sample(free, rng.randint(0, len(free))) for _ in range(20))]
+    for origins in cases:
+        assert fast._trial(origins) == slow._trial(origins)
+        undos = [], []
+        for asg, undo in zip((fast, slow), undos):
+            for g in origins:
+                asg.flip(g, undo)
+            asg.propagate_forward(origins, undo)
+        assert undos[0] == undos[1]
+        assert _buffers(fast) == _buffers(slow)
+        if rng.random() < 0.5:
+            fast.rollback(undos[0])
+            slow.rollback(undos[1])
+            assert _buffers(fast) == _buffers(slow)
+    assert fast.unjust == fast.recompute_unjust()
 
 
 @needs_kernel
