@@ -17,10 +17,10 @@ differ from the plain sum in C.
 unjustified list, its positions and the propagation stamps ``array('i')``).
 The C code below reads and writes those buffers and the circuit's CSR in
 place.  An assignment built while ``lib`` is loaded keeps a ``State`` on
-them and runs in C; one built without it runs in Python.  Both paths flip
-the same gates in the same order; forward propagation keeps its pending
-gates in a bitmap over topological positions in C, where Python keeps a
-``heapq``, and both pop them in rising position.
+them and flips, propagates and rolls back in C; one built without it does
+so in Python.  Both paths flip the same gates in the same order; forward
+propagation keeps its pending gates in a bitmap over topological positions
+in C, where Python keeps a ``heapq``, and both pop them in rising position.
 
 ``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection
 (the scan of the unjustified list for the least int32 score of
@@ -32,9 +32,9 @@ draws come from a copy of CPython's MT19937, which starts from and ends in
 the engine's ``random.Random`` state, so both loops draw the same stream
 and follow the same trajectory.  ``_bind`` checks the copy against
 ``random.Random`` on a fixed draw sequence and leaves ``run`` None when
-they differ; ``SearchEngine`` then keeps its Python loop.  ``aigsls_select``,
-``aigsls_trial`` and ``aigsls_move`` expose single operations of the loop
-for that Python loop and the tests.
+they differ; ``SearchEngine`` then runs its Python loop over the Python
+steps, which work on the same buffers.  No other entry point runs a search
+step.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
@@ -401,8 +401,6 @@ void aigsls_draws(unsigned *mt, const int *n, int k, double *out)
         out[i] = n[i] ? randbelow(mt, n[i]) : random53(mt);
 }
 
-int aigsls_select(State *s, const Search *p) { return select_ties(s, p); }
-
 /* The entry points below that take a gate list return -1, and change
    nothing, when a gate is out of range. */
 
@@ -433,16 +431,6 @@ int aigsls_propagate(State *s, const int *origins, int k)
     if (!in_range(s->n, origins, k))
         return -1;
     return propagate(s, origins, k, s->undo);
-}
-
-int aigsls_trial(State *s, const int *flips, int k)
-{
-    return in_range(s->n, flips, k) ? trial(s, flips, k) : -1;
-}
-
-int aigsls_move(State *s, const int *flips, int k)
-{
-    return in_range(s->n, flips, k) ? move(s, flips, k) : -1;
 }
 
 /* sets each AND gate, in topological order, to the AND of its child
@@ -773,11 +761,8 @@ _SIGNATURES = {
     "flip": (None, [_P, _I]),
     "rollback": (_I, [_P, _P, _I]),
     "propagate": (_I, [_P, _P, _I]),
-    "trial": (_I, [_P, _P, _I]),
-    "move": (_I, [_P, _P, _I]),
     "evaluate": (None, [_I, _P, _P, _P, _P]),
     "scan": (None, [_P]),
-    "select": (_I, [_P, _P]),
     "run": (_I, [_P, _P, _P, _P, _L]),
     "draws": (None, [_P, _P, _I, _P]),
     "closures": (_I, [_I] + [_P] * 5 + [_I]),
@@ -866,8 +851,8 @@ def _same_stream(draws) -> bool:
 
 
 def _bind(path: str):
-    # every call keeps the GIL through PyDLL: select, run and closures walk
-    # on a profile's one walk scratch, so threads can share a profile
+    # every call keeps the GIL through PyDLL: run and closures walk on a
+    # profile's one walk scratch, so threads can share a profile
     dll = ctypes.PyDLL(path)
     functions = {}
     for name, (restype, argtypes) in _SIGNATURES.items():
@@ -1023,7 +1008,7 @@ def first_unjust(circuit, values: bytearray) -> int:
 
 
 class Search:
-    """A search's settings as ``aigsls_select`` and ``aigsls_run`` read them,
+    """A search's settings as ``aigsls_run`` reads them,
     at ``addr``: the int32 scores ``lo`` and ``hi`` of a measure heuristic
     (None under "rand") and ``neg``, ``walk`` the addresses of the CSR and
     scratch of the closure walk that fills ``lo`` (Nones when none does),
@@ -1043,20 +1028,21 @@ class State:
     ``addr`` is passed to every kernel call, made through ``lib``, the library
     loaded when the state was built.  The object keeps each buffer it points
     into alive and copies the fixed ``pinned``.  ``undo`` receives the gates
-    a propagation flipped and ``ties`` the gates a selection tied on.
+    a propagation flipped; ``aigsls_run`` keeps a selection's ties and a
+    step's moves in a buffer of its own.
     """
 
-    __slots__ = ("_keep", "_struct", "addr", "lib", "undo", "ties")
+    __slots__ = ("_keep", "_struct", "addr", "lib", "undo")
 
     def __init__(self, asg):
         self.lib = lib
         n = asg.circuit.num_gates
         arrays = asg.circuit._csr
         scratch = array("i", [0]) * (n + (n + 31) // 32)
-        self.undo, self.ties = array("i", [0]) * n, array("i", [0]) * n
+        self.undo = array("i", [0]) * n
         views = (_view(asg.values), (ctypes.c_char * n).from_buffer_copy(asg.pinned),
                  *map(_view, (asg.ubuf, asg.upos, asg._meta, asg._stamp, scratch, self.undo,
-                              self.ties)))
+                              array("i", [0]) * n)))
         self._keep = (arrays, views)
         self._struct = _StateStruct(n, *(_addr(getattr(arrays, name))
                                          for name in _CSR_FIELDS),

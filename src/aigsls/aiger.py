@@ -73,14 +73,26 @@ def _decode_literal(lit: int, max_var: int) -> int:
     return lit ^ (lit < 2)      # gate 0 holds 1 while AIGER variable 0 is FALSE
 
 
-def _parse_header(line: bytes) -> tuple[str, AigerHeader]:
+#: the most bytes before the newline that ends the header line; a file
+#: without one there is refused before the rest of it is read
+HEADER_LIMIT = 1 << 16
+
+
+def _parse_header(data: bytes) -> tuple[int, str, AigerHeader]:
+    """The end of the header line at the start of ``data`` (-1 when it is
+    the whole file), the format and the counts; the line must end within
+    HEADER_LIMIT bytes, and a diagnostic shows at most 64 bytes of it."""
+    end = data.find(b"\n", 0, HEADER_LIMIT)
+    if end < 0 and len(data) >= HEADER_LIMIT:
+        raise MalformedHeader(f"no header line in the first {HEADER_LIMIT} bytes")
+    line = data if end < 0 else data[:end]
     parts = line.split()
     if len(parts) < 6 or parts[0] not in (b"aag", b"aig"):
-        raise MalformedHeader(f"bad header: {line!r}")
+        raise MalformedHeader(f"bad header: {line[:64]!r}")
     try:
         counts = [int(p) for p in parts[1:]]
     except ValueError:
-        raise MalformedHeader(f"non-numeric header field in {line!r}") from None
+        raise MalformedHeader(f"non-numeric header field in {line[:64]!r}") from None
     if any(c < 0 for c in counts):
         raise MalformedHeader("negative count in header")
     if len(counts) > 5 and any(counts[5:]):
@@ -93,7 +105,7 @@ def _parse_header(line: bytes) -> tuple[str, AigerHeader]:
     if m > _kernel.MAX_VAR:
         # checked before allocating anything sized by the header
         raise MalformedHeader(f"header claims M={m}; at most {_kernel.MAX_VAR} supported")
-    return parts[0].decode(), AigerHeader(m, i, l, o, a)
+    return end, parts[0].decode(), AigerHeader(m, i, l, o, a)
 
 
 def _constrain(circuit, max_var, output_literals) -> ConstrainedCircuit:
@@ -206,9 +218,10 @@ def parse_aiger(data: bytes) -> ConstrainedCircuit:
     """Parse an AIGER file, ASCII ("aag") or binary ("aig") variant."""
     if isinstance(data, str):
         data = data.encode()
-    end = data.find(b"\n")
-    header_line = data if end < 0 else data[:end]
-    fmt, header = _parse_header(header_line)
+    return _parse_body(data, *_parse_header(data))
+
+
+def _parse_body(data: bytes, end: int, fmt: str, header: AigerHeader) -> ConstrainedCircuit:
     m, i, o, a = header.max_var, header.inputs, header.outputs, header.ands
     if fmt == "aig" and end < 0:
         raise MalformedHeader("binary file has no body")
@@ -224,8 +237,12 @@ def parse_aiger(data: bytes) -> ConstrainedCircuit:
 
 
 def load_aiger(path) -> ConstrainedCircuit:
+    """``parse_aiger`` of the file at ``path``, whose header is checked on
+    its first HEADER_LIMIT bytes before the rest is read."""
     with open(path, "rb") as fh:
-        return parse_aiger(fh.read())
+        head = fh.read(HEADER_LIMIT)
+        parsed = _parse_header(head)
+        return _parse_body(head + fh.read(), *parsed)
 
 
 def _var_map(cc: ConstrainedCircuit):

@@ -331,7 +331,9 @@ class Assignment:
     ``_state`` fixes the path when the assignment is built or unpickled: a
     ``_kernel.State`` if the kernel is loaded then, else None (Python).
     Both paths leave the buffers identical and reject a gate out of range
-    with IndexError.  ``SearchEngine`` selects through ``_state``.
+    with IndexError.  ``_trial`` and ``_move``, the steps of the reference
+    search loop, run in Python on either path; ``SearchEngine`` hands the
+    whole loop to C through ``_state``.
     """
 
     __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "_meta", "_stamp",
@@ -485,6 +487,27 @@ class Assignment:
                 i += 1
         return flipped
 
+    def _trial(self, flips) -> int:
+        """Unjust count after flipping the gates ``flips`` and propagating
+        them; the assignment is restored afterwards."""
+        flips = self._in_range(flips)
+        undo = list(flips)
+        for g in flips:
+            self._flip(g)
+        self._propagate(flips, undo)
+        count = self._meta[0]
+        for g in reversed(undo):
+            self._flip(g)
+        return count
+
+    def _move(self, flips) -> int:
+        """Flip the gates ``flips`` and propagate them; returns the number of
+        gates flipped."""
+        flips = self._in_range(flips)
+        for g in flips:
+            self._flip(g)
+        return len(flips) + self._propagate(flips, None)
+
     # -- public operations, on whichever path is loaded --
 
     def flip(self, g: int, undo: Optional[list] = None):
@@ -528,31 +551,6 @@ class Assignment:
         if undo is not None:
             undo.extend(state.undo[:count])
         return self
-
-    def _trial(self, flips) -> int:
-        """Unjust count after flipping the gates ``flips`` and propagating
-        them; the assignment is restored afterwards."""
-        if self._state is not None:
-            return self._kernel_call(self._state.lib.trial, flips)
-        flips = self._in_range(flips)
-        undo = list(flips)
-        for g in flips:
-            self._flip(g)
-        self._propagate(flips, undo)
-        count = self._meta[0]
-        for g in reversed(undo):
-            self._flip(g)
-        return count
-
-    def _move(self, flips) -> int:
-        """Flip the gates ``flips`` and propagate them; returns the number of
-        gates flipped."""
-        if self._state is not None:
-            return self._kernel_call(self._state.lib.move, flips)
-        flips = self._in_range(flips)
-        for g in flips:
-            self._flip(g)
-        return len(flips) + self._propagate(flips, None)
 
     def recompute_unjust(self) -> frozenset:
         """From-scratch unjust set; the incremental one must always equal it."""

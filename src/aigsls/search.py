@@ -160,7 +160,7 @@ class SearchEngine:
         if measure:
             lo, hi = profile.scores(measure)    # kept alive by self.profile
             self._scores = lo, hi, neg, measure if measure in CLOSURES else None
-        # the settings aigsls_select and aigsls_run read, with the kernel
+        # the settings aigsls_run reads, with the kernel
         self._search = None
         if self.assignment._state is not None:
             self._search = _kernel.Search(lo, hi, neg, profile.kernel_walk(measure), wp)
@@ -179,8 +179,11 @@ class SearchEngine:
         step happened to justify everything; the next call returns True
         immediately.
 
-        The loop below is the reference.  ``aigsls_run`` is its twin in C,
-        and runs instead when ``uses_kernel_loop`` says so.
+        The loop below is the reference, and it runs only the Python steps:
+        ``_select``'s scan, ``Assignment._trial`` and ``Assignment._move``,
+        which work on a kernel-built assignment's buffers too.
+        ``aigsls_run`` is its twin in C, and runs instead when
+        ``uses_kernel_loop`` says so.
         """
         asg = self.assignment
         if self.uses_kernel_loop:
@@ -234,7 +237,7 @@ class SearchEngine:
         that copy reproduces."""
         state = self.assignment._state
         return (state is not None and state.lib.run is not None
-                and self._search is not None and type(self.rng) is random.Random)
+                and type(self.rng) is random.Random)
 
     def _run_kernel(self, budget: int) -> bool:
         """``run`` in one ``aigsls_run`` call.  The generator's state goes
@@ -259,10 +262,9 @@ class SearchEngine:
         drawing from the RNG.  A measure heuristic scans the unjustified
         gates in ``ulist`` order for the least int32 score of
         ``profile.scores``: ``hi[g]`` while g is at 1, else ``lo[g]``,
-        negated for ``-max``, with a closure size walked on first need.  An
-        engine built with the kernel calls ``aigsls_select``, else the loop
-        below, its line-for-line twin; both keep the ties in ``ulist``
-        order for the same draw.
+        negated for ``-max``, with a closure size walked on first need.  The
+        scan is the line-for-line twin of ``select_ties`` in ``aigsls_run``;
+        both keep the ties in ``ulist`` order for the same draw.
         """
         asg = self.assignment
         count = asg.unjust_count
@@ -272,25 +274,20 @@ class SearchEngine:
             return asg.ubuf[0]
         if self._scores is None:
             return asg.ubuf[self.rng.randrange(count)]
-        if self._search is None:
-            lo, hi, neg, walk = self._scores
-            values = asg.values
-            best = 0x7FFFFFFF                   # INT_MAX, as in the kernel
-            ties = []
-            for g in asg.ubuf[:count]:
-                if walk and lo[g] < 0:
-                    self.profile._fill(walk, (g,))
-                v = hi[g] if values[g] else lo[g]
-                if neg:
-                    v = -v
-                if v < best:
-                    best = v
-                    ties.clear()
-                if v == best:
-                    ties.append(g)
-            k = len(ties)
-        else:
-            state = asg._state
-            k = state.lib.select(state.addr, self._search.addr)
-            ties = state.ties
+        lo, hi, neg, walk = self._scores
+        values = asg.values
+        best = 0x7FFFFFFF                       # INT_MAX, as in the kernel
+        ties = []
+        for g in asg.ubuf[:count]:
+            if walk and lo[g] < 0:
+                self.profile._fill(walk, (g,))
+            v = hi[g] if values[g] else lo[g]
+            if neg:
+                v = -v
+            if v < best:
+                best = v
+                ties.clear()
+            if v == best:
+                ties.append(g)
+        k = len(ties)
         return ties[0] if k == 1 else ties[self.rng.randrange(k)]

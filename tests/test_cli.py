@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigsls import _kernel
-from aigsls.aiger import parse_aiger
+from aigsls.aiger import HEADER_LIMIT, parse_aiger
 from aigsls.circuit import Assignment, verify_satisfying
 from aigsls.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, run_cli
 from aigsls.metrics import build_profile
@@ -327,6 +327,18 @@ class TestErrors:
         path.write_bytes(b"aig 1073741824 1073741824 0 0 0\n")
         _fails_before_allocating("solve", str(path))
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_a_file_without_a_header_line_fails_before_reading_on(self, tmp_path):
+        # /dev/zero never ends; only its first HEADER_LIMIT bytes are read
+        for command in ("solve", "export-cnf"):
+            assert _fails_before_allocating(command, "/dev/zero") == (
+                f"error: no header line in the first {HEADER_LIMIT} bytes")
+        # a first line within the limit is shown capped
+        path = tmp_path / "long.aag"
+        path.write_bytes(b"x" * (HEADER_LIMIT - 1) + b"\n1 2 3\n")
+        assert _fails_before_allocating("solve", str(path)) == (
+            f"error: bad header: {b'x' * 64!r}")
+
     def test_header_sized_circuit_past_memory_is_a_one_line_error(self, tmp_path):
         # 3 * 10**8 inputs is a valid 30-byte binary file within the parsers'
         # limit, whose gate arrays outgrow a 1 GiB address space
@@ -393,13 +405,16 @@ class TestErrors:
         assert proc.stdout == b"False\n"
 
 
-def _fails_before_allocating(*argv):
+def _fails_before_allocating(*argv) -> str:
+    """The one-line diagnostic of the CLI run on ``argv`` under a 1 GiB
+    address space, which must exit 1 with nothing on stdout."""
     proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           timeout=120)
     lines = proc.stderr.decode().splitlines()
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, b""), lines
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 LIMITED_CLI = """

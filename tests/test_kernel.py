@@ -638,6 +638,19 @@ def test_kernel_source_compiles_without_warnings():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+def test_every_kernel_export_is_bound_and_used():
+    # the warnings above catch a dead static function; this catches a dead
+    # export: each non-static aigsls_ function has a signature and a caller
+    exports = re.findall(r"^(?!static\b)\w[\w *]*\baigsls_(\w+)\(", _kernel.SOURCE, re.M)
+    assert sorted(exports) == sorted(_kernel._SIGNATURES)
+    package = os.path.join(SRC, "aigsls")
+    text = "".join(open(os.path.join(package, name)).read()
+                   for name in sorted(os.listdir(package)) if name.endswith(".py"))
+    unused = [name for name in exports
+              if not re.search(rf'\blib\.{name}\b|functions\["{name}"\]', text)]
+    assert unused == []
+
+
 SANITIZED = """
 import json, random, sys
 from aigsls import _kernel, aiger, circuit, generate_random_sat_aig, metrics
@@ -670,7 +683,8 @@ for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min
 sys.path.insert(0, sys.argv[3])
 from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 from test_harness import const_reader_instance
-from test_kernel import _observed_through_big_siblings, walk_a_shared_profile_in_threads
+from test_kernel import (_observed_through_big_siblings, switch_loops_on_a_dag,
+                         walk_a_shared_profile_in_threads)
 from test_metrics import fibonacci_chain
 from aigsls.search import SearchEngine
 rng = random.Random(6)
@@ -696,6 +710,8 @@ for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6
         if profile._walk[0] < 0x7FFFFFFF - 5:
             restarts.add("walk")
 assert burned and restarts == {"propagation", "walk"}
+# the Python steps on the kernel's buffers, between chunks of the C loop
+switch_loops_on_a_dag()
 # 161 % 32 == 1: the last gate in topological order is the one bit of the
 # pending bitmap's last word
 cc = random_constrained(rng, random_dag(rng, 161))
@@ -805,16 +821,18 @@ def _answering_interpreters() -> list:
 
 
 @needs_cc
-def test_every_interpreter_runs_the_kernel_loop_on_the_golden_trajectories():
+def test_every_interpreter_runs_the_kernel_loop_on_the_golden_trajectories(tmp_path):
     # the kernel's copy of random.Random must pass its check, and reproduce
-    # the recorded trajectories, on each interpreter found, not only this one
+    # the recorded trajectories, on each interpreter found, not only this one;
+    # the cache is absolute, so no inherited XDG_CACHE_HOME can refuse it
     interpreters = _answering_interpreters()
     if not interpreters:
         pytest.skip("no other interpreter answers --version")
     tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=SRC)
     for path in interpreters:
-        proc = subprocess.run([path, "-c", GOLDEN, tests], env=dict(os.environ, PYTHONPATH=SRC),
-                              capture_output=True, timeout=300)
+        proc = subprocess.run([path, "-c", GOLDEN, tests], env=env, capture_output=True,
+                              timeout=300)
         assert (proc.returncode, proc.stderr) == (0, b""), (path, proc.stderr.decode()[-2000:])
 
 
@@ -985,22 +1003,71 @@ def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch):
         assert len(selections) == slow.steps > 20
 
 
+class _Sub(random.Random):
+    """A generator whose engine keeps the Python loop."""
+
+
+class _Raising:
+    """A library stub whose every function raises."""
+
+    def __getattr__(self, name):
+        def call(*args):
+            raise AssertionError(f"aigsls_{name} called from the Python loop")
+        return call
+
+
+def switch_loops(cc, heuristic, seed, chunks):
+    """Run ``heuristic`` in ``chunks`` of (budget, python) on two engines with
+    profiles of their own: one on the kernel loop throughout, and one whose
+    generator, its state handed over, is a ``random.Random`` subclass for
+    each chunk marked python and a plain one for the others.  While the
+    Python loop runs, its assignment's library is a stub that raises, and
+    the propagation stamps, set near INT_MAX before its first chunk,
+    restart.  Asserts equal snapshots after every chunk."""
+    fast, mixed = (SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.3, seed)
+                   for _ in range(2))
+    state = mixed.assignment._state
+    lib = state.lib
+    selections = _selections(mixed)
+    python_steps, restarted = 0, None
+    for budget, python in chunks:
+        rng = _Sub() if python else random.Random()
+        rng.setstate(mixed.rng.getstate())
+        mixed.rng = rng
+        if python and restarted is None:
+            restarted = False
+            fast.assignment._meta[1] = mixed.assignment._meta[1] = 0x7FFFFFFF - 10
+        state.lib = _Raising() if python else lib
+        assert fast.uses_kernel_loop and mixed.uses_kernel_loop != python
+        steps, generation = mixed.steps, mixed.assignment._meta[1]
+        found = mixed.run(budget)
+        state.lib = lib
+        assert fast.run(budget) == found
+        assert _snapshot(fast) == _snapshot(mixed)
+        if python:
+            python_steps += mixed.steps - steps
+            restarted |= mixed.assignment._meta[1] < generation
+        if found:
+            break
+    assert restarted and len(selections) == python_steps > 20
+
+
+def switch_loops_on_a_dag():
+    """``switch_loops`` on one 300-gate DAG, C first, under four heuristics;
+    under tfi-min the Python scan walks closure sizes the C loop then reads."""
+    rng = random.Random(90)
+    cc = random_constrained(rng, random_dag(rng, 300))
+    chunks = ((20, False), (40, True), (1, False), (1, True), (60, False), (60, True),
+              (30, False))
+    for heuristic in ("rand", "tfi-min", "cc-min", "depth-max"):
+        switch_loops(cc, heuristic, 5, chunks)
+
+
 @needs_loop
 def test_an_rng_subclass_keeps_the_python_loop():
-    class Sub(random.Random):
-        pass
-
-    cc = generate_random_sat_aig(16, 600, random.Random(89))
-    profile = build_profile(cc.circuit)
-    fast, slow = (SearchEngine(cc, profile, "depth-max", 0.3, 4) for _ in range(2))
-    slow.rng = Sub()
-    slow.rng.setstate(fast.rng.getstate())
-    assert fast.uses_kernel_loop and not slow.uses_kernel_loop
-    selections = _selections(slow)
-    for k in (1, 50, 200):
-        assert fast.run(k) == slow.run(k)
-        assert _snapshot(fast) == _snapshot(slow)
-    assert len(selections) == slow.steps > 20
+    switch_loops(generate_random_sat_aig(16, 600, random.Random(89)), "depth-max", 4,
+                 ((1, True), (50, True), (200, True)))
+    switch_loops_on_a_dag()
 
 
 @needs_kernel
