@@ -22,12 +22,17 @@ so in Python.  Both paths flip the same gates in the same order; forward
 propagation keeps its pending gates in a bitmap over topological positions
 in C, where Python keeps a ``heapq``, and both pop them in rising position.
 
-``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection
-(the scan of the unjustified list for the least int32 score of
-``StructuralProfile.scores``, walking closure sizes on first need as
-``aigsls_closures`` does, with the ties kept in ``ulist`` order), the
-moves read from the gate's CSR rows as ``search._moves`` reads them, the
-greedy trials, the move and every ``SearchStats`` counter.  Its random
+``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection,
+the moves read from the gate's CSR rows as ``search._moves`` reads them, the
+greedy trials, the move and every ``SearchStats`` counter.  Under a measure
+heuristic, selection picks the least int32 score of
+``StructuralProfile.scores`` among the unjustified gates, with the ties
+kept in ``ulist`` order.  It reads the scores from ``usc``, a buffer of
+``Search`` holding ``ulist[i]``'s score at ``usc[i]``: ``aigsls_run``
+gathers it from ``ulist`` on entry, the C flips keep it in step with
+``ulist`` until the call returns, and it is stale outside the call.  A
+closure size not walked yet is walked on first need, as ``aigsls_closures``
+does, in ``ulist`` order.  Its random
 draws come from a copy of CPython's MT19937, which starts from and ends in
 the engine's ``random.Random`` state, so both loops draw the same stream
 and follow the same trajectory.  ``_bind`` checks the copy against
@@ -47,6 +52,7 @@ pure-Python methods, which are also the reference the tests compare against.
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import platform
@@ -55,6 +61,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
+import time
 import types
 from array import array
 from itertools import accumulate, chain
@@ -65,6 +72,22 @@ SOURCE = r"""
 #include <limits.h>
 #include <string.h>
 
+/* A search's settings; mirrors Search in _kernel.py.  A gate scores lo[g]
+   while at 0 and hi[g] while at 1, negated when neg; lo is NULL under
+   "rand".  A walk makes lo the closure-size cache of the CSR (off, adj): a
+   candidate's negative entry is first filled by reach.  usc has room for
+   the score of every AND gate: usc[i] is the score of ulist[i], kept by
+   refresh, but only inside aigsls_run and under a measure heuristic. */
+typedef struct {
+    int *lo;
+    const int *hi;
+    int neg;
+    const int *off, *adj;
+    int *walk;
+    double wp;
+    int *usc;
+} Search;
+
 /* CSR circuit plus one assignment's buffers; mirrors State in _kernel.py */
 typedef struct {
     int n;
@@ -72,8 +95,11 @@ typedef struct {
     unsigned char *val;
     const unsigned char *pin;
     int *ulist, *upos, *meta, *stamp, *scratch, *undo, *ties;
+    const Search *sel;
     /* meta: unjust count, propagation generation; scratch: n ints of mark
-       scratch, then the pending bitmap of propagate, ceil(n / 32) words */
+       scratch, then the pending bitmap of propagate, ceil(n / 32) words;
+       sel: the search whose usc refresh keeps, set only while aigsls_run
+       runs a measure heuristic, else NULL */
 } State;
 
 /* 1 iff g is an AND gate whose value differs from the AND of its child literals */
@@ -90,7 +116,24 @@ static int unjust(const int *fin_off, const int *fin, const unsigned char *val, 
     return val[g] != v;
 }
 
-static void refresh(State *s, int g)
+/* g's score under p, before negation: hi[g] while g is at 1, else lo[g] */
+static int score(const Search *p, const unsigned char *val, int g)
+{
+    return val[g] ? p->hi[g] : p->lo[g];
+}
+
+/* The steps from refresh to the search loop take keep, a constant at every
+   call, and are always inlined: aigsls_run's loop comes in two copies, and
+   only the one for measure heuristics (keep 1) pays for s->sel->usc.
+   While a gate stays in ulist its score does not change: flipping an
+   unjustified AND gate justifies it, and refreshing a parent leaves the
+   parent's value alone.  So usc changes only where ulist gains or loses a
+   gate. */
+#define STEP static inline __attribute__((always_inline))
+
+/* moves g into or out of ulist after its value or a child's changed; a
+   removal fills the hole with the last entry, in usc too when keep */
+STEP void refresh(State *s, int g, int keep)
 {
     int pos = s->upos[g];
     if (!unjust(s->fin_off, s->fin, s->val, g)) {
@@ -99,19 +142,23 @@ static void refresh(State *s, int g)
             s->ulist[pos] = last;
             s->upos[last] = pos;
             s->upos[g] = -1;
+            if (keep)
+                s->sel->usc[pos] = s->sel->usc[s->meta[0]];
         }
     } else if (pos < 0) {
+        if (keep)
+            s->sel->usc[s->meta[0]] = score(s->sel, s->val, g);
         s->upos[g] = s->meta[0];
         s->ulist[s->meta[0]++] = g;
     }
 }
 
-static void flip(State *s, int g)
+STEP void flip(State *s, int g, int keep)
 {
     s->val[g] ^= 1;
-    refresh(s, g);
+    refresh(s, g, keep);
     for (int i = s->fout_off[g]; i < s->fout_off[g + 1]; i++)
-        refresh(s, s->fout[i]);
+        refresh(s, s->fout[i], keep);
 }
 
 /* Assignment.propagate_forward; returns the number of gates it flipped and
@@ -121,7 +168,7 @@ static void flip(State *s, int g)
    gate just popped, so it lies later in the order: scanning forward from
    the first pending word pops the gates in rising position, as Python's
    heapq does, and leaves every bit clear again. */
-static int propagate(State *s, const int *origins, int k, int *log)
+STEP int propagate(State *s, const int *origins, int k, int *log, int keep)
 {
     int *stamp = s->stamp, flipped = 0, pending = 0, w = INT_MAX;
     unsigned *bits = (unsigned *)(s->scratch + s->n);
@@ -148,7 +195,7 @@ static int propagate(State *s, const int *origins, int k, int *log)
         if (stamp[g] != origin) {
             if (s->upos[g] < 0 || s->pin[g])
                 continue;
-            flip(s, g);
+            flip(s, g, keep);
             if (log)
                 log[flipped] = g;
             flipped++;
@@ -166,10 +213,10 @@ static int propagate(State *s, const int *origins, int k, int *log)
     return flipped;
 }
 
-static void rollback(State *s, const int *log, int k)
+STEP void rollback(State *s, const int *log, int k, int keep)
 {
     while (k > 0)
-        flip(s, log[--k]);
+        flip(s, log[--k], keep);
 }
 
 static int in_range(int n, const int *gates, int k)
@@ -206,59 +253,63 @@ static int reach(const int *off, const int *adj, int n, int *walk, int g)
     return count;
 }
 
-/* A search's settings; mirrors Search in _kernel.py.  A gate scores lo[g]
-   while at 0 and hi[g] while at 1, negated when neg; lo is NULL under
-   "rand".  A walk makes lo the closure-size cache of the CSR (off, adj): a
-   candidate's negative entry is first filled by reach. */
-typedef struct {
-    int *lo;
-    const int *hi;
-    int neg;
-    const int *off, *adj;
-    int *walk;
-    double wp;
-} Search;
+/* the least of the count ints at u, or the greatest when neg; eight lanes
+   side by side, which the compiler turns into vector code */
+STEP int extreme(const int *u, int count, int neg)
+{
+    int lane[8], best = u[0], i = 0;
+    for (int j = 0; j < 8; j++)
+        lane[j] = best;
+    for (; i + 8 <= count; i += 8)
+        for (int j = 0; j < 8; j++)
+            lane[j] = (neg ? u[i + j] > lane[j] : u[i + j] < lane[j]) ? u[i + j] : lane[j];
+    for (int j = 0; j < 8; j++)
+        best = (neg ? lane[j] > best : lane[j] < best) ? lane[j] : best;
+    for (; i < count; i++)
+        best = (neg ? u[i] > best : u[i] < best) ? u[i] : best;
+    return best;
+}
 
-/* Gate selection: writes the unjustified gates of least score to ties, in
-   ulist order, and returns how many there are. */
+/* Gate selection: writes the unjustified gates of least score (greatest
+   when neg) to ties, in ulist order, and returns how many there are.  The
+   scores are usc's, in ulist order; under a walk, each negative one, a
+   closure size not walked yet, is first filled by reach, in ulist order. */
 static int select_ties(State *s, const Search *p)
 {
-    int count = s->meta[0], k = 0, best = INT_MAX;
+    int count = s->meta[0], k = 0, *usc = p->usc;
+    if (p->walk)
+        for (int i = 0; i < count; i++)
+            if (usc[i] < 0) {
+                int g = s->ulist[i];
+                usc[i] = p->lo[g] = reach(p->off, p->adj, s->n, p->walk, g);
+            }
+    int best = p->neg ? extreme(usc, count, 1) : extreme(usc, count, 0);
+    /* without a branch: many gates may tie, in no pattern */
     for (int i = 0; i < count; i++) {
-        int g = s->ulist[i];
-        if (p->walk && p->lo[g] < 0)
-            p->lo[g] = reach(p->off, p->adj, s->n, p->walk, g);
-        int v = s->val[g] ? p->hi[g] : p->lo[g];
-        if (p->neg)
-            v = -v;
-        if (v < best) {
-            best = v;
-            k = 0;
-        }
-        if (v == best)
-            s->ties[k++] = g;
+        s->ties[k] = s->ulist[i];
+        k += usc[i] == best;
     }
     return k;
 }
 
 /* unjust count after flipping the k gates and propagating, then undone */
-static int trial(State *s, const int *flips, int k)
+STEP int trial(State *s, const int *flips, int k, int keep)
 {
     for (int i = 0; i < k; i++)
-        flip(s, flips[i]);
-    int n = propagate(s, flips, k, s->undo);
+        flip(s, flips[i], keep);
+    int n = propagate(s, flips, k, s->undo, keep);
     int count = s->meta[0];
-    rollback(s, s->undo, n);
-    rollback(s, flips, k);
+    rollback(s, s->undo, n, keep);
+    rollback(s, flips, k, keep);
     return count;
 }
 
 /* flip the k gates and propagate; returns the number of gates flipped */
-static int move(State *s, const int *flips, int k)
+STEP int move(State *s, const int *flips, int k, int keep)
 {
     for (int i = 0; i < k; i++)
-        flip(s, flips[i]);
-    return k + propagate(s, flips, k, NULL);
+        flip(s, flips[i], keep);
+    return k + propagate(s, flips, k, NULL, keep);
 }
 
 /* CPython's MT19937 (Modules/_randommodule.c): mt[0..623] are the state
@@ -342,9 +393,11 @@ enum { WALK, GREEDY, FORCED, BURNED, TRIALS, FLIPS, MIN_UNJUST };
 
 /* SearchEngine.run's loop, step for step, drawing from mt as the engine's
    random.Random would: up to budget steps, counted into stats; returns 1
-   once the circuit is satisfied, else 0.  The moves go to ties, after the
-   selection is done with it, and the first n ints of scratch are moves' mark. */
-int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long long budget)
+   once the circuit is satisfied, else 0.  keep is 1 for a measure heuristic,
+   whose usc refresh keeps.  The moves go to ties, after the selection is
+   done with it, and the first n ints of scratch are moves' mark. */
+STEP int search(State *s, unsigned *mt, const Search *p, long long *stats, long long budget,
+                int keep)
 {
     int *mv = s->ties;
     for (; budget > 0; budget--) {
@@ -355,7 +408,7 @@ int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long l
             return 1;
         if (count == 1)
             g = s->ulist[0];
-        else if (!p->lo)
+        else if (!keep)
             g = s->ulist[randbelow(mt, count)];
         else {
             int k = select_ties(s, p);
@@ -378,7 +431,7 @@ int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long l
             stats[GREEDY]++;
             stats[TRIALS] += k;
             for (int i = 0; i < k; i++) {
-                int c = trial(s, &mv[i], 1);
+                int c = trial(s, &mv[i], 1, keep);
                 if (c < best) {
                     best = c;
                     ties = 0;
@@ -388,9 +441,23 @@ int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long l
             }
             pick = ties == 1 ? 0 : randbelow(mt, ties);
         }
-        stats[FLIPS] += move(s, &mv[pick], width);
+        stats[FLIPS] += move(s, &mv[pick], width, keep);
     }
     return 0;
+}
+
+/* search for budget steps: under a measure heuristic, with usc gathered
+   from ulist first and kept up to date through s->sel until the return */
+int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long long budget)
+{
+    if (!p->lo)
+        return search(s, mt, p, stats, budget, 0);
+    for (int i = 0; i < s->meta[0]; i++)
+        p->usc[i] = score(p, s->val, s->ulist[i]);
+    s->sel = p;
+    int found = search(s, mt, p, stats, budget, 1);
+    s->sel = NULL;
+    return found;
 }
 
 /* k draws from mt into out: random() where n[i] is 0, else randrange(n[i]);
@@ -416,13 +483,13 @@ int aigsls_closures(int n, const int *off, const int *adj, int *walk, int *size,
     return 0;
 }
 
-void aigsls_flip(State *s, int g) { flip(s, g); }
+void aigsls_flip(State *s, int g) { flip(s, g, 0); }
 
 int aigsls_rollback(State *s, const int *log, int k)
 {
     if (!in_range(s->n, log, k))
         return -1;
-    rollback(s, log, k);
+    rollback(s, log, k, 0);
     return 0;
 }
 
@@ -430,7 +497,7 @@ int aigsls_propagate(State *s, const int *origins, int k)
 {
     if (!in_range(s->n, origins, k))
         return -1;
-    return propagate(s, origins, k, s->undo);
+    return propagate(s, origins, k, s->undo, 0);
 }
 
 /* sets each AND gate, in topological order, to the AND of its child
@@ -784,12 +851,12 @@ _BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "scratch", "un
 
 
 class _StateStruct(ctypes.Structure):
-    _fields_ = [("n", _I)] + [(name, _P) for name in _CSR_FIELDS + _BUFFER_FIELDS]
+    _fields_ = [("n", _I)] + [(name, _P) for name in _CSR_FIELDS + _BUFFER_FIELDS + ("sel",)]
 
 
 class _SearchStruct(ctypes.Structure):
     _fields_ = [("lo", _P), ("hi", _P), ("neg", _I), ("off", _P), ("adj", _P), ("walk", _P),
-                ("wp", ctypes.c_double)]
+                ("wp", ctypes.c_double), ("usc", _P)]
 
 
 def _cache_dir() -> str:
@@ -826,6 +893,23 @@ def _compile(path: str):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+#: how long a cached library of another source is kept after a build: a
+#: younger one may belong to another checkout still in use
+STALE_S = 7 * 24 * 3600
+
+
+def _prune(path: str):
+    """Remove the other cached libraries beside ``path`` not modified for
+    ``STALE_S``, ignoring errors; each earlier source left one behind."""
+    cutoff = time.time() - STALE_S
+    for other in glob.glob(os.path.join(os.path.dirname(path), "kernel-*.so")):
+        try:
+            if other != path and os.lstat(other).st_mtime < cutoff:
+                os.remove(other)
+        except OSError:
+            pass
 
 
 #: the seed of the load-time check of the kernel's copy of random.Random
@@ -868,7 +952,8 @@ def _bind(path: str):
 def load():
     """The bound library, compiled first if the cache lacks it; None if that fails.
 
-    A cached file that does not load is compiled again.  Nothing is printed:
+    A cached file that does not load is compiled again, and a build prunes
+    the stale libraries of other sources (``_prune``).  Nothing is printed:
     the compiler's output is captured and dropped.
     """
     try:
@@ -879,6 +964,7 @@ def load():
             except (OSError, AttributeError):
                 pass
         _compile(path)
+        _prune(path)
         return _bind(path)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -1012,13 +1098,20 @@ class Search:
     at ``addr``: the int32 scores ``lo`` and ``hi`` of a measure heuristic
     (None under "rand") and ``neg``, ``walk`` the addresses of the CSR and
     scratch of the closure walk that fills ``lo`` (Nones when none does),
-    and the noise ``wp``.  The caller keeps the score arrays alive."""
+    and the noise ``wp``.  The caller keeps the score arrays alive.
 
-    __slots__ = ("_struct", "addr")
+    A measure heuristic also gets the buffer of ``ulist``-ordered scores
+    that ``aigsls_run`` gathers on entry and keeps until it returns: one
+    int for each of the circuit's ``ands`` AND gates, the most that can be
+    unjustified at once."""
 
-    def __init__(self, lo, hi, neg: bool, walk: tuple, wp: float):
+    __slots__ = ("_struct", "_usc", "addr")
+
+    def __init__(self, lo, hi, neg: bool, walk: tuple, wp: float, ands: int):
+        self._usc = None if lo is None else array("i", [0]) * ands
         self._struct = _SearchStruct(None if lo is None else _addr(lo),
-                                     None if hi is None else _addr(hi), neg, *walk, wp)
+                                     None if hi is None else _addr(hi), neg, *walk, wp,
+                                     None if lo is None else _addr(self._usc))
         self.addr = ctypes.addressof(self._struct)
 
 
@@ -1029,7 +1122,9 @@ class State:
     loaded when the state was built.  The object keeps each buffer it points
     into alive and copies the fixed ``pinned``.  ``undo`` receives the gates
     a propagation flipped; ``aigsls_run`` keeps a selection's ties and a
-    step's moves in a buffer of its own.
+    step's moves in a buffer of its own.  The struct's ``sel`` is NULL but
+    inside an ``aigsls_run`` call under a measure heuristic, where it points
+    at the ``Search`` whose scores the flips keep in ``ulist`` order.
     """
 
     __slots__ = ("_keep", "_struct", "addr", "lib", "undo")

@@ -163,7 +163,9 @@ class SearchEngine:
         # the settings aigsls_run reads, with the kernel
         self._search = None
         if self.assignment._state is not None:
-            self._search = _kernel.Search(lo, hi, neg, profile.kernel_walk(measure), wp)
+            circuit = cc.circuit
+            self._search = _kernel.Search(lo, hi, neg, profile.kernel_walk(measure), wp,
+                                          circuit.num_gates - len(circuit.inputs))
 
     @property
     def steps(self) -> int:
@@ -262,9 +264,11 @@ class SearchEngine:
         drawing from the RNG.  A measure heuristic scans the unjustified
         gates in ``ulist`` order for the least int32 score of
         ``profile.scores``: ``hi[g]`` while g is at 1, else ``lo[g]``,
-        negated for ``-max``, with a closure size walked on first need.  The
-        scan is the line-for-line twin of ``select_ties`` in ``aigsls_run``;
-        both keep the ties in ``ulist`` order for the same draw.
+        negated for ``-max``, with a closure size walked on first need.
+        ``select_ties`` in ``aigsls_run`` reads the same scores from a
+        buffer kept in ``ulist`` order instead; both walk the same closures
+        in the same order and pick the same ties in the same order, so they
+        make the same draw.
         """
         asg = self.assignment
         count = asg.unjust_count

@@ -17,6 +17,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -710,6 +711,28 @@ for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6
         if profile._walk[0] < 0x7FFFFFFF - 5:
             restarts.add("walk")
 assert burned and restarts == {"propagation", "walk"}
+# the scores aigsls_run keeps in ulist order, to the buffer's last entry.
+# wide's output, pinned to 1, reads 40 gates that copy x, all at 0: in one
+# call the list grows from that one gate to all 41 AND gates, as the move
+# flips the copies one by one, then empties.  Every AND gate of stuck
+# reads x and its complement and is pinned to 1, so each call starts by
+# gathering a score for every AND gate, then burns every step.
+x = circuit.Literal(0)
+wide = circuit.ConstrainedCircuit(circuit.build_circuit(
+    [circuit.INPUT] + [(x,)] * 40 + [tuple(map(circuit.Literal, range(1, 41)))]), {41: True})
+stuck = circuit.ConstrainedCircuit(circuit.build_circuit(
+    [circuit.INPUT] + [(x, circuit.Literal(0, True))] * 8), dict.fromkeys(range(1, 9), True))
+for heuristic in ("cc-min", "depth-max", "tfi-min"):
+    engine = SearchEngine(wide, build_profile(wide.circuit), heuristic, 0.3, 2)
+    asg = engine.assignment
+    if asg.values[0]:
+        asg.flip(0)
+        asg.propagate_forward([0])
+    assert asg.ulist == [41] and engine.run(5)
+    assert (engine.steps, engine.stats.forced, engine.stats.flips) == (2, 2, 41)
+    engine = SearchEngine(stuck, build_profile(stuck.circuit), heuristic, 0.3, 2)
+    assert engine.assignment.unjust_count == 8 and not engine.run(5)
+    assert engine.stats.burned == 5
 # the Python steps on the kernel's buffers, between chunks of the C loop
 switch_loops_on_a_dag()
 # 161 % 32 == 1: the last gate in topological order is the one bit of the
@@ -1064,6 +1087,33 @@ def switch_loops_on_a_dag():
 
 
 @needs_loop
+@pytest.mark.parametrize("heuristic", ["tfi-min", "tfi-max", "tfo-min", "tfo-max"])
+def test_both_search_loops_leave_the_same_closure_caches(heuristic):
+    # each loop walks closure sizes into a profile of its own: the C loop
+    # fills the negative scores it keeps in ulist order, the Python loop
+    # the negative sizes its scan meets, so both walk the same gates in the
+    # same order and leave the same caches and walk generation
+    rng = random.Random(91)
+    cc = random_constrained(rng, random_dag(rng, 400))
+    fast, slow = (SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.3, 7)
+                  for _ in range(2))
+    rng = _Sub()
+    rng.setstate(slow.rng.getstate())
+    slow.rng = rng
+    assert fast.uses_kernel_loop and not slow.uses_kernel_loop
+    measure = heuristic[:3]
+    for budget in (1, 1, 7, 40, 200):
+        found = slow.run(budget)
+        assert fast.run(budget) == found
+        assert _snapshot(fast) == _snapshot(slow)
+        assert fast.profile._scores[measure][0] == slow.profile._scores[measure][0]
+        assert fast.profile._walk[0] == slow.profile._walk[0]
+        if found:
+            break
+    assert fast.steps > 40 and fast.profile._walk[0] > 20
+
+
+@needs_loop
 def test_an_rng_subclass_keeps_the_python_loop():
     switch_loops(generate_random_sat_aig(16, 600, random.Random(89)), "depth-max", 4,
                  ((1, True), (50, True), (200, True)))
@@ -1340,6 +1390,22 @@ def test_cache_directory_others_can_write_is_refused(tmp_path, monkeypatch):
     os.chmod(tmp_path / "aigsls", 0o777)
     assert _kernel.load() is None
     assert os.listdir(tmp_path / "aigsls") == []
+
+
+@needs_cc
+def test_a_build_prunes_only_the_stale_libraries_of_other_sources(tmp_path, monkeypatch):
+    # a library another checkout built a day ago stays, so two checkouts of
+    # different sources sharing one cache do not rebuild each other's
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "aigsls"
+    os.mkdir(cache, 0o700)
+    for name, age in (("kernel-stale.so", 8), ("kernel-fresh.so", 1)):
+        (cache / name).write_bytes(b"another source's library")
+        then = time.time() - age * 24 * 3600
+        os.utime(cache / name, (then, then))
+    assert _kernel.load() is not None
+    built = os.path.basename(_kernel._library_path())
+    assert sorted(os.listdir(cache)) == sorted([built, "kernel-fresh.so"])
 
 
 BUILD = """
