@@ -102,8 +102,10 @@ typedef struct {
        runs a measure heuristic, else NULL */
 } State;
 
-/* 1 iff g is an AND gate whose value differs from the AND of its child literals */
-static int unjust(const int *fin_off, const int *fin, const unsigned char *val, int g)
+/* 1 iff g is an AND gate whose value differs from the AND of its child
+   literals.  Inline, so that refresh, the hottest caller, makes no call and
+   its usc bookkeeping needs no registers saved across one. */
+static inline int unjust(const int *fin_off, const int *fin, const unsigned char *val, int g)
 {
     int i = fin_off[g], end = fin_off[g + 1], v = 1;
     if (i == end)
@@ -116,24 +118,20 @@ static int unjust(const int *fin_off, const int *fin, const unsigned char *val, 
     return val[g] != v;
 }
 
-/* g's score under p, before negation: hi[g] while g is at 1, else lo[g] */
+/* g's score under p: hi[g] while g is at 1, else lo[g]; selection takes
+   the least, or the greatest when neg */
 static int score(const Search *p, const unsigned char *val, int g)
 {
     return val[g] ? p->hi[g] : p->lo[g];
 }
 
-/* The steps from refresh to the search loop take keep, a constant at every
-   call, and are always inlined: aigsls_run's loop comes in two copies, and
-   only the one for measure heuristics (keep 1) pays for s->sel->usc.
-   While a gate stays in ulist its score does not change: flipping an
+/* moves g into or out of ulist after its value or a child's changed; a
+   removal fills the hole with the last entry, and so does usc while sel is
+   set.  While a gate stays in ulist its score does not change: flipping an
    unjustified AND gate justifies it, and refreshing a parent leaves the
    parent's value alone.  So usc changes only where ulist gains or loses a
    gate. */
-#define STEP static inline __attribute__((always_inline))
-
-/* moves g into or out of ulist after its value or a child's changed; a
-   removal fills the hole with the last entry, in usc too when keep */
-STEP void refresh(State *s, int g, int keep)
+static void refresh(State *s, int g)
 {
     int pos = s->upos[g];
     if (!unjust(s->fin_off, s->fin, s->val, g)) {
@@ -142,23 +140,23 @@ STEP void refresh(State *s, int g, int keep)
             s->ulist[pos] = last;
             s->upos[last] = pos;
             s->upos[g] = -1;
-            if (keep)
+            if (s->sel)
                 s->sel->usc[pos] = s->sel->usc[s->meta[0]];
         }
     } else if (pos < 0) {
-        if (keep)
+        if (s->sel)
             s->sel->usc[s->meta[0]] = score(s->sel, s->val, g);
         s->upos[g] = s->meta[0];
         s->ulist[s->meta[0]++] = g;
     }
 }
 
-STEP void flip(State *s, int g, int keep)
+static void flip(State *s, int g)
 {
     s->val[g] ^= 1;
-    refresh(s, g, keep);
+    refresh(s, g);
     for (int i = s->fout_off[g]; i < s->fout_off[g + 1]; i++)
-        refresh(s, s->fout[i], keep);
+        refresh(s, s->fout[i]);
 }
 
 /* Assignment.propagate_forward; returns the number of gates it flipped and
@@ -168,7 +166,7 @@ STEP void flip(State *s, int g, int keep)
    gate just popped, so it lies later in the order: scanning forward from
    the first pending word pops the gates in rising position, as Python's
    heapq does, and leaves every bit clear again. */
-STEP int propagate(State *s, const int *origins, int k, int *log, int keep)
+static int propagate(State *s, const int *origins, int k, int *log)
 {
     int *stamp = s->stamp, flipped = 0, pending = 0, w = INT_MAX;
     unsigned *bits = (unsigned *)(s->scratch + s->n);
@@ -195,7 +193,7 @@ STEP int propagate(State *s, const int *origins, int k, int *log, int keep)
         if (stamp[g] != origin) {
             if (s->upos[g] < 0 || s->pin[g])
                 continue;
-            flip(s, g, keep);
+            flip(s, g);
             if (log)
                 log[flipped] = g;
             flipped++;
@@ -213,10 +211,10 @@ STEP int propagate(State *s, const int *origins, int k, int *log, int keep)
     return flipped;
 }
 
-STEP void rollback(State *s, const int *log, int k, int keep)
+static void rollback(State *s, const int *log, int k)
 {
     while (k > 0)
-        flip(s, log[--k], keep);
+        flip(s, log[--k]);
 }
 
 static int in_range(int n, const int *gates, int k)
@@ -255,7 +253,7 @@ static int reach(const int *off, const int *adj, int n, int *walk, int g)
 
 /* the least of the count ints at u, or the greatest when neg; eight lanes
    side by side, which the compiler turns into vector code */
-STEP int extreme(const int *u, int count, int neg)
+static int extreme(const int *u, int count, int neg)
 {
     int lane[8], best = u[0], i = 0;
     for (int j = 0; j < 8; j++)
@@ -293,23 +291,23 @@ static int select_ties(State *s, const Search *p)
 }
 
 /* unjust count after flipping the k gates and propagating, then undone */
-STEP int trial(State *s, const int *flips, int k, int keep)
+static int trial(State *s, const int *flips, int k)
 {
     for (int i = 0; i < k; i++)
-        flip(s, flips[i], keep);
-    int n = propagate(s, flips, k, s->undo, keep);
+        flip(s, flips[i]);
+    int n = propagate(s, flips, k, s->undo);
     int count = s->meta[0];
-    rollback(s, s->undo, n, keep);
-    rollback(s, flips, k, keep);
+    rollback(s, s->undo, n);
+    rollback(s, flips, k);
     return count;
 }
 
 /* flip the k gates and propagate; returns the number of gates flipped */
-STEP int move(State *s, const int *flips, int k, int keep)
+static int move(State *s, const int *flips, int k)
 {
     for (int i = 0; i < k; i++)
-        flip(s, flips[i], keep);
-    return k + propagate(s, flips, k, NULL, keep);
+        flip(s, flips[i]);
+    return k + propagate(s, flips, k, NULL);
 }
 
 /* CPython's MT19937 (Modules/_randommodule.c): mt[0..623] are the state
@@ -393,11 +391,9 @@ enum { WALK, GREEDY, FORCED, BURNED, TRIALS, FLIPS, MIN_UNJUST };
 
 /* SearchEngine.run's loop, step for step, drawing from mt as the engine's
    random.Random would: up to budget steps, counted into stats; returns 1
-   once the circuit is satisfied, else 0.  keep is 1 for a measure heuristic,
-   whose usc refresh keeps.  The moves go to ties, after the selection is
-   done with it, and the first n ints of scratch are moves' mark. */
-STEP int search(State *s, unsigned *mt, const Search *p, long long *stats, long long budget,
-                int keep)
+   once the circuit is satisfied, else 0.  The moves go to ties, after the
+   selection is done with it, and the first n ints of scratch are moves' mark. */
+static int search(State *s, unsigned *mt, const Search *p, long long *stats, long long budget)
 {
     int *mv = s->ties;
     for (; budget > 0; budget--) {
@@ -408,7 +404,7 @@ STEP int search(State *s, unsigned *mt, const Search *p, long long *stats, long 
             return 1;
         if (count == 1)
             g = s->ulist[0];
-        else if (!keep)
+        else if (!p->lo)
             g = s->ulist[randbelow(mt, count)];
         else {
             int k = select_ties(s, p);
@@ -431,7 +427,7 @@ STEP int search(State *s, unsigned *mt, const Search *p, long long *stats, long 
             stats[GREEDY]++;
             stats[TRIALS] += k;
             for (int i = 0; i < k; i++) {
-                int c = trial(s, &mv[i], 1, keep);
+                int c = trial(s, &mv[i], 1);
                 if (c < best) {
                     best = c;
                     ties = 0;
@@ -441,7 +437,7 @@ STEP int search(State *s, unsigned *mt, const Search *p, long long *stats, long 
             }
             pick = ties == 1 ? 0 : randbelow(mt, ties);
         }
-        stats[FLIPS] += move(s, &mv[pick], width, keep);
+        stats[FLIPS] += move(s, &mv[pick], width);
     }
     return 0;
 }
@@ -450,12 +446,12 @@ STEP int search(State *s, unsigned *mt, const Search *p, long long *stats, long 
    from ulist first and kept up to date through s->sel until the return */
 int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long long budget)
 {
-    if (!p->lo)
-        return search(s, mt, p, stats, budget, 0);
-    for (int i = 0; i < s->meta[0]; i++)
-        p->usc[i] = score(p, s->val, s->ulist[i]);
-    s->sel = p;
-    int found = search(s, mt, p, stats, budget, 1);
+    if (p->lo) {
+        for (int i = 0; i < s->meta[0]; i++)
+            p->usc[i] = score(p, s->val, s->ulist[i]);
+        s->sel = p;
+    }
+    int found = search(s, mt, p, stats, budget);
     s->sel = NULL;
     return found;
 }
@@ -483,13 +479,13 @@ int aigsls_closures(int n, const int *off, const int *adj, int *walk, int *size,
     return 0;
 }
 
-void aigsls_flip(State *s, int g) { flip(s, g, 0); }
+void aigsls_flip(State *s, int g) { flip(s, g); }
 
 int aigsls_rollback(State *s, const int *log, int k)
 {
     if (!in_range(s->n, log, k))
         return -1;
-    rollback(s, log, k, 0);
+    rollback(s, log, k);
     return 0;
 }
 
@@ -497,7 +493,7 @@ int aigsls_propagate(State *s, const int *origins, int k)
 {
     if (!in_range(s->n, origins, k))
         return -1;
-    return propagate(s, origins, k, s->undo, 0);
+    return propagate(s, origins, k, s->undo);
 }
 
 /* sets each AND gate, in topological order, to the AND of its child
