@@ -252,8 +252,9 @@ static int reach(const int *off, const int *adj, int n, int *walk, int g)
 }
 
 /* the least of the count ints at u, or the greatest when neg; eight lanes
-   side by side, which the compiler turns into vector code */
-static int extreme(const int *u, int count, int neg)
+   side by side, which the compiler turns into vector code once inlined
+   with neg constant */
+static inline int extreme(const int *u, int count, int neg)
 {
     int lane[8], best = u[0], i = 0;
     for (int j = 0; j < 8; j++)
