@@ -2,25 +2,31 @@
 search steps.
 
 A circuit is its CSR ``array('i')`` buffers (``CSR``: fanin, distinct child
-gates, fanout, topological order and positions) on both paths.  At load time
-``aigsls_parse_binary`` or ``aigsls_parse_ascii`` reads a file's body into
-the fanin buffers plus the output literals, as ``aiger``'s Python readers
-do, and ``circuit.topology`` builds the rest with ``aigsls_topology``, from
-a reader's buffers or from ``build_circuit``'s ``rows`` of a definition
-list.  ``aigsls_profile`` fills every column of ``StructuralProfile`` from
+gates, fanout with its signs, topological order and positions) on both
+paths.  At load time ``aigsls_parse_binary`` or ``aigsls_parse_ascii``
+reads a file's body into the fanin buffers plus the output literals, as
+``aiger``'s Python readers do, and ``circuit.topology`` builds the rest with
+``aigsls_topology``, from a reader's buffers or from ``build_circuit``'s
+``rows`` of a definition list.  ``aigsls_profile`` fills every column of ``StructuralProfile`` from
 them in two passes, the twins of ``metrics``'s ``_forward`` and
 ``_backward``, and names each pass whose columns Python must compute again:
 where costs outgrow int64, or where the interpreter's float ``sum`` would
 differ from the plain sum in C.
 
 ``Assignment`` keeps its state in flat buffers (``values`` a bytearray, the
-unjustified list, its positions and the propagation stamps ``array('i')``).
-The C code below reads and writes those buffers and the circuit's CSR in
-place.  An assignment built while ``lib`` is loaded keeps a ``State`` on
-them and flips, propagates and rolls back in C; one built without it does
-so in Python.  Both paths flip the same gates in the same order; forward
-propagation keeps its pending gates in a bitmap over topological positions
-in C, where Python keeps a ``heapq``, and both pop them in rising position.
+unjustified list, its positions, each gate's count of child literals at 0
+and the propagation stamps ``array('i')``).  The C code below reads and
+writes those buffers and the circuit's CSR in place.  An assignment built
+while ``lib`` is loaded keeps a ``State`` on them and flips, propagates and
+rolls back in C; one built without it does so in Python.  Both paths flip
+the same gates in the same order, and a flip reads no fanin row: it moves
+each parent's count by the parent's sign in the flipped gate's fanout row,
+then decides from the counts whether the gate and its parents are
+unjustified.  ``aigsls_scan`` builds the counts with the unjustified list,
+and only ``aigsls_evaluate`` and ``aigsls_first_unjust`` apply ``unjust``,
+the definition, literal by literal.  Forward propagation keeps its pending
+gates in a bitmap over topological positions in C, where Python keeps a
+``heapq``, and both pop them in rising position.
 
 ``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection,
 the moves read from the gate's CSR rows as ``search._moves`` reads them, the
@@ -91,21 +97,24 @@ typedef struct {
 /* CSR circuit plus one assignment's buffers; mirrors State in _kernel.py */
 typedef struct {
     int n;
-    const int *fin_off, *fin, *fout_off, *fout, *order, *tpos, *kid_off, *kid;
+    const int *fin_off, *fin, *fout_off, *fout, *order, *tpos, *kid_off, *kid, *sign;
     unsigned char *val;
     const unsigned char *pin;
-    int *ulist, *upos, *meta, *stamp, *scratch, *undo, *ties;
+    int *ulist, *upos, *nf, *meta, *stamp, *scratch, *undo, *ties;
     const Search *sel;
-    /* meta: unjust count, propagation generation; scratch: n ints of mark
+    /* sign parallels fout: the entry of parent p in c's row counts p's
+       literals that read c plainly minus those that read it complemented.
+       nf[g]: the number of g's child literals that read 0, -1 for an input.
+       meta: unjust count, propagation generation; scratch: n ints of mark
        scratch, then the pending bitmap of propagate, ceil(n / 32) words;
        sel: the search whose usc refresh keeps, set only while aigsls_run
        runs a measure heuristic, else NULL */
 } State;
 
 /* 1 iff g is an AND gate whose value differs from the AND of its child
-   literals.  Inline, so that refresh, the hottest caller, makes no call and
-   its usc bookkeeping needs no registers saved across one. */
-static inline int unjust(const int *fin_off, const int *fin, const unsigned char *val, int g)
+   literals, read from the literals themselves: the definition, which
+   aigsls_evaluate and aigsls_first_unjust apply */
+static int unjust(const int *fin_off, const int *fin, const unsigned char *val, int g)
 {
     int i = fin_off[g], end = fin_off[g + 1], v = 1;
     if (i == end)
@@ -125,16 +134,23 @@ static int score(const Search *p, const unsigned char *val, int g)
     return val[g] ? p->hi[g] : p->lo[g];
 }
 
-/* moves g into or out of ulist after its value or a child's changed; a
-   removal fills the hole with the last entry, and so does usc while sel is
-   set.  While a gate stays in ulist its score does not change: flipping an
-   unjustified AND gate justifies it, and refreshing a parent leaves the
-   parent's value alone.  So usc changes only where ulist gains or loses a
-   gate. */
+/* unjust(g) read from nf[g]: g is at 1 with a child literal at 0, or at 0
+   with none, which an input, at the sentinel -1, never is */
+static inline int counted_unjust(const State *s, int g)
+{
+    return s->val[g] ? s->nf[g] > 0 : s->nf[g] == 0;
+}
+
+/* moves g into or out of ulist after its value or a child's changed, with
+   nf[g] up to date.  A removal fills the hole with the last entry, and so
+   does usc while sel is set.  While a gate stays in ulist its score does
+   not change: flipping an unjustified AND gate justifies it, and refreshing
+   a parent leaves the parent's value alone.  So usc changes only where
+   ulist gains or loses a gate. */
 static void refresh(State *s, int g)
 {
     int pos = s->upos[g];
-    if (!unjust(s->fin_off, s->fin, s->val, g)) {
+    if (!counted_unjust(s, g)) {
         if (pos >= 0) {
             int last = s->ulist[--s->meta[0]];
             s->ulist[pos] = last;
@@ -151,12 +167,18 @@ static void refresh(State *s, int g)
     }
 }
 
+/* flips g, then refreshes g and each parent in fout order; a parent's
+   count of literals at 0 moves by its sign entry, up when g drops to 0 */
 static void flip(State *s, int g)
 {
+    int d = s->val[g] ? 1 : -1;
     s->val[g] ^= 1;
     refresh(s, g);
-    for (int i = s->fout_off[g]; i < s->fout_off[g + 1]; i++)
-        refresh(s, s->fout[i]);
+    for (int i = s->fout_off[g]; i < s->fout_off[g + 1]; i++) {
+        int p = s->fout[i];
+        s->nf[p] += d * s->sign[i];
+        refresh(s, p);
+    }
 }
 
 /* Assignment.propagate_forward; returns the number of gates it flipped and
@@ -497,24 +519,29 @@ int aigsls_propagate(State *s, const int *origins, int k)
     return propagate(s, origins, k, s->undo);
 }
 
-/* sets each AND gate, in topological order, to the AND of its child
-   literals: _evaluate_ands */
+/* sets each AND gate not set in pin, in topological order, to the AND of
+   its child literals: _evaluate_ands */
 void aigsls_evaluate(int n, const int *order, const int *fin_off, const int *fin,
-                     unsigned char *val)
+                     const unsigned char *pin, unsigned char *val)
 {
     for (int i = 0; i < n; i++)
-        if (unjust(fin_off, fin, val, order[i]))
+        if (!pin[order[i]] && unjust(fin_off, fin, val, order[i]))
             val[order[i]] ^= 1;
 }
 
-/* fill an empty unjustified list in index order */
+/* fill nf and an empty unjustified list, in index order */
 void aigsls_scan(State *s)
 {
-    for (int g = 0; g < s->n; g++)
-        if (unjust(s->fin_off, s->fin, s->val, g)) {
+    for (int g = 0; g < s->n; g++) {
+        int k = s->fin_off[g] < s->fin_off[g + 1] ? 0 : -1;
+        for (int i = s->fin_off[g]; i < s->fin_off[g + 1]; i++)
+            k += !(s->val[s->fin[i] >> 1] ^ (s->fin[i] & 1));
+        s->nf[g] = k;
+        if (counted_unjust(s, g)) {
             s->upos[g] = s->meta[0];
             s->ulist[s->meta[0]++] = g;
         }
+    }
 }
 
 /* verify_satisfying's full scan: the first gate, in index order, whose value
@@ -659,13 +686,15 @@ int aigsls_parse_ascii(const unsigned char *data, long long len, long long pos, 
 
 /* circuit.topology: the CSR built from the packed child literals
    (fin_off, fin) of n gates: each gate's distinct child gates in first-occurrence order
-   (kid_off, kid), its parents in index order (fout_off, fout), and Kahn's
-   topological order, seeded in index order, with each gate's position in
-   it.  kid and fout need room for fin_off[n] entries.  Returns the number
-   of distinct child edges, or -1 when a literal names no gate or some
-   gates lie on a cycle. */
+   (kid_off, kid), its parents in index order (fout_off, fout) with the
+   signs beside them (sign: the parent's literals that read the gate
+   plainly, less those that read it complemented), and Kahn's topological
+   order, seeded in index order, with each gate's position in it.  kid,
+   fout and sign need room for fin_off[n] entries.  Returns the number of
+   distinct child edges, or -1 when a literal names no gate or some gates
+   lie on a cycle. */
 int aigsls_topology(int n, const int *fin_off, const int *fin, int *kid_off, int *kid,
-                    int *fout_off, int *fout, int *order, int *tpos)
+                    int *fout_off, int *fout, int *sign, int *order, int *tpos)
 {
     int edges = 0, tail = 0;
     /* tpos[c] == g + 1 marks c as a child gate of g already seen */
@@ -693,9 +722,15 @@ int aigsls_topology(int n, const int *fin_off, const int *fin, int *kid_off, int
         fout_off[g + 1] += fout_off[g];
         tpos[g] = fout_off[g];
     }
-    for (int g = 0; g < n; g++)
-        for (int i = kid_off[g]; i < kid_off[g + 1]; i++)
+    for (int g = 0; g < n; g++) {
+        for (int i = kid_off[g]; i < kid_off[g + 1]; i++) {
+            sign[tpos[kid[i]]] = 0;
             fout[tpos[kid[i]]++] = g;
+        }
+        /* g is the last parent placed in each child's row, at tpos[c] - 1 */
+        for (int i = fin_off[g]; i < fin_off[g + 1]; i++)
+            sign[tpos[fin[i] >> 1] - 1] += fin[i] & 1 ? -1 : 1;
+    }
     /* Kahn's algorithm, order doubling as its queue; tpos[g] counts the
        children of g not yet placed */
     for (int g = 0; g < n; g++) {
@@ -825,12 +860,12 @@ _SIGNATURES = {
     "flip": (None, [_P, _I]),
     "rollback": (_I, [_P, _P, _I]),
     "propagate": (_I, [_P, _P, _I]),
-    "evaluate": (None, [_I, _P, _P, _P, _P]),
+    "evaluate": (None, [_I] + [_P] * 5),
     "scan": (None, [_P]),
     "run": (_I, [_P, _P, _P, _P, _L]),
     "draws": (None, [_P, _P, _I, _P]),
     "closures": (_I, [_I] + [_P] * 5 + [_I]),
-    "topology": (_I, [_I] + [_P] * 8),
+    "topology": (_I, [_I] + [_P] * 9),
     "profile": (_I, [_I] + [_P] * 7 + [_I] * 3 + [_P] * 9),
     "first_unjust": (_I, [_I, _P, _P, _P]),
     "parse_binary": (_I, [ctypes.c_char_p, _L, _L, _I, _I, _I, _P, _P, _P]),
@@ -843,12 +878,35 @@ MAX_VAR = 2**30 - 1
 #: ``aigsls_profile``'s flags: the passes whose columns Python computes again
 FORWARD, BACKWARD = 1, 2
 
-_CSR_FIELDS = ("fin_off", "fin", "fout_off", "fout", "order", "tpos", "kid_off", "kid")
-_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "meta", "stamp", "scratch", "undo", "ties")
+_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "nf", "meta", "stamp", "scratch", "undo",
+                  "ties")
+
+
+class CSR(NamedTuple):
+    """A circuit's topology as flat ``array('i')`` buffers.
+
+    Row g of a CSR pair (offsets, entries) is ``entries[offsets[g]:offsets[g + 1]]``:
+    the packed child literals of g (``fin``), its parents (``fout``) and its
+    distinct child gates (``kid``).  ``order`` is the topological order and
+    ``tpos[g]`` is g's position in it.  ``sign`` parallels ``fout``: beside
+    parent p in c's row, the number of p's literals that read c plainly less
+    the number that read it complemented, so 2 for AND(c, c) and 0 for
+    AND(c, !c).  A flip of c moves p's count of literals at 0 by it.
+    """
+
+    fin_off: array
+    fin: array
+    fout_off: array
+    fout: array
+    order: array
+    tpos: array
+    kid_off: array
+    kid: array
+    sign: array
 
 
 class _StateStruct(ctypes.Structure):
-    _fields_ = [("n", _I)] + [(name, _P) for name in _CSR_FIELDS + _BUFFER_FIELDS + ("sel",)]
+    _fields_ = [("n", _I)] + [(name, _P) for name in CSR._fields + _BUFFER_FIELDS + ("sel",)]
 
 
 class _SearchStruct(ctypes.Structure):
@@ -967,25 +1025,6 @@ def load():
         return None
 
 
-class CSR(NamedTuple):
-    """A circuit's topology as flat ``array('i')`` buffers.
-
-    Row g of a CSR pair (offsets, entries) is ``entries[offsets[g]:offsets[g + 1]]``:
-    the packed child literals of g (``fin``), its parents (``fout``) and its
-    distinct child gates (``kid``).  ``order`` is the topological order and
-    ``tpos[g]`` is g's position in it.
-    """
-
-    fin_off: array
-    fin: array
-    fout_off: array
-    fout: array
-    order: array
-    tpos: array
-    kid_off: array
-    kid: array
-
-
 def _addr(buf) -> int:
     return buf.buffer_info()[0]
 
@@ -1011,14 +1050,14 @@ def topology(fin_off: array, fin: array) -> Optional[CSR]:
     """
     n = len(fin_off) - 1
     kid_off, fout_off = array("i", [0]) * (n + 1), array("i", [0]) * (n + 1)
-    kid, fout = array("i", [0]) * len(fin), array("i", [0]) * len(fin)
+    kid, fout, sign = (array("i", [0]) * len(fin) for _ in range(3))
     order, tpos = array("i", [0]) * n, array("i", [0]) * n
-    arrays = CSR(fin_off, fin, fout_off, fout, order, tpos, kid_off, kid)
-    edges = lib.topology(n, *map(_addr, (fin_off, fin, kid_off, kid, fout_off, fout,
+    arrays = CSR(fin_off, fin, fout_off, fout, order, tpos, kid_off, kid, sign)
+    edges = lib.topology(n, *map(_addr, (fin_off, fin, kid_off, kid, fout_off, fout, sign,
                                          order, tpos)))
     if edges < 0:
         return None
-    del kid[edges:], fout[edges:]
+    del kid[edges:], fout[edges:], sign[edges:]
     return arrays
 
 
@@ -1075,11 +1114,12 @@ def _view(buf):
     return (ctypes.c_char * memoryview(buf).nbytes).from_buffer(buf)
 
 
-def evaluate(circuit, values: bytearray):
-    """Set every AND gate of ``values`` to the AND of its child literals."""
+def evaluate(circuit, values: bytearray, pinned: bytes):
+    """Set every AND gate of ``values`` not set in ``pinned`` to the AND of
+    its child literals."""
     arrays = circuit._csr
     lib.evaluate(circuit.num_gates, _addr(arrays.order), _addr(arrays.fin_off),
-                 _addr(arrays.fin), _view(values))
+                 _addr(arrays.fin), pinned, _view(values))
 
 
 def first_unjust(circuit, values: bytearray) -> int:
@@ -1117,9 +1157,10 @@ class State:
 
     ``addr`` is passed to every kernel call, made through ``lib``, the library
     loaded when the state was built.  The object keeps each buffer it points
-    into alive and copies the fixed ``pinned``.  ``undo`` receives the gates
-    a propagation flipped; ``aigsls_run`` keeps a selection's ties and a
-    step's moves in a buffer of its own.  The struct's ``sel`` is NULL but
+    into alive, the assignment's ``nf`` counts among them, and copies the
+    fixed ``pinned``.  ``undo`` receives the gates a propagation flipped;
+    ``aigsls_run`` keeps a selection's ties and a step's moves in a buffer
+    of its own.  The struct's ``sel`` is NULL but
     inside an ``aigsls_run`` call under a measure heuristic, where it points
     at the ``Search`` whose scores the flips keep in ``ulist`` order.
     """
@@ -1133,12 +1174,10 @@ class State:
         scratch = array("i", [0]) * (n + (n + 31) // 32)
         self.undo = array("i", [0]) * n
         views = (_view(asg.values), (ctypes.c_char * n).from_buffer_copy(asg.pinned),
-                 *map(_view, (asg.ubuf, asg.upos, asg._meta, asg._stamp, scratch, self.undo,
-                              array("i", [0]) * n)))
+                 *map(_view, (asg.ubuf, asg.upos, asg.nf, asg._meta, asg._stamp, scratch,
+                              self.undo, array("i", [0]) * n)))
         self._keep = (arrays, views)
-        self._struct = _StateStruct(n, *(_addr(getattr(arrays, name))
-                                         for name in _CSR_FIELDS),
-                                    *map(ctypes.addressof, views))
+        self._struct = _StateStruct(n, *map(_addr, arrays), *map(ctypes.addressof, views))
         self.addr = ctypes.addressof(self._struct)
 
 

@@ -194,8 +194,9 @@ def topology(fin_off: array, fin: array) -> _kernel.CSR:
 
     ``aigsls_topology`` builds it; the Python below builds the same arrays
     when the kernel is absent or declines, and raises CycleDetected: child
-    gates in first-occurrence order, parents in index order, and Kahn's
-    order seeded in index order, the list doubling as its queue.
+    gates in first-occurrence order, parents in index order with their
+    signs, and Kahn's order seeded in index order, the list doubling as its
+    queue.
     """
     if _kernel.lib is not None:
         csr = _kernel.topology(fin_off, fin)
@@ -203,12 +204,18 @@ def topology(fin_off: array, fin: array) -> _kernel.CSR:
             return csr
     offsets, literals = fin_off.tolist(), fin.tolist()
     n = len(offsets) - 1
-    kids = [tuple(dict.fromkeys(p >> 1 for p in literals[a:b])) if a != b else ()
-            for a, b in zip(offsets, offsets[1:])]
+    kids = []
     fanout = [[] for _ in range(n)]
-    for g, row in enumerate(kids):
-        for c in row:
+    signs = [[] for _ in range(n)]
+    for g, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        # each distinct child, first occurrence first, with its sign in g
+        row = {}
+        for p in literals[a:b]:
+            row[p >> 1] = row.get(p >> 1, 0) + (-1 if p & 1 else 1)
+        for c, sign in row.items():
             fanout[c].append(g)
+            signs[c].append(sign)
+        kids.append(tuple(row))
     remaining = list(map(len, kids))        # children not yet placed
     order = [g for g in range(n) if not remaining[g]]
     for g in order:
@@ -222,7 +229,7 @@ def topology(fin_off: array, fin: array) -> _kernel.CSR:
     for pos, g in enumerate(order):
         tpos[g] = pos
     return _kernel.CSR(fin_off, fin, *_kernel.rows(fanout), array("i", order), tpos,
-                       *_kernel.rows(kids))
+                       *_kernel.rows(kids), _kernel.rows(signs)[1])
 
 
 class ConstrainedCircuit:
@@ -233,9 +240,11 @@ class ConstrainedCircuit:
     exception: ``const_gate`` may designate an input gate pinned to True even
     when it is referenced, which is how a constant-true signal is modeled.
     Every gate named must be an int and not a bool, else CircuitError.
+    ``pinned`` marks the constrained gates and ``required`` holds their
+    values, one byte per gate each, 0 for a gate not constrained.
     """
 
-    __slots__ = ("circuit", "constraints", "const_gate", "pinned")
+    __slots__ = ("circuit", "constraints", "const_gate", "pinned", "required")
 
     def __init__(self, circuit: Circuit, constraints: Mapping[int, bool],
                  const_gate: Optional[int] = None):
@@ -246,7 +255,7 @@ class ConstrainedCircuit:
         self.constraints = {}
         self.const_gate = const_gate
         n = circuit.num_gates
-        pinned = bytearray(n)
+        pinned, required = bytearray(n), bytearray(n)
         for g, v in constraints.items():
             if not isinstance(g, int) or isinstance(g, bool):
                 raise CircuitError(f"constraint gate {g!r} is not an int")
@@ -256,6 +265,7 @@ class ConstrainedCircuit:
                 raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
             self.constraints[int(g)] = bool(v)
             pinned[g] = 1
+            required[g] = bool(v)
         if const_gate is not None:
             if not 0 <= const_gate < n:
                 raise DanglingReference(f"constant gate {const_gate} is undefined")
@@ -264,6 +274,7 @@ class ConstrainedCircuit:
             if self.constraints.get(const_gate) is not True:
                 raise CircuitError("constant gate must be constrained to True")
         self.pinned = bytes(pinned)
+        self.required = bytes(required)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConstrainedCircuit)
@@ -299,14 +310,15 @@ def _unjustified(csr: _kernel.CSR, values):
     return filter(partial(_unjust, csr.fin_off, csr.fin, values), range(len(csr.tpos)))
 
 
-def _evaluate_ands(circuit: Circuit, values: bytearray):
-    """Set each AND gate of 0/1 ``values`` to the AND of its children, in topological order."""
+def _evaluate_ands(circuit: Circuit, values: bytearray, pinned: bytes):
+    """Set each AND gate of 0/1 ``values`` not set in ``pinned`` to the AND
+    of its children, in topological order."""
     if _kernel.lib is not None:
-        _kernel.evaluate(circuit, values)
+        _kernel.evaluate(circuit, values, pinned)
         return
     csr = circuit._lists
     for g in csr.order:
-        if _unjust(csr.fin_off, csr.fin, values, g):
+        if not pinned[g] and _unjust(csr.fin_off, csr.fin, values, g):
             values[g] ^= 1
 
 
@@ -326,8 +338,14 @@ class Assignment:
 
     The state lives in flat buffers that the C kernel (``aigsls._kernel``)
     shares: the first ``unjust_count`` entries of ``ubuf`` are the
-    unjustified gates, ``upos[g]`` is g's index there or -1, and ``_meta``
-    holds the unjust count and the propagation generation of ``_stamp``.
+    unjustified gates, ``upos[g]`` is g's index there or -1, ``nf[g]`` is
+    the number of g's child literals that read 0 (-1 for an input), and
+    ``_meta`` holds the unjust count and the propagation generation of
+    ``_stamp``.  The counts make a flip's refresh O(1) a gate: an AND gate
+    is unjustified when its value is 1 with a child literal at 0, or 0 with
+    none.  They are built with ``ubuf`` and kept by every flip on both
+    paths, so an assignment may switch paths, be copied or be pickled
+    between flips; ``values`` must change only through those flips.
     ``_state`` fixes the path when the assignment is built or unpickled: a
     ``_kernel.State`` if the kernel is loaded then, else None (Python).
     Both paths leave the buffers identical and reject a gate out of range
@@ -336,7 +354,7 @@ class Assignment:
     whole loop to C through ``_state``.
     """
 
-    __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "_meta", "_stamp",
+    __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "nf", "_meta", "_stamp",
                  "_state")
 
     def __init__(self, circuit: Circuit, values, pinned=None):
@@ -352,16 +370,14 @@ class Assignment:
             raise CircuitError("pin vector length does not match gate count")
         self.ubuf = array("i", [0]) * n
         self.upos = array("i", [-1]) * n
+        self.nf = array("i", [-1]) * n
         self._meta = array("i", [0, 0])
         self._stamp = array("i", [0]) * n
         self._attach()
         if self._state is not None:
             self._state.lib.scan(self._state.addr)
         else:
-            for g in _unjustified(circuit._lists, self.values):
-                self.upos[g] = self._meta[0]
-                self.ubuf[self._meta[0]] = g
-                self._meta[0] += 1
+            self._scan()
 
     @property
     def pinned(self):
@@ -417,26 +433,48 @@ class Assignment:
     # The while loops over CSR rows are the kernel's for loops: CPython runs
     # them faster than it copies the row out of the list with a slice.
 
-    def _flip(self, g: int):
-        # the kernel's flip with refresh and unjust inlined: g, then each
-        # parent of g, joins or leaves the unjust set as its consistency says
-        fin_off, fin, fout_off, fout = self.circuit._lists[:4]
-        values, ubuf, upos, meta = self.values, self.ubuf, self.upos, self._meta
-        values[g] ^= 1
-        for h in (g, *fout[fout_off[g]:fout_off[g + 1]]):
-            i = fin_off[h]
-            end = fin_off[h + 1]
+    def _scan(self):
+        # the kernel's aigsls_scan: nf and the unjust list, in index order
+        csr = self.circuit._lists
+        fin_off, fin = csr.fin_off, csr.fin
+        values, nf, ubuf, upos = self.values, self.nf, self.ubuf, self.upos
+        count = 0
+        for g in range(len(values)):
+            i = fin_off[g]
+            end = fin_off[g + 1]
             if i == end:
                 continue
-            v = 1
+            k = 0
             while i < end:
                 p = fin[i]
                 if not (values[p >> 1] ^ (p & 1)):
-                    v = 0
-                    break
+                    k += 1
                 i += 1
+            nf[g] = k
+            if values[g] == (k == 0):
+                continue
+            upos[g] = count
+            ubuf[count] = g
+            count += 1
+        self._meta[0] = count
+
+    def _flip(self, g: int):
+        # the kernel's flip with refresh inlined: each parent's count moves
+        # by its sign, up when g drops to 0; then g, and each parent of g,
+        # joins or leaves the unjust set as its count says
+        csr = self.circuit._lists
+        fout_off, fout, sign = csr.fout_off, csr.fout, csr.sign
+        values, nf, ubuf, upos, meta = self.values, self.nf, self.ubuf, self.upos, self._meta
+        a = fout_off[g]
+        b = fout_off[g + 1]
+        d = 1 if values[g] else -1
+        values[g] ^= 1
+        for i in range(a, b):
+            nf[fout[i]] += d * sign[i]
+        for h in (g, *fout[a:b]):
+            k = nf[h]
             pos = upos[h]
-            if values[h] == v:
+            if not (k > 0 if values[h] else k == 0):
                 if pos >= 0:
                     count = meta[0] - 1
                     last = ubuf[count]
@@ -567,7 +605,7 @@ def evaluate(circuit: Circuit, input_values: Mapping[int, int]) -> Assignment:
     values = bytearray(circuit.num_gates)
     for g in circuit.inputs:
         values[g] = 1 if input_values[g] else 0
-    _evaluate_ands(circuit, values)
+    _evaluate_ands(circuit, values, bytes(circuit.num_gates))
     return Assignment(circuit, values)
 
 
@@ -603,22 +641,19 @@ def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
 def random_complete_extension(cc: ConstrainedCircuit, rng: random.Random) -> Assignment:
     """Random input assignment extended consistently, then constraints applied.
 
-    Unconstrained inputs draw independent uniform bits; constrained inputs
-    (the constant gate, or outputs that happen to be inputs) start at their
-    required value.  AND gates evaluate consistently, after which every
-    constrained non-input gate is overwritten with its required value; if
-    that disagrees with the evaluated value the gate starts out unjustified,
-    exposing the constraint violations the search must repair.
+    Unconstrained inputs draw independent uniform bits, in index order;
+    constrained gates (the constant gate, outputs that happen to be inputs
+    and constrained AND gates) start at their required value.  The other
+    AND gates evaluate consistently; a constrained AND gate has no parent,
+    so none of them reads it.  Where its required value disagrees with its
+    children it starts out unjustified, exposing the constraint violations
+    the search must repair.
     """
     circuit = cc.circuit
-    constraints = cc.constraints
-    values = bytearray(circuit.num_gates)
+    pinned = cc.pinned
+    values = bytearray(cc.required)
     for g in circuit.inputs:
-        if g in constraints:
-            values[g] = constraints[g]
-        else:
+        if not pinned[g]:
             values[g] = rng.getrandbits(1)
-    _evaluate_ands(circuit, values)
-    for g, v in constraints.items():
-        values[g] = v
-    return Assignment(circuit, values, cc.pinned)
+    _evaluate_ands(circuit, values, pinned)
+    return Assignment(circuit, values, pinned)

@@ -152,6 +152,27 @@ def dense_ranks(*columns) -> tuple:
     return tuple(array("i", map(rank.__getitem__, column)) for column in columns)
 
 
+#: where an int32's top byte lies in its four bytes, and the top bytes of
+#: the ints in [0, 2**31)
+_TOP = 3 if sys.byteorder == "little" else 0
+_SMALL = bytes(range(0x80))
+
+
+def _int32_scores(*columns) -> tuple:
+    """Each column as an int32 array of its own values when every value of
+    every column is an int in [0, 2**31), else ``dense_ranks``: both order
+    and tie the gates exactly as the values do, and the values cost no
+    sort.  The unsigned array refuses floats and ints outside [0, 2**32);
+    a top byte outside ``_SMALL`` is an int past 2**31."""
+    try:
+        words = [array("I", column).tobytes() for column in columns]
+    except (TypeError, OverflowError):
+        return dense_ranks(*columns)
+    if any(w[_TOP::4].translate(None, _SMALL) for w in words):
+        return dense_ranks(*columns)
+    return tuple(array("i", w) for w in words)
+
+
 #: the profile attribute holding each value-independent measure
 COLUMNS = {"depth": "depth", "fo": "fanout_size", "co": "co", "flow": "flow",
            "level": "level", "llevel": "llevel", "alevel": "alevel"}
@@ -220,18 +241,19 @@ class StructuralProfile:
     def scores(self, measure: str) -> tuple:
         """(lo, hi): int32 scores of ``measure`` for gates at value 0 and at 1.
 
-        They order the gates exactly as the measure does: dense ranks, with
-        cc0 and cc1 ranked in one space for ``cc`` and one array serving as
-        both for the value-independent measures.  ``tfi``/``tfo`` give the
-        closure-size cache itself, -1 until a gate is walked.
+        They order the gates exactly as the measure does (``_int32_scores``):
+        the values themselves where they fit, else dense ranks, with cc0 and
+        cc1 in one space for ``cc`` and one array serving as both for the
+        value-independent measures.  ``tfi``/``tfo`` give the closure-size
+        cache itself, -1 until a gate is walked.
         """
         pair = self._scores.get(measure)
         if pair is None:
             if measure == "cc":
-                pair = dense_ranks(self.cc0, self.cc1)
+                pair = _int32_scores(self.cc0, self.cc1)
             else:
-                ranks, = dense_ranks(getattr(self, COLUMNS[measure]))
-                pair = ranks, ranks
+                scores, = _int32_scores(getattr(self, COLUMNS[measure]))
+                pair = scores, scores
             self._scores[measure] = pair
         return pair
 

@@ -379,6 +379,25 @@ class TestRandomCompleteExtension:
             assert asg.unjust <= set(cc.constraints)
 
 
+    def test_pinned_gates_start_at_their_values_and_only_free_inputs_draw(self):
+        # the order of old: evaluate every AND gate from the drawn inputs,
+        # then overwrite each constrained gate with its value
+        rng = random.Random(55)
+        for _ in range(20):
+            c = random_dag(rng, 60)
+            cc = random_constrained(rng, c)
+            assert cc.required == bytes(cc.constraints.get(g, 0) for g in range(c.num_gates))
+            seed = rng.randrange(10**6)
+            draws = random.Random(seed)
+            expected = evaluate(c, {g: cc.constraints[g] if cc.pinned[g] else draws.getrandbits(1)
+                                    for g in c.inputs}).values
+            for g, v in cc.constraints.items():
+                expected[g] = v
+            rng_used = random.Random(seed)
+            assert random_complete_extension(cc, rng_used).values == expected
+            assert rng_used.getstate() == draws.getstate()
+
+
 class TestIncrementalUnjust:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.lists(st.integers(0, 10**6), max_size=30))

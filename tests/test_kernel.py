@@ -214,14 +214,16 @@ def _reference_csr(circuit):
 
     kids = [tuple(dict.fromkeys(p >> 1 for p in row or ())) for row in circuit.fanin]
     parents = [[] for _ in kids]
+    signs = [[] for _ in kids]
     for g, row in enumerate(kids):
         for c in row:
             parents[c].append(g)
+            signs[c].append(circuit.fanin[g].count(2 * c) - circuit.fanin[g].count(2 * c + 1))
     tpos = [0] * len(kids)
     for pos, g in enumerate(circuit.topo_order):
         tpos[g] = pos
     return _kernel.CSR(*pair(circuit.fanin), *pair(parents), array("i", circuit.topo_order),
-                       array("i", tpos), *pair(kids))
+                       array("i", tpos), *pair(kids), pair(signs)[1])
 
 
 PROFILE_COLUMNS = ("depth", "level", "llevel", "alevel", "fanout_size", "cc0", "cc1",
@@ -234,8 +236,24 @@ def _assert_same_profiles(fast, slow):
         assert repr(getattr(fast, column)) == repr(getattr(slow, column)), column
 
 
+#: AND(c, c), AND(c, !c), wide gates with both and with repeated
+#: polarities, and readers of gate 0, the constant gate of a file, with the
+#: sign each expects beside it in each child's fanout row
+SIGNED = ([INPUT, INPUT, (Literal(0), Literal(0)), (Literal(0), Literal(0, True)),
+           (Literal(1, True), Literal(0), Literal(1), Literal(1, True), Literal(2, True),
+            Literal(0, True), Literal(1, True), Literal(3)),
+           (Literal(0, True),), (Literal(0),), (Literal(4), Literal(4), Literal(4, True))],
+          {0: [2, 0, 0, -1, 1], 1: [-2], 2: [-1], 3: [1], 4: [1]})
+
+
 @needs_kernel
 def test_topology_and_profile_match_on_both_paths(monkeypatch):
+    definitions, signs = SIGNED
+    for circuit in _on_both_paths(monkeypatch, lambda: build_circuit(definitions)):
+        csr = circuit._csr
+        assert {g: csr.sign[csr.fout_off[g]:csr.fout_off[g + 1]].tolist()
+                for g in range(len(definitions)) if csr.fout_off[g] < csr.fout_off[g + 1]} == signs
+        assert csr == _reference_csr(circuit)
     rng = random.Random(80)
     for k in range(40):
         definitions = _random_definitions(rng, rng.randint(1, 150) if k else 0)
@@ -684,8 +702,8 @@ for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min
 sys.path.insert(0, sys.argv[3])
 from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 from test_harness import const_reader_instance
-from test_kernel import (_observed_through_big_siblings, switch_loops_on_a_dag,
-                         walk_a_shared_profile_in_threads)
+from test_kernel import (_false_children, _observed_through_big_siblings, _random_definitions,
+                         switch_loops_on_a_dag, walk_a_shared_profile_in_threads)
 from test_metrics import fibonacci_chain
 from aigsls.search import SearchEngine
 rng = random.Random(6)
@@ -695,16 +713,19 @@ rng = random.Random(6)
 base = const_reader_instance(rng, 5, 60)
 conflicting = circuit.ConstrainedCircuit(
     base.circuit, {g: g == 0 or not v for g, v in base.constraints.items()}, const_gate=0)
+# and gates of up to 8 literals that repeat a child or read both polarities
+repeated = random_constrained(rng, circuit.build_circuit(_random_definitions(rng, 300)))
 burned, restarts = 0, set()
-for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6))):
+for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6)), repeated):
     profile = build_profile(cc.circuit)
-    for heuristic in ("rand", "cc-min", "tfi-min"):
+    for heuristic in ("rand", "cc-min", "depth-max", "tfi-min"):
         engine = SearchEngine(cc, profile, heuristic, 0.3, 1)
         engine.assignment._meta[1] = 0x7FFFFFFF - 40
         profile._walk[0] = 0x7FFFFFFF - 5
         assert engine.uses_kernel_loop and not engine.run(300)
         for _ in range(100):
             engine.run(1)
+        assert engine.assignment.nf.tolist() == _false_children(engine.assignment)
         burned += engine.stats.burned
         if engine.assignment._meta[1] < 0x7FFFFFFF - 40:
             restarts.add("propagation")
@@ -861,8 +882,16 @@ def test_every_interpreter_runs_the_kernel_loop_on_the_golden_trajectories(tmp_p
 
 def _snapshot(engine):
     asg = engine.assignment
-    return (engine.steps, bytes(asg.values), asg.ulist, list(asg.upos), engine.stats,
-            engine.rng.getstate())
+    return (engine.steps, bytes(asg.values), asg.ulist, list(asg.upos), list(asg.nf),
+            engine.stats, engine.rng.getstate())
+
+
+def _false_children(asg) -> list:
+    """``asg.nf`` by its definition: the child literals of each gate that
+    read 0 in ``asg.values``, -1 for an input."""
+    values, circuit = asg.values, asg.circuit
+    return [sum(not values[p >> 1] ^ (p & 1) for p in circuit.child_literals(g))
+            if not circuit.is_input(g) else -1 for g in range(circuit.num_gates)]
 
 
 def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
@@ -875,6 +904,7 @@ def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
         found = fast.run(k)
         assert slow.run(k) == found
         assert _snapshot(fast) == _snapshot(slow)
+        assert fast.assignment.nf.tolist() == _false_children(fast.assignment)
         assert (fast.stats.min_unjust == 0) == found
         if found:
             break
@@ -1067,6 +1097,7 @@ def switch_loops(cc, heuristic, seed, chunks):
         state.lib = lib
         assert fast.run(budget) == found
         assert _snapshot(fast) == _snapshot(mixed)
+        assert mixed.assignment.nf.tolist() == _false_children(mixed.assignment)
         if python:
             python_steps += mixed.steps - steps
             restarted |= mixed.assignment._meta[1] < generation
@@ -1319,6 +1350,40 @@ def test_pickled_and_copied_assignments_stay_independent():
         twin.propagate_forward([free[1]])
         assert twin.unjust == twin.recompute_unjust()
         assert (bytes(asg.values), asg.ulist) == before
+
+
+@needs_loop
+def test_false_child_counts_follow_their_definition(monkeypatch):
+    # nf is built with the unjust list and kept by every flip, on either
+    # path: through run chunks of both loops, copies and pickles, and an
+    # assignment pickled on one path and resumed on the other
+    rng = random.Random(93)
+    for k in range(8):
+        circuit = random_dag(rng, rng.randint(2, 200), max_arity=rng.randint(1, 6))
+        cc = random_constrained(rng, circuit)
+        profile = build_profile(circuit)
+        free = [g for g in range(circuit.num_gates) if not cc.pinned[g]]
+        for heuristic in ("rand", "depth-max", "tfi-min"):
+            engines = _on_both_paths(monkeypatch, lambda: SearchEngine(cc, profile, heuristic,
+                                                                         0.3, k))
+            for budget in (1, 7, 40):
+                for engine in engines:
+                    engine.run(budget)
+                    assert engine.assignment.nf.tolist() == _false_children(engine.assignment)
+            fast, slow = (engine.assignment for engine in engines)
+            crossed = [pickle.loads(pickle.dumps(slow))]
+            monkeypatch.setattr(_kernel, "lib", None)
+            crossed.append(pickle.loads(pickle.dumps(fast)))
+            monkeypatch.undo()
+            assert crossed[0]._state is not None and crossed[1]._state is None
+            for twin in (fast.copy(), slow.copy(), copy.deepcopy(fast), *crossed):
+                assert twin.nf.tolist() == _false_children(twin)
+                for _ in range(5):
+                    flips = rng.sample(free, min(len(free), rng.randint(1, 3)))
+                    twin._move(flips)
+                    twin._trial(flips)
+                    assert twin.nf.tolist() == _false_children(twin)
+                    assert twin.unjust == twin.recompute_unjust()
 
 
 def _python(script, cache, *args, **env):

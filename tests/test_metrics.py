@@ -2,6 +2,7 @@ import io
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -291,6 +292,36 @@ class TestProfile:
                     column = getattr(p, COLUMNS[measure])
                 assert_same_order(column, [(hi if v else lo)[g] for g, v in zip(gates, values)])
         assert max(p.cc1) > 2**63 and max(p.co) > 2**63
+
+    def test_int_measures_score_by_their_own_values(self):
+        rng = random.Random(15)
+        p = build_profile(random_dag(rng, 150))
+        for measure in ("depth", "level", "llevel", "fo"):
+            lo, hi = p.scores(measure)
+            assert lo is hi and lo.typecode == "i"
+            assert lo.tolist() == getattr(p, COLUMNS[measure])
+        lo, hi = p.scores("cc")
+        assert (lo.tolist(), hi.tolist()) == (p.cc0, p.cc1)
+
+    def test_floats_and_ints_past_int32_are_ranked(self):
+        rng = random.Random(16)
+        n = 150
+        column = [rng.randrange(40) for _ in range(n)]
+        for top, ranked in ((2**31 - 1, False), (2**31, True), (2**32, True), (-1, True),
+                            (0.0, True)):
+            p = build_profile(random_dag(rng, n))
+            p.depth = [*column[:-1], top]
+            lo, hi = p.scores("depth")
+            assert lo is hi
+            assert lo == (dense_ranks(p.depth)[0] if ranked else array("i", p.depth)), top
+        for circuit, measures in ((random_dag(rng, n), ("alevel", "flow")),
+                                  (fibonacci_chain(rng, 120), ("co",))):
+            p = build_profile(circuit)
+            for measure in measures:
+                assert p.scores(measure)[0] == dense_ranks(getattr(p, COLUMNS[measure]))[0]
+        # cc0 fits int32 but cc1 passes 2**63: both ranked in one space
+        assert max(p.cc0) < 2**31 < max(p.cc1)
+        assert p.scores("cc") == dense_ranks(p.cc0, p.cc1)
 
     def test_large_circuit_builds_within_budget(self):
         cc = generate_random_sat_aig(200, 100_000, random.Random(13))
