@@ -17,16 +17,18 @@ differ from the plain sum in C.
 unjustified list, its positions, each gate's count of child literals at 0
 and the propagation stamps ``array('i')``).  The C code below reads and
 writes those buffers and the circuit's CSR in place.  An assignment built
-while ``lib`` is loaded keeps a ``State`` on them and flips, propagates and
-rolls back in C; one built without it does so in Python.  Both paths flip
-the same gates in the same order, and a flip reads no fanin row: it moves
-each parent's count by the parent's sign in the flipped gate's fanout row,
-then decides from the counts whether the gate and its parents are
-unjustified.  ``aigsls_scan`` builds the counts with the unjustified list,
-and only ``aigsls_evaluate`` and ``aigsls_first_unjust`` apply ``unjust``,
-the definition, literal by literal.  Forward propagation keeps its pending
-gates in a bitmap over topological positions in C, where Python keeps a
-``heapq``, and both pop them in rising position.
+while ``lib`` is loaded keeps a ``State`` on them: ``aigsls_scan`` fills
+them, and ``aigsls_run`` flips, propagates and rolls back in C, only inside
+its loop.  Every other flip and propagation runs in Python
+(``Assignment._flip`` and ``_propagate``), on either kind of assignment.
+Both flip the same gates in the same order, and a flip reads no fanin
+row: it moves each parent's count by the parent's sign in the flipped
+gate's fanout row, then decides from the counts whether the gate and its
+parents are unjustified.  ``aigsls_scan`` builds the counts with the
+unjustified list, and only ``aigsls_evaluate`` and ``aigsls_first_unjust``
+apply ``unjust``, the definition, literal by literal.  Forward propagation
+keeps its pending gates in a bitmap over topological positions in C,
+where Python keeps a ``heapq``, and both pop them in rising position.
 
 ``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection,
 the moves read from the gate's CSR rows as ``search._moves`` reads them, the
@@ -44,15 +46,15 @@ the engine's ``random.Random`` state, so both loops draw the same stream
 and follow the same trajectory.  ``_bind`` checks the copy against
 ``random.Random`` on a fixed draw sequence and leaves ``run`` None when
 they differ; ``SearchEngine`` then runs its Python loop over the Python
-steps, which work on the same buffers.  No other entry point runs a search
-step.
+steps, which work on the same buffers.  No other entry point flips,
+propagates or rolls back in C.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
 cached under ``$XDG_CACHE_HOME/aigsls`` (default ``~/.cache/aigsls``), keyed
 by the source, the flags and the machine.  ``lib`` is None when no compiler
-works or the library cannot be loaded; ``Assignment`` then runs its
-pure-Python methods, which are also the reference the tests compare against.
+works or the library cannot be loaded; every operation then runs its
+pure-Python twin, which is also the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ typedef struct {
        nf[g]: the number of g's child literals that read 0, -1 for an input.
        meta: unjust count, propagation generation; scratch: n ints of mark
        scratch, then the pending bitmap of propagate, ceil(n / 32) words;
+       undo: the gates a trial's propagation flipped, n ints; ties: a
+       selection's ties, then a step's moves, n ints;
        sel: the search whose usc refresh keeps, set only while aigsls_run
        runs a measure heuristic, else NULL */
 } State;
@@ -181,8 +185,9 @@ static void flip(State *s, int g)
     }
 }
 
-/* Assignment.propagate_forward; returns the number of gates it flipped and
-   writes them to log when log is not NULL.  The pending gates are bits over
+/* forward propagation from the k flipped origins, the twin of
+   Assignment._propagate; returns the number of gates it flipped and writes
+   them to log when log is not NULL.  The pending gates are bits over
    topological positions, past the mark scratch in s->scratch.  The origins
    are all set before the first pop, and every later push is a parent of the
    gate just popped, so it lies later in the order: scanning forward from
@@ -237,14 +242,6 @@ static void rollback(State *s, const int *log, int k)
 {
     while (k > 0)
         flip(s, log[--k]);
-}
-
-static int in_range(int n, const int *gates, int k)
-{
-    for (int i = 0; i < k; i++)
-        if (gates[i] < 0 || gates[i] >= n)
-            return 0;
-    return 1;
 }
 
 /* size of g's transitive closure over the CSR (off, adj) of n gates, g
@@ -487,36 +484,18 @@ void aigsls_draws(unsigned *mt, const int *n, int k, double *out)
         out[i] = n[i] ? randbelow(mt, n[i]) : random53(mt);
 }
 
-/* The entry points below that take a gate list return -1, and change
-   nothing, when a gate is out of range. */
-
-/* fills each negative size[g] of the k gates by reach */
+/* fills each negative size[g] of the k gates by reach; returns -1, and
+   changes nothing, when a gate is out of range */
 int aigsls_closures(int n, const int *off, const int *adj, int *walk, int *size,
                     const int *gates, int k)
 {
-    if (!in_range(n, gates, k))
-        return -1;
+    for (int i = 0; i < k; i++)
+        if (gates[i] < 0 || gates[i] >= n)
+            return -1;
     for (int i = 0; i < k; i++)
         if (size[gates[i]] < 0)
             size[gates[i]] = reach(off, adj, n, walk, gates[i]);
     return 0;
-}
-
-void aigsls_flip(State *s, int g) { flip(s, g); }
-
-int aigsls_rollback(State *s, const int *log, int k)
-{
-    if (!in_range(s->n, log, k))
-        return -1;
-    rollback(s, log, k);
-    return 0;
-}
-
-int aigsls_propagate(State *s, const int *origins, int k)
-{
-    if (!in_range(s->n, origins, k))
-        return -1;
-    return propagate(s, origins, k, s->undo);
 }
 
 /* sets each AND gate not set in pin, in topological order, to the AND of
@@ -857,9 +836,6 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 
 _P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_longlong
 _SIGNATURES = {
-    "flip": (None, [_P, _I]),
-    "rollback": (_I, [_P, _P, _I]),
-    "propagate": (_I, [_P, _P, _I]),
     "evaluate": (None, [_I] + [_P] * 5),
     "scan": (None, [_P]),
     "run": (_I, [_P, _P, _P, _P, _L]),
@@ -1153,29 +1129,30 @@ class Search:
 
 
 class State:
-    """The kernel's handle on one assignment's buffers and its circuit's CSR.
+    """The kernel's handle on one assignment's buffers and its circuit's CSR,
+    for ``aigsls_scan`` when the assignment is built and for ``aigsls_run``,
+    the only call that steps on them in C.
 
-    ``addr`` is passed to every kernel call, made through ``lib``, the library
+    ``addr`` is passed to both calls, made through ``lib``, the library
     loaded when the state was built.  The object keeps each buffer it points
     into alive, the assignment's ``nf`` counts among them, and copies the
-    fixed ``pinned``.  ``undo`` receives the gates a propagation flipped;
-    ``aigsls_run`` keeps a selection's ties and a step's moves in a buffer
-    of its own.  The struct's ``sel`` is NULL but
+    fixed ``pinned``.  Two buffers of its own are ``aigsls_run``'s scratch:
+    the gates a trial's propagation flipped, and a selection's ties and a
+    step's moves.  The struct's ``sel`` is NULL but
     inside an ``aigsls_run`` call under a measure heuristic, where it points
     at the ``Search`` whose scores the flips keep in ``ulist`` order.
     """
 
-    __slots__ = ("_keep", "_struct", "addr", "lib", "undo")
+    __slots__ = ("_keep", "_struct", "addr", "lib")
 
     def __init__(self, asg):
         self.lib = lib
         n = asg.circuit.num_gates
         arrays = asg.circuit._csr
         scratch = array("i", [0]) * (n + (n + 31) // 32)
-        self.undo = array("i", [0]) * n
         views = (_view(asg.values), (ctypes.c_char * n).from_buffer_copy(asg.pinned),
                  *map(_view, (asg.ubuf, asg.upos, asg.nf, asg._meta, asg._stamp, scratch,
-                              self.undo, array("i", [0]) * n)))
+                              array("i", [0]) * n, array("i", [0]) * n)))
         self._keep = (arrays, views)
         self._struct = _StateStruct(n, *map(_addr, arrays), *map(ctypes.addressof, views))
         self.addr = ctypes.addressof(self._struct)

@@ -343,15 +343,17 @@ class Assignment:
     ``_meta`` holds the unjust count and the propagation generation of
     ``_stamp``.  The counts make a flip's refresh O(1) a gate: an AND gate
     is unjustified when its value is 1 with a child literal at 0, or 0 with
-    none.  They are built with ``ubuf`` and kept by every flip on both
-    paths, so an assignment may switch paths, be copied or be pickled
-    between flips; ``values`` must change only through those flips.
-    ``_state`` fixes the path when the assignment is built or unpickled: a
-    ``_kernel.State`` if the kernel is loaded then, else None (Python).
-    Both paths leave the buffers identical and reject a gate out of range
-    with IndexError.  ``_trial`` and ``_move``, the steps of the reference
-    search loop, run in Python on either path; ``SearchEngine`` hands the
-    whole loop to C through ``_state``.
+    none.  They are built with ``ubuf`` and kept by every flip, so an
+    assignment may switch search loops, be copied or be pickled between
+    flips; ``values`` must change only through those flips.
+
+    ``flip``, ``rollback`` and ``propagate_forward``, like ``_trial`` and
+    ``_move``, the steps of the reference search loop, run in Python and
+    reject a gate out of range with IndexError.  C steps on the buffers only
+    inside ``aigsls_run``, through ``_state``, which is fixed when the
+    assignment is built or unpickled: a ``_kernel.State`` if the kernel is
+    loaded then, else None.  The C and Python steps leave the buffers
+    identical, so ``SearchEngine`` may run either loop on them.
     """
 
     __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "nf", "_meta", "_stamp",
@@ -374,10 +376,7 @@ class Assignment:
         self._meta = array("i", [0, 0])
         self._stamp = array("i", [0]) * n
         self._attach()
-        if self._state is not None:
-            self._state.lib.scan(self._state.addr)
-        else:
-            self._scan()
+        self._scan()
 
     @property
     def pinned(self):
@@ -414,27 +413,22 @@ class Assignment:
         # fixes the path: a kernel handle on the buffers, or None for Python
         self._state = None if _kernel.lib is None else _kernel.State(self)
 
-    def _kernel_call(self, fn, gates) -> int:
-        """Call a kernel entry point on a gate list; IndexError if it rejects one."""
-        arg = array("i", gates)
-        result = fn(self._state.addr, arg.buffer_info()[0], len(arg))
-        if result < 0:
-            raise IndexError("gate index out of range")
-        return result
-
     def _in_range(self, gates) -> list:
-        """``gates`` as a list; IndexError, as in the kernel, if one is out of range."""
+        """``gates`` as a list; IndexError if one is out of range."""
         gates = list(gates)
         if gates and (min(gates) < 0 or max(gates) >= self.circuit.num_gates):
             raise IndexError("gate index out of range")
         return gates
 
-    # -- pure-Python path: the reference the kernel must match, step for step --
+    # -- the Python steps: the reference the kernel must match, step for step --
     # The while loops over CSR rows are the kernel's for loops: CPython runs
     # them faster than it copies the row out of the list with a slice.
 
     def _scan(self):
-        # the kernel's aigsls_scan: nf and the unjust list, in index order
+        # nf and the unjust list, in index order: aigsls_scan, or its twin
+        if self._state is not None:
+            self._state.lib.scan(self._state.addr)
+            return
         csr = self.circuit._lists
         fin_off, fin = csr.fin_off, csr.fin
         values, nf, ubuf, upos = self.values, self.nf, self.ubuf, self.upos
@@ -546,48 +540,36 @@ class Assignment:
             self._flip(g)
         return len(flips) + self._propagate(flips, None)
 
-    # -- public operations, on whichever path is loaded --
+    # -- public operations: the Python steps, range-checked --
 
     def flip(self, g: int, undo: Optional[list] = None):
         """Flip one gate value, updating the unjust set of g and its parents."""
         if not 0 <= g < self.circuit.num_gates:
             raise IndexError(f"gate {g} out of range")
-        if self._state is None:
-            self._flip(g)
-        else:
-            self._state.lib.flip(self._state.addr, g)
+        self._flip(g)
         if undo is not None:
             undo.append(g)
 
     def rollback(self, undo: list):
         """Reverse a sequence of recorded flips, newest first."""
-        if self._state is None:
-            for g in reversed(self._in_range(undo)):
-                self._flip(g)
-        else:
-            self._kernel_call(self._state.lib.rollback, undo)
+        for g in reversed(self._in_range(undo)):
+            self._flip(g)
 
     def propagate_forward(self, flipped, undo: Optional[list] = None) -> "Assignment":
         """Limited forward propagation of just-flipped gate values.
 
         Processes gates in topological order through a no-duplicates queue
         of pending gates seeded with ``flipped``: a ``heapq`` of topological
-        positions in Python, a bitmap over them in the kernel, which pops
-        them in the same rising order because every gate enqueued after the
-        seeds lies after the gate just popped.  A popped origin gate only
+        positions (``aigsls_run`` keeps a bitmap over them, which pops them
+        in the same rising order because every gate enqueued after the seeds
+        lies after the gate just popped).  A popped origin gate only
         forwards to its parents; any other popped gate that is unjustified
         and not pinned is flipped (which justifies it, since its children are
         already final) and its parents are enqueued in turn.  Propagation
         stops along a path as soon as a popped gate is found justified.
         Every gate it flips is appended to ``undo`` when given.
         """
-        state = self._state
-        if state is None:
-            self._propagate(self._in_range(flipped), undo)
-            return self
-        count = self._kernel_call(state.lib.propagate, flipped)
-        if undo is not None:
-            undo.extend(state.undo[:count])
+        self._propagate(self._in_range(flipped), undo)
         return self
 
     def recompute_unjust(self) -> frozenset:
@@ -621,8 +603,11 @@ def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
 def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
     """Check consistency at every gate plus every required output value.
 
-    Scans the full circuit rather than trusting the tracked unjust set: in
-    the C kernel when it is loaded, else with ``_unjustified``, the reference.
+    The required values hold when the pinned bytes of ``values`` equal
+    ``cc.required``: read as integers, ``values`` masked by ``cc.pinned`` is
+    ``cc.required``, since every byte is 0 or 1.  Then it scans the full
+    circuit rather than trusting the tracked unjust set: in the C kernel
+    when it is loaded, else with ``_unjustified``, the reference.
     ValueError unless the assignment has a value, 0 or 1, for every gate.
     """
     values = assignment.values
@@ -630,9 +615,9 @@ def verify_satisfying(cc: ConstrainedCircuit, assignment: Assignment) -> bool:
         raise ValueError("value vector length does not match gate count")
     if values.translate(None, b"\0\1"):
         raise ValueError("every gate value must be 0 or 1")
-    for g, v in cc.constraints.items():
-        if values[g] != v:
-            return False
+    word = partial(int.from_bytes, byteorder="little")
+    if word(values) & word(cc.pinned) != word(cc.required):
+        return False
     if _kernel.lib is not None:
         return _kernel.first_unjust(cc.circuit, values) < 0
     return next(_unjustified(cc.circuit._lists, values), None) is None

@@ -260,6 +260,13 @@ class TestVerifySatisfying:
         cc = ConstrainedCircuit(c, {2: True})
         assert not verify_satisfying(cc, evaluate(c, {0: 0, 1: 1}))
 
+    def test_violated_constraint_to_false(self):
+        # gate 0 is free, so it may read 1 where the gate pinned to 0 may not
+        c = two_input_and()
+        cc = ConstrainedCircuit(c, {2: False})
+        assert not verify_satisfying(cc, evaluate(c, {0: 1, 1: 1}))
+        assert verify_satisfying(cc, evaluate(c, {0: 1, 1: 0}))
+
     def test_inconsistent_gate(self):
         c = two_input_and()
         cc = ConstrainedCircuit(c, {})

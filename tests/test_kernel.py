@@ -5,9 +5,13 @@ on; ``_kernel.lib`` is None on the pure-Python path.  The classes below
 rerun the AIGER-parsing, circuit-building, verification, metric, flip,
 rollback, unjust-set, propagation, trial and golden-hash tests with the
 kernel turned off; their originals run on the kernel wherever it builds.
+C flips, propagates and rolls back only inside ``aigsls_run``, so the
+tests of those steps in C run the kernel's search loop, often one step a
+call, against the Python loop or the reference propagator.
 """
 
 import copy
+import ctypes
 import glob
 import json
 import os
@@ -21,7 +25,8 @@ import time
 import tracemalloc
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
+from operator import ne
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -53,8 +58,15 @@ from aigsls.circuit import (
 from aigsls.cli import run_cli
 from aigsls.harness import SolverConfig, crsat_solve, run_try
 from aigsls.metrics import ALEVEL_MODES, FLOW_MODES, build_profile
-from aigsls.search import HEURISTICS, SearchEngine
-from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
+from aigsls.search import HEURISTICS, SearchEngine, _moves
+from oracles import (
+    random_constrained,
+    random_dag,
+    ref_propagate,
+    ref_tfi_sizes,
+    ref_tfo_sizes,
+    ref_unjust,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -670,6 +682,27 @@ def test_every_kernel_export_is_bound_and_used():
     assert unused == []
 
 
+def _c_fields(name) -> list:
+    """The fields of the C ``typedef struct { ... } name;`` in ``_kernel.SOURCE``
+    as ``(name, ctypes type)`` pairs, in order: a pointer is ``c_void_p``,
+    an ``int`` ``c_int`` and a ``double`` ``c_double``."""
+    body = re.search(r"typedef struct \{([^{}]*)\} %s;" % name, _kernel.SOURCE).group(1)
+    fields = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base = getattr(ctypes, "c_" + declaration.split()[0], None)
+        for declarator in declaration.split(","):
+            kind = ctypes.c_void_p if "*" in declarator else base
+            fields.append((re.findall(r"\w+", declarator)[-1], kind))
+    return fields
+
+
+def test_kernel_structs_match_their_ctypes_mirrors():
+    # a field missing, moved or retyped on one side shifts every later one:
+    # C would read and write the wrong buffers without any error
+    assert _c_fields("State") == list(_kernel._StateStruct._fields_)
+    assert _c_fields("Search") == list(_kernel._SearchStruct._fields_)
+
+
 SANITIZED = """
 import json, random, sys
 from aigsls import _kernel, aiger, circuit, generate_random_sat_aig, metrics
@@ -702,8 +735,9 @@ for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min
 sys.path.insert(0, sys.argv[3])
 from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 from test_harness import const_reader_instance
-from test_kernel import (_false_children, _observed_through_big_siblings, _random_definitions,
-                         switch_loops_on_a_dag, walk_a_shared_profile_in_threads)
+from test_kernel import (X_AT_ZERO, _false_children, _observed_through_big_siblings,
+                         _random_definitions, copy_chain, switch_loops_on_a_dag,
+                         walk_a_shared_profile_in_threads)
 from test_metrics import fibonacci_chain
 from aigsls.search import SearchEngine
 rng = random.Random(6)
@@ -733,9 +767,9 @@ for cc in (conflicting, random_constrained(rng, random_dag(rng, 300, max_arity=6
             restarts.add("walk")
 assert burned and restarts == {"propagation", "walk"}
 # the scores aigsls_run keeps in ulist order, to the buffer's last entry.
-# wide's output, pinned to 1, reads 40 gates that copy x, all at 0: in one
-# call the list grows from that one gate to all 41 AND gates, as the move
-# flips the copies one by one, then empties.  Every AND gate of stuck
+# wide's output, pinned to 1, reads 40 gates that copy x, all at 0 from x at
+# 0: in one call the list grows from that one gate to all 41 AND gates, as
+# the move flips the copies one by one, then empties.  Every AND gate of stuck
 # reads x and its complement and is pinned to 1, so each call starts by
 # gathering a score for every AND gate, then burns every step.
 x = circuit.Literal(0)
@@ -744,12 +778,8 @@ wide = circuit.ConstrainedCircuit(circuit.build_circuit(
 stuck = circuit.ConstrainedCircuit(circuit.build_circuit(
     [circuit.INPUT] + [(x, circuit.Literal(0, True))] * 8), dict.fromkeys(range(1, 9), True))
 for heuristic in ("cc-min", "depth-max", "tfi-min"):
-    engine = SearchEngine(wide, build_profile(wide.circuit), heuristic, 0.3, 2)
-    asg = engine.assignment
-    if asg.values[0]:
-        asg.flip(0)
-        asg.propagate_forward([0])
-    assert asg.ulist == [41] and engine.run(5)
+    engine = SearchEngine(wide, build_profile(wide.circuit), heuristic, 0.3, X_AT_ZERO)
+    assert engine.assignment.ulist == [41] and engine.run(5)
     assert (engine.steps, engine.stats.forced, engine.stats.flips) == (2, 2, 41)
     engine = SearchEngine(stuck, build_profile(stuck.circuit), heuristic, 0.3, 2)
     assert engine.assignment.unjust_count == 8 and not engine.run(5)
@@ -757,16 +787,16 @@ for heuristic in ("cc-min", "depth-max", "tfi-min"):
 # the Python steps on the kernel's buffers, between chunks of the C loop
 switch_loops_on_a_dag()
 # 161 % 32 == 1: the last gate in topological order is the one bit of the
-# pending bitmap's last word
+# pending bitmap's last word, which the chain's one step sets; then single
+# steps on a random DAG of that size
+cc = copy_chain(161)
+engine = SearchEngine(cc, build_profile(cc.circuit), "rand", 0.3, X_AT_ZERO)
+assert not engine.run(1) and engine.stats.flips == 160 and engine.run(1)
 cc = random_constrained(rng, random_dag(rng, 161))
-asg = circuit.random_complete_extension(cc, rng)
-free = [g for g in range(161) if not cc.pinned[g]]
-for origins in (*([g] for g in free), free, [cc.circuit.topo_order[-1]]):
-    undo = []
-    for g in origins:
-        asg.flip(g, undo)
-    asg.propagate_forward(origins, undo)
-    asg.rollback(undo)
+for heuristic in ("rand", "depth-max", "cc-min"):
+    engine = SearchEngine(cc, build_profile(cc.circuit), heuristic, 0.3, 3)
+    while engine.steps < 200 and not engine.run(1):
+        pass
 for k in range(4):
     profile = build_profile(random_dag(rng, rng.randint(1, 400)))
     if k % 2:
@@ -895,7 +925,8 @@ def _false_children(asg) -> list:
 
 
 def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
-    """Run one seed on the kernel and on Python in step; assert equal states."""
+    """Run one seed on the kernel and on Python in step; assert equal states.
+    Returns the two engines."""
     profile = build_profile(cc.circuit)
     fast, slow = _on_both_paths(monkeypatch,
                                 lambda: SearchEngine(cc, profile, heuristic, wp, seed))
@@ -909,73 +940,113 @@ def _run_both(monkeypatch, cc, heuristic, wp, seed, chunks):
         if found:
             break
     assert slow.assignment._state is None
+    return fast, slow
 
 
-def _buffers(asg):
-    return bytes(asg.values), asg.ulist, list(asg.upos), asg.unjust_count
+#: the first seed whose engine draws 0 for the first unpinned input
+X_AT_ZERO = next(seed for seed in count() if not random.Random(seed).getrandbits(1))
 
 
-@needs_kernel
+def copy_chain(num_gates):
+    """An input x (gate 0), copies 1..n-2 each reading the one before (the
+    first reads x) and an output n-1 reading x, pinned to 1.  From x at 0,
+    as an engine seeded ``X_AT_ZERO`` starts it, the one step is the forced
+    flip of x, whose propagation flips every copy: it pushes every
+    topological position, the last among them, and flips n-1 gates."""
+    x = Literal(0)
+    copies = [(Literal(g - 1),) for g in range(2, num_gates - 1)]
+    definitions = [INPUT, *([(x,)] if num_gates > 2 else []), *copies, (x,)]
+    return ConstrainedCircuit(build_circuit(definitions[:num_gates]),
+                              {num_gates - 1: True} if num_gates > 1 else {})
+
+
+@needs_loop
 def test_an_assignment_stays_on_the_path_it_was_built_on(monkeypatch):
+    # each engine runs with the module's library set for the other path:
+    # the one built on the kernel keeps aigsls_run, the other its Python
+    # loop, and both take the same steps, one call at a time
     rng = random.Random(87)
-    circuit = random_dag(rng, 150)
-    cc = random_constrained(rng, circuit)
-    values = random_complete_extension(cc, rng).values
-    fast, slow = _on_both_paths(monkeypatch, lambda: Assignment(circuit, values, cc.pinned))
-    assert isinstance(fast._state, _kernel.State) and slow._state is None
-    free = [g for g in range(circuit.num_gates) if not cc.pinned[g]]
-    for _ in range(300):
-        flips = rng.sample(free, rng.randint(0, 3))
-        assert fast._trial(flips) == slow._trial(flips)
-        assert _buffers(fast) == _buffers(slow)
-        if rng.random() < 0.5:
-            assert fast._move(flips) == slow._move(flips)
-        else:
-            undos = [], []
-            for asg, undo in zip((fast, slow), undos):
-                for g in flips:
-                    asg.flip(g, undo)
-                asg.propagate_forward(flips, undo)
-            assert undos[0] == undos[1]
-            assert _buffers(fast) == _buffers(slow)
-            if rng.random() < 0.5:
-                fast.rollback(undos[0])
-                slow.rollback(undos[1])
-        assert _buffers(fast) == _buffers(slow)
-    assert slow._state is None
-    assert slow.unjust == slow.recompute_unjust()
+    cc = random_constrained(rng, random_dag(rng, 150))
+    lib = _kernel.lib
+    for heuristic in ("rand", "cc-min"):
+        profile = build_profile(cc.circuit)
+        fast, slow = _on_both_paths(monkeypatch,
+                                    lambda: SearchEngine(cc, profile, heuristic, 0.3, 87))
+        assert isinstance(fast.assignment._state, _kernel.State)
+        assert slow.assignment._state is None
+        for _ in range(300):
+            monkeypatch.setattr(_kernel, "lib", None)
+            found = fast.run(1)
+            monkeypatch.setattr(_kernel, "lib", lib)
+            assert slow.run(1) == found
+            assert _snapshot(fast) == _snapshot(slow)
+            if found:
+                break
+        assert fast.uses_kernel_loop and not slow.uses_kernel_loop
+        assert fast.steps > 50
+        assert slow.assignment.unjust == slow.assignment.recompute_unjust()
 
 
-@needs_kernel
+@needs_loop
 @pytest.mark.parametrize("num_gates", [1, 2, 31, 32, 33, 63, 64, 65, 150])
 def test_propagation_matches_at_the_bitmap_word_edges(monkeypatch, num_gates):
-    # the kernel keeps pending gates as bits over topological positions, 32
-    # to a word: origins at the last position of each word and of the order,
-    # all free gates at once, and none, which must touch no word
+    # aigsls_run keeps the pending gates as bits over topological positions,
+    # 32 to a word: the chain's one step pushes every position, so it
+    # crosses every word edge and sets the last word's bits; then single
+    # steps on a random DAG of the same size
+    fast, _ = _run_both(monkeypatch, copy_chain(num_gates), "rand", 0.3, X_AT_ZERO, (1, 1))
+    assert (fast.steps, fast.stats.flips) == (min(num_gates - 1, 1), num_gates - 1)
     rng = random.Random(num_gates)
-    circuit = random_dag(rng, num_gates)
-    cc = random_constrained(rng, circuit)
-    values = random_complete_extension(cc, rng).values
-    fast, slow = _on_both_paths(monkeypatch, lambda: Assignment(circuit, values, cc.pinned))
-    order = circuit.topo_order
-    free = [g for g in range(num_gates) if not cc.pinned[g]]
-    edges = [order[t] for t in range(31, num_gates, 32)]
-    cases = [[order[-1]], free, [], edges, [*edges, order[-1]], *([g] for g in free),
-             *(rng.sample(free, rng.randint(0, len(free))) for _ in range(20))]
-    for origins in cases:
-        assert fast._trial(origins) == slow._trial(origins)
-        undos = [], []
-        for asg, undo in zip((fast, slow), undos):
-            for g in origins:
-                asg.flip(g, undo)
-            asg.propagate_forward(origins, undo)
-        assert undos[0] == undos[1]
-        assert _buffers(fast) == _buffers(slow)
-        if rng.random() < 0.5:
-            fast.rollback(undos[0])
-            slow.rollback(undos[1])
-            assert _buffers(fast) == _buffers(slow)
-    assert fast.unjust == fast.recompute_unjust()
+    cc = random_constrained(rng, random_dag(rng, num_gates))
+    for heuristic in ("rand", "depth-max"):
+        _run_both(monkeypatch, cc, heuristic, 0.3, rng.randrange(10**6), [1] * 80)
+
+
+@needs_loop
+def test_the_kernel_loops_first_step_matches_the_reference_propagator():
+    # a fresh extension is consistent but at the constrained gates, where
+    # the propagation oracle holds: after the first step, every gate but
+    # the pinned and the flipped ones reads as the reference re-evaluation
+    # says.  Under rand with wp = 1 a step of several moves walks, so a copy
+    # of the generator predicts the gate and the move
+    rng = random.Random(94)
+    kinds = set()
+    for _ in range(200):
+        circuit = random_dag(rng, rng.randint(2, 100), max_arity=rng.randint(1, 4))
+        cc = random_constrained(rng, circuit)
+        profile = build_profile(circuit)
+        for seed in range(3):
+            engine = SearchEngine(cc, profile, "rand", 1.0, seed)
+            asg = engine.assignment
+            assert engine.uses_kernel_loop
+            draws = random.Random()
+            draws.setstate(engine.rng.getstate())
+            count = asg.unjust_count
+            if not count:
+                assert engine.run(1)
+                continue
+            g = asg.ulist[0] if count == 1 else asg.ulist[draws.randrange(count)]
+            moves = _moves(circuit._csr, asg.values, asg.pinned, g)
+            if not moves:
+                kind, flips = "burned", []
+            elif len(moves) == 1:
+                kind, flips = "forced", moves[0]
+            else:
+                draws.random()              # below wp = 1: the step walks
+                kind, flips = "walk", moves[draws.randrange(len(moves))]
+            expected = bytearray(asg.values)
+            for c in flips:
+                expected[c] ^= 1
+            expected = ref_propagate(cc, expected, flips)
+            before = bytes(asg.values)
+            assert not engine.run(1)
+            assert asg.values == expected
+            assert asg.unjust == ref_unjust(circuit, asg.values)
+            assert engine.rng.getstate() == draws.getstate()
+            assert getattr(engine.stats, kind) == engine.steps == 1
+            assert engine.stats.flips == sum(map(ne, before, asg.values))
+            kinds.add(kind)
+    assert kinds >= {"walk", "forced"}
 
 
 @needs_kernel
@@ -1280,45 +1351,61 @@ def test_a_shared_profile_walks_closures_right_under_threads():
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
 def test_stamps_restart_before_the_generation_overflows(kernel, monkeypatch):
+    # one engine starts with its generation and every stamp two short of
+    # the limit, its twin at 0: the first propagation restarts the stamps,
+    # and from then on both take the same generations and stamps.  "c"
+    # propagates in aigsls_run
     if kernel == "python":
         monkeypatch.setattr(_kernel, "lib", None)
-    elif _kernel.lib is None:
-        pytest.skip("no working C compiler")
+    elif _kernel.lib is None or _kernel.lib.run is None:
+        pytest.skip("no kernel search loop")
     rng = random.Random(73)
-    circuit = random_dag(rng, 80)
-    cc = random_constrained(rng, circuit)
-    asg = random_complete_extension(cc, random.Random(1))
-    fresh = asg.copy()
+    cc = random_constrained(rng, random_dag(rng, 80))
+    profile = build_profile(cc.circuit)
+    engine, fresh = (SearchEngine(cc, profile, "rand", 0.3, 1) for _ in range(2))
+    asg = engine.assignment
     asg._meta[1] = 0x7FFFFFFF - 1
-    free = [g for g in range(circuit.num_gates) if not cc.pinned[g]]
-    for g in free[:20]:
-        asg.flip(g)
-        asg.propagate_forward([g])
-        fresh.flip(g)
-        fresh.propagate_forward([g])
-        assert asg.values == fresh.values
-        assert asg.ulist == fresh.ulist
-    assert 0 < asg._meta[1] < 100
+    asg._stamp[:] = array("i", [0x7FFFFFFF - 1]) * cc.circuit.num_gates
+    for _ in range(20):
+        found = engine.run(1)
+        assert fresh.run(1) == found
+        assert _snapshot(engine) == _snapshot(fresh)
+        if found:
+            break
+    assert engine.uses_kernel_loop == (kernel == "c")
+    assert 0 < asg._meta[1] == fresh.assignment._meta[1] < 100
+    assert asg._stamp == fresh.assignment._stamp
 
 
 def test_kernel_rejects_out_of_range_gates(monkeypatch):
-    # and so does the pure-Python path, negative gates included; without
-    # the kernel both rounds run in Python
-    circuit = random_dag(random.Random(74), 10)
-    for lib in (_kernel.lib, None):
-        monkeypatch.setattr(_kernel, "lib", lib)
-        asg = random_complete_extension(random_constrained(random.Random(0), circuit),
-                                        random.Random(0))
-        before = (bytes(asg.values), asg.ulist)
-        for call in (lambda: asg.flip(10), lambda: asg.flip(-1),
-                     lambda: asg.propagate_forward([3, 10]), lambda: asg.rollback([-2]),
-                     lambda: asg._trial([1, 10]), lambda: asg._trial([-1]),
-                     lambda: asg._move([-1]), lambda: is_justified(circuit, asg, 10),
+    # the public steps and is_justified refuse a gate out of range,
+    # negative ones included, and change nothing, on an assignment built on
+    # either path; aigsls_run then steps on the kernel's buffers as the
+    # Python loop does on its own.  Without the kernel both run in Python
+    rng = random.Random(74)
+    cc = random_constrained(rng, random_dag(rng, 40))
+    circuit = cc.circuit
+    profile = build_profile(circuit)
+    engines = _on_both_paths(monkeypatch, lambda: SearchEngine(cc, profile, "rand", 0.3, 0))
+    for asg in (engine.assignment for engine in engines):
+        before = (bytes(asg.values), asg.ulist, list(asg.nf))
+        for call in (lambda: asg.flip(40), lambda: asg.flip(-1),
+                     lambda: asg.propagate_forward([3, 40]), lambda: asg.rollback([-2]),
+                     lambda: asg._trial([1, 40]), lambda: asg._trial([-1]),
+                     lambda: asg._move([-1]), lambda: is_justified(circuit, asg, 40),
                      lambda: is_justified(circuit, asg, -1)):
             with pytest.raises(IndexError):
                 call()
-            assert (bytes(asg.values), asg.ulist) == before
+            assert (bytes(asg.values), asg.ulist, list(asg.nf)) == before
         assert asg.unjust == asg.recompute_unjust()
+    fast, slow = engines
+    for _ in range(40):
+        found = fast.run(1)
+        assert slow.run(1) == found
+        assert _snapshot(fast) == _snapshot(slow)
+        if found:
+            break
+    assert fast.steps > 0
 
 
 @pytest.mark.usefixtures("python_path")
