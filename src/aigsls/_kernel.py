@@ -17,37 +17,47 @@ differ from the plain sum in C.
 unjustified list, its positions, each gate's count of child literals at 0
 and the propagation stamps ``array('i')``).  The C code below reads and
 writes those buffers and the circuit's CSR in place.  An assignment built
-while ``lib`` is loaded keeps a ``State`` on them: ``aigsls_scan`` fills
-them, and ``aigsls_run`` flips, propagates and rolls back in C, only inside
-its loop.  Every other flip and propagation runs in Python
-(``Assignment._flip`` and ``_propagate``), on either kind of assignment.
-Both flip the same gates in the same order, and a flip reads no fanin
-row: it moves each parent's count by the parent's sign in the flipped
-gate's fanout row, then decides from the counts whether the gate and its
-parents are unjustified.  ``aigsls_scan`` builds the counts with the
-unjustified list, and only ``aigsls_evaluate`` and ``aigsls_first_unjust``
-apply ``unjust``, the definition, literal by literal.  Forward propagation
-keeps its pending gates in a bitmap over topological positions in C,
-where Python keeps a ``heapq``, and both pop them in rising position.
+while ``lib`` is loaded keeps a ``State`` on them, a copy of its circuit's
+``Scratch`` with the assignment's buffers filled in: the scratch, which
+the circuit's assignments share, holds the CSR's addresses and the buffers
+that ``aigsls_start`` and ``aigsls_run`` use only during a call.
+``aigsls_scan`` fills the buffers, or ``aigsls_start`` builds a random
+complete extension in them, and ``aigsls_run`` flips, propagates and rolls
+back in C, only inside its loop.  Every other flip and propagation runs in
+Python (``Assignment._flip`` and ``_propagate``), on either kind of
+assignment.  Both flip the same gates in the same order, and a flip reads
+no fanin row: it moves each parent's count by the parent's sign in the
+flipped gate's fanout row, then decides from the counts whether the gate
+and its parents are unjustified.  ``aigsls_scan`` and ``aigsls_start``
+build the counts with the unjustified list, and only ``aigsls_evaluate``
+and ``aigsls_first_unjust`` apply ``unjust``, the definition, literal by
+literal.  Forward propagation keeps its pending gates in a bitmap over
+topological positions in C, where Python keeps a ``heapq``, and both pop
+them in rising position.
 
 ``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection,
 the moves read from the gate's CSR rows as ``search._moves`` reads them, the
 greedy trials, the move and every ``SearchStats`` counter.  Under a measure
 heuristic, selection picks the least int32 score of
 ``StructuralProfile.scores`` among the unjustified gates, with the ties
-kept in ``ulist`` order.  It reads the scores from ``usc``, a buffer of
-``Search`` holding ``ulist[i]``'s score at ``usc[i]``: ``aigsls_run``
-gathers it from ``ulist`` on entry, the C flips keep it in step with
-``ulist`` until the call returns, and it is stale outside the call.  A
-closure size not walked yet is walked on first need, as ``aigsls_closures``
-does, in ``ulist`` order.  Its random
-draws come from a copy of CPython's MT19937, which starts from and ends in
-the engine's ``random.Random`` state, so both loops draw the same stream
-and follow the same trajectory.  ``_bind`` checks the copy against
-``random.Random`` on a fixed draw sequence and leaves ``run`` None when
-they differ; ``SearchEngine`` then runs its Python loop over the Python
-steps, which work on the same buffers.  No other entry point flips,
-propagates or rolls back in C.
+kept in ``ulist`` order.  It reads the scores from ``usc``, a scratch
+buffer holding ``ulist[i]``'s score at ``usc[i]``: ``aigsls_run`` gathers
+it from ``ulist`` on entry, the C flips keep it in step with ``ulist``
+until the call returns, and it is stale outside the call.  A closure size
+not walked yet is walked on first need, as ``aigsls_closures`` does, in
+``ulist`` order.
+
+``aigsls_start`` and ``aigsls_run`` draw from the engine's
+``random.Random`` in place: CPython's MT19937, run on the generator's own
+index and state words (``MT_OFFSET`` past its address), so both loops draw
+the same stream and follow the same trajectory, and nothing is copied in
+or out.  ``_bind`` checks that layout and the generator at load time: the
+bytes at that offset, read without writing, must be ``getstate()``'s, and
+a fixed draw sequence run in place must leave the draws and the state of a
+twin.  When either check fails it leaves ``run`` and ``start`` None;
+``SearchEngine`` then runs its Python loop over the Python steps, which
+work on the same buffers, and ``random_complete_extension`` its Python
+body.  No other entry point flips, propagates or rolls back in C.
 ``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
@@ -59,6 +69,7 @@ pure-Python twin, which is also the reference the tests compare against.
 
 from __future__ import annotations
 
+import _random
 import ctypes
 import glob
 import hashlib
@@ -68,6 +79,7 @@ import random
 import shutil
 import stat
 import subprocess
+import sys
 import tempfile
 import time
 import types
@@ -83,9 +95,7 @@ SOURCE = r"""
 /* A search's settings; mirrors Search in _kernel.py.  A gate scores lo[g]
    while at 0 and hi[g] while at 1, negated when neg; lo is NULL under
    "rand".  A walk makes lo the closure-size cache of the CSR (off, adj): a
-   candidate's negative entry is first filled by reach.  usc has room for
-   the score of every AND gate: usc[i] is the score of ulist[i], kept by
-   refresh, but only inside aigsls_run and under a measure heuristic. */
+   candidate's negative entry is first filled by reach. */
 typedef struct {
     int *lo;
     const int *hi;
@@ -93,26 +103,31 @@ typedef struct {
     const int *off, *adj;
     int *walk;
     double wp;
-    int *usc;
 } Search;
 
-/* CSR circuit plus one assignment's buffers; mirrors State in _kernel.py */
+/* CSR circuit, its scratch and one assignment's buffers; mirrors State in
+   _kernel.py */
 typedef struct {
     int n;
     const int *fin_off, *fin, *fout_off, *fout, *order, *tpos, *kid_off, *kid, *sign;
+    int *scratch, *undo, *ties, *usc;
     unsigned char *val;
     const unsigned char *pin;
-    int *ulist, *upos, *nf, *meta, *stamp, *scratch, *undo, *ties;
+    int *ulist, *upos, *nf, *meta, *stamp;
     const Search *sel;
     /* sign parallels fout: the entry of parent p in c's row counts p's
        literals that read c plainly minus those that read it complemented.
-       nf[g]: the number of g's child literals that read 0, -1 for an input.
-       meta: unjust count, propagation generation; scratch: n ints of mark
-       scratch, then the pending bitmap of propagate, ceil(n / 32) words;
-       undo: the gates a trial's propagation flipped, n ints; ties: a
-       selection's ties, then a step's moves, n ints;
-       sel: the search whose usc refresh keeps, set only while aigsls_run
-       runs a measure heuristic, else NULL */
+       The circuit's scratch, which every assignment of the circuit shares
+       and only a call uses: n ints of mark scratch, then the pending bitmap
+       of propagate, ceil(n / 32) words; undo: the gates a trial's
+       propagation flipped, n ints; ties: a selection's ties, then a step's
+       moves, n - 1 ints, as there are at most n - 1 AND gates or distinct
+       children of one gate; usc: room for the score of every AND gate,
+       usc[i] the score of ulist[i], kept by refresh only while sel is set.
+       The assignment's: nf[g], the number of g's child literals that read
+       0, -1 for an input; meta: unjust count, propagation generation; sel:
+       the search whose scores refresh keeps in usc, set only while
+       aigsls_run runs a measure heuristic, else NULL */
 } State;
 
 /* 1 iff g is an AND gate whose value differs from the AND of its child
@@ -161,11 +176,11 @@ static void refresh(State *s, int g)
             s->upos[last] = pos;
             s->upos[g] = -1;
             if (s->sel)
-                s->sel->usc[pos] = s->sel->usc[s->meta[0]];
+                s->usc[pos] = s->usc[s->meta[0]];
         }
     } else if (pos < 0) {
         if (s->sel)
-            s->sel->usc[s->meta[0]] = score(s->sel, s->val, g);
+            s->usc[s->meta[0]] = score(s->sel, s->val, g);
         s->upos[g] = s->meta[0];
         s->ulist[s->meta[0]++] = g;
     }
@@ -294,7 +309,7 @@ static inline int extreme(const int *u, int count, int neg)
    closure size not walked yet, is first filled by reach, in ulist order. */
 static int select_ties(State *s, const Search *p)
 {
-    int count = s->meta[0], k = 0, *usc = p->usc;
+    int count = s->meta[0], k = 0, *usc = s->usc;
     if (p->walk)
         for (int i = 0; i < count; i++)
             if (usc[i] < 0) {
@@ -330,19 +345,19 @@ static int move(State *s, const int *flips, int k)
     return k + propagate(s, flips, k, NULL);
 }
 
-/* CPython's MT19937 (Modules/_randommodule.c): mt[0..623] are the state
-   words and mt[624] the index, as random.Random.getstate() lays them out. */
+/* CPython's MT19937 (Modules/_randommodule.c), in place on the fields of
+   a random.Random: mt[0] is its int index and mt[1..624] its state words. */
 static unsigned genrand(unsigned *mt)
 {
-    unsigned y;
-    if (mt[624] >= 624) {
+    unsigned y, *w = mt + 1;
+    if (mt[0] >= 624) {
         for (int k = 0; k < 624; k++) {
-            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % 624] & 0x7fffffffU);
-            mt[k] = mt[(k + 397) % 624] ^ (y >> 1) ^ (y & 1 ? 0x9908b0dfU : 0);
+            y = (w[k] & 0x80000000U) | (w[(k + 1) % 624] & 0x7fffffffU);
+            w[k] = w[(k + 397) % 624] ^ (y >> 1) ^ (y & 1 ? 0x9908b0dfU : 0);
         }
-        mt[624] = 0;
+        mt[0] = 0;
     }
-    y = mt[mt[624]++];
+    y = w[mt[0]++];
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -468,7 +483,7 @@ int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long l
 {
     if (p->lo) {
         for (int i = 0; i < s->meta[0]; i++)
-            p->usc[i] = score(p, s->val, s->ulist[i]);
+            s->usc[i] = score(p, s->val, s->ulist[i]);
         s->sel = p;
     }
     int found = search(s, mt, p, stats, budget);
@@ -508,19 +523,55 @@ void aigsls_evaluate(int n, const int *order, const int *fin_off, const int *fin
             val[order[i]] ^= 1;
 }
 
-/* fill nf and an empty unjustified list, in index order */
-void aigsls_scan(State *s)
+/* nf[g]: the number of g's child literals that read 0, -1 for an input */
+static int false_children(const State *s, int g)
 {
+    int k = s->fin_off[g] < s->fin_off[g + 1] ? 0 : -1;
+    for (int i = s->fin_off[g]; i < s->fin_off[g + 1]; i++)
+        k += !(s->val[s->fin[i] >> 1] ^ (s->fin[i] & 1));
+    return k;
+}
+
+/* the unjustified list read from nf, built from an empty list in index
+   order, with upos cleared for every other gate */
+static void list_unjust(State *s)
+{
+    s->meta[0] = 0;
     for (int g = 0; g < s->n; g++) {
-        int k = s->fin_off[g] < s->fin_off[g + 1] ? 0 : -1;
-        for (int i = s->fin_off[g]; i < s->fin_off[g + 1]; i++)
-            k += !(s->val[s->fin[i] >> 1] ^ (s->fin[i] & 1));
-        s->nf[g] = k;
+        s->upos[g] = -1;
         if (counted_unjust(s, g)) {
             s->upos[g] = s->meta[0];
             s->ulist[s->meta[0]++] = g;
         }
     }
+}
+
+/* fill nf, then the unjustified list */
+void aigsls_scan(State *s)
+{
+    for (int g = 0; g < s->n; g++)
+        s->nf[g] = false_children(s, g);
+    list_unjust(s);
+}
+
+/* random_complete_extension in place, drawing from mt as the random.Random
+   would: each input not pinned, in index order, takes the top bit of one
+   output, as getrandbits(1) returns it.  Then one pass in topological
+   order counts each gate's child literals at 0, its children final, and
+   sets an AND gate not pinned to 1 exactly when none is, which is
+   aigsls_evaluate; the unjustified list is read from the counts. */
+void aigsls_start(State *s, unsigned *mt)
+{
+    for (int g = 0; g < s->n; g++)
+        if (s->fin_off[g] == s->fin_off[g + 1] && !s->pin[g])
+            s->val[g] = (unsigned char)(genrand(mt) >> 31);
+    for (int i = 0; i < s->n; i++) {
+        int g = s->order[i], k = false_children(s, g);
+        s->nf[g] = k;
+        if (k >= 0 && !s->pin[g])
+            s->val[g] = !k;
+    }
+    list_unjust(s);
 }
 
 /* verify_satisfying's full scan: the first gate, in index order, whose value
@@ -838,6 +889,7 @@ _P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_longlong
 _SIGNATURES = {
     "evaluate": (None, [_I] + [_P] * 5),
     "scan": (None, [_P]),
+    "start": (None, [_P, _P]),
     "run": (_I, [_P, _P, _P, _P, _L]),
     "draws": (None, [_P, _P, _I, _P]),
     "closures": (_I, [_I] + [_P] * 5 + [_I]),
@@ -854,8 +906,9 @@ MAX_VAR = 2**30 - 1
 #: ``aigsls_profile``'s flags: the passes whose columns Python computes again
 FORWARD, BACKWARD = 1, 2
 
-_BUFFER_FIELDS = ("val", "pin", "ulist", "upos", "nf", "meta", "stamp", "scratch", "undo",
-                  "ties")
+#: State's buffers: its circuit's scratch, then its assignment's
+_BUFFER_FIELDS = ("scratch", "undo", "ties", "usc", "val", "pin", "ulist", "upos", "nf", "meta",
+                  "stamp")
 
 
 class CSR(NamedTuple):
@@ -887,7 +940,7 @@ class _StateStruct(ctypes.Structure):
 
 class _SearchStruct(ctypes.Structure):
     _fields_ = [("lo", _P), ("hi", _P), ("neg", _I), ("off", _P), ("adj", _P), ("walk", _P),
-                ("wp", ctypes.c_double), ("usc", _P)]
+                ("wp", ctypes.c_double)]
 
 
 def _cache_dir() -> str:
@@ -943,8 +996,13 @@ def _prune(path: str):
             pass
 
 
-#: the seed of the load-time check of the kernel's copy of random.Random
+#: the seed of the load-time check of the kernel's in-place random.Random
 _GUARD_SEED = 20110
+
+#: where a CPython ``RandomObject`` keeps its MT19937 fields, past the object
+#: header: ``int index``, then ``uint32_t state[624]``
+MT_OFFSET = object.__basicsize__
+_MT_BYTES = 4 * 625
 
 
 def _reference_draws(rng: random.Random, ns):
@@ -952,22 +1010,37 @@ def _reference_draws(rng: random.Random, ns):
     return (rng.randrange(n) if n else rng.random() for n in ns)
 
 
-def _same_stream(draws) -> bool:
-    """Whether ``aigsls_draws`` reproduces ``random.Random``: 3 000 draws from
-    a fixed seed, ``random()`` or ``randrange(n)`` for n of every bit length
-    up to 31, and the generator's state after them."""
+def _draws_in_place(draws, offset: int) -> bool:
+    """Whether ``aigsls_draws`` reproduces ``random.Random`` on the
+    generator's own fields at ``offset`` from its address.
+
+    First the bytes there, read without writing, must be the index and the
+    words of ``getstate()``, and the object must be large enough to hold
+    them.  Only then do 3 000 draws from a fixed seed run in place, each
+    ``random()`` or ``randrange(n)`` for n of every bit length up to 31;
+    they and the generator's state after them must equal a twin's."""
+    if (sys.implementation.name != "cpython" or offset < 0
+            or offset + _MT_BYTES > _random.Random.__basicsize__):
+        return False
     rng = random.Random(_GUARD_SEED)
-    mt = array("I", rng.getstate()[1])
+    rng.random()                            # an index of neither 0 nor 624
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    words = rng.getstate()[1]               # the state words, then the index
+    fields = array("I", words[-1:] + words[:-1]).tobytes()
+    if ctypes.string_at(id(rng) + offset, _MT_BYTES) != fields:
+        return False
     ns = array("i", (0 if i % 3 == 0 else 1 + i * 2654435761 % ((1 << (i % 31 + 1)) - 1)
                      for i in range(3000)))
     out = array("d", bytes(8 * len(ns)))
-    draws(_addr(mt), _addr(ns), len(ns), _addr(out))
-    return all(map(eq, out, _reference_draws(rng, ns))) and tuple(mt) == rng.getstate()[1]
+    draws(id(rng) + offset, _addr(ns), len(ns), _addr(out))
+    return all(map(eq, out, _reference_draws(twin, ns))) and rng.getstate() == twin.getstate()
 
 
 def _bind(path: str):
     # every call keeps the GIL through PyDLL: run and closures walk on a
-    # profile's one walk scratch, so threads can share a profile
+    # profile's one walk scratch, and start and run share their circuit's
+    # scratch, so threads can share a profile and a circuit
     dll = ctypes.PyDLL(path)
     functions = {}
     for name, (restype, argtypes) in _SIGNATURES.items():
@@ -975,9 +1048,10 @@ def _bind(path: str):
         fn.restype = restype
         fn.argtypes = argtypes
         functions[name] = fn
-    if not _same_stream(functions["draws"]):
-        functions["run"] = None         # SearchEngine.run keeps its Python loop
-    return types.SimpleNamespace(**functions)
+    if not _draws_in_place(functions["draws"], MT_OFFSET):
+        # SearchEngine.run keeps its Python loop, random_complete_extension its Python body
+        functions["run"] = functions["start"] = None
+    return types.SimpleNamespace(mt_offset=MT_OFFSET, **functions)
 
 
 def load():
@@ -1085,9 +1159,15 @@ def profile(circuit, level_sum: bool, fanout_split: bool, compensated: bool) -> 
     return flags, [column.tolist() for column in columns]
 
 
+#: a ctypes type of no bytes, so a view of it costs the same on any buffer
+_NO_BYTES = ctypes.c_char * 0
+
+
 def _view(buf):
-    """A ctypes view of a writable buffer; it blocks resizing while alive."""
-    return (ctypes.c_char * memoryview(buf).nbytes).from_buffer(buf)
+    """A ctypes object at the start of a writable buffer, which passes as
+    its address; while alive it holds the buffer's export, which blocks
+    resizing."""
+    return _NO_BYTES.from_buffer(buf)
 
 
 def evaluate(circuit, values: bytearray, pinned: bytes):
@@ -1106,56 +1186,79 @@ def first_unjust(circuit, values: bytearray) -> int:
                             _view(values))
 
 
+def mt_address(lib, rng: random.Random) -> int:
+    """The address of ``rng``'s MT19937 fields, which ``lib``'s ``start``
+    and ``run`` draw from in place; only for a plain ``random.Random``, and
+    only when they passed ``lib``'s load-time check."""
+    return id(rng) + lib.mt_offset
+
+
 class Search:
-    """A search's settings as ``aigsls_run`` reads them,
-    at ``addr``: the int32 scores ``lo`` and ``hi`` of a measure heuristic
-    (None under "rand") and ``neg``, ``walk`` the addresses of the CSR and
-    scratch of the closure walk that fills ``lo`` (Nones when none does),
-    and the noise ``wp``.  The caller keeps the score arrays alive.
+    """A search's settings as ``aigsls_run`` reads them, at ``addr``: the
+    int32 scores ``lo`` and ``hi`` of a measure heuristic (None under
+    "rand") and ``neg``, ``walk`` the addresses of the CSR and scratch of
+    the closure walk that fills ``lo`` (Nones when none does), and the noise
+    ``wp``.  The caller keeps the score arrays alive."""
 
-    A measure heuristic also gets the buffer of ``ulist``-ordered scores
-    that ``aigsls_run`` gathers on entry and keeps until it returns: one
-    int for each of the circuit's ``ands`` AND gates, the most that can be
-    unjustified at once."""
+    __slots__ = ("_struct", "addr")
 
-    __slots__ = ("_struct", "_usc", "addr")
-
-    def __init__(self, lo, hi, neg: bool, walk: tuple, wp: float, ands: int):
-        self._usc = None if lo is None else array("i", [0]) * ands
+    def __init__(self, lo, hi, neg: bool, walk: tuple, wp: float):
         self._struct = _SearchStruct(None if lo is None else _addr(lo),
-                                     None if hi is None else _addr(hi), neg, *walk, wp,
-                                     None if lo is None else _addr(self._usc))
+                                     None if hi is None else _addr(hi), neg, *walk, wp)
         self.addr = ctypes.addressof(self._struct)
 
 
-class State:
-    """The kernel's handle on one assignment's buffers and its circuit's CSR,
-    for ``aigsls_scan`` when the assignment is built and for ``aigsls_run``,
-    the only call that steps on them in C.
+class Scratch:
+    """The part of a ``State`` that a circuit's assignments share, built
+    once per circuit: its size, the addresses of its CSR and the buffers
+    that ``aigsls_start`` and ``aigsls_run`` use only during a call (the
+    mark scratch and pending bitmap, the trial log, the ties and moves, and
+    the scores kept in ``ulist`` order).  Every call holds the GIL, so no
+    two calls use them at once.  ``struct`` is the ``_StateStruct`` with
+    these fields filled, the others NULL; the object keeps the CSR and the
+    buffers alive."""
 
-    ``addr`` is passed to both calls, made through ``lib``, the library
-    loaded when the state was built.  The object keeps each buffer it points
-    into alive, the assignment's ``nf`` counts among them, and copies the
-    fixed ``pinned``.  Two buffers of its own are ``aigsls_run``'s scratch:
-    the gates a trial's propagation flipped, and a selection's ties and a
-    step's moves.  The struct's ``sel`` is NULL but
-    inside an ``aigsls_run`` call under a measure heuristic, where it points
-    at the ``Search`` whose scores the flips keep in ``ulist`` order.
+    __slots__ = ("_keep", "struct")
+
+    def __init__(self, circuit):
+        n = circuit.num_gates
+        arrays = circuit._csr
+        buffers = (array("i", [0]) * (n + (n + 31) // 32), array("i", [0]) * n,
+                   array("i", [0]) * (n - 1), array("i", [0]) * (n - len(circuit.inputs)))
+        self._keep = (arrays, buffers)
+        self.struct = _StateStruct(n, *map(_addr, (*arrays, *buffers)))
+
+
+class State:
+    """The kernel's handle on one assignment's buffers, at ``addr``, for the
+    calls that read or write them: ``aigsls_scan``, ``aigsls_start`` and
+    ``aigsls_run``, the only call that steps on them in C.
+
+    The calls are made through ``lib``, the library loaded when the state
+    was built.  The struct is a copy of the circuit's ``Scratch`` struct
+    with the assignment's fields filled in: ``values``, the fixed
+    ``pinned`` bytes, read in place, and the unjust list, its positions,
+    the ``nf`` counts, ``_meta`` and ``_stamp``.  The object keeps the
+    scratch, ``pinned`` and each buffer it points into alive, each through a
+    view that blocks resizing.  The struct's ``sel`` is NULL but inside an
+    ``aigsls_run`` call under a measure heuristic, where it points at the
+    ``Search`` whose scores the flips keep in ``ulist`` order.
     """
 
     __slots__ = ("_keep", "_struct", "addr", "lib")
 
     def __init__(self, asg):
         self.lib = lib
-        n = asg.circuit.num_gates
-        arrays = asg.circuit._csr
-        scratch = array("i", [0]) * (n + (n + 31) // 32)
-        views = (_view(asg.values), (ctypes.c_char * n).from_buffer_copy(asg.pinned),
-                 *map(_view, (asg.ubuf, asg.upos, asg.nf, asg._meta, asg._stamp, scratch,
-                              array("i", [0]) * n, array("i", [0]) * n)))
-        self._keep = (arrays, views)
-        self._struct = _StateStruct(n, *map(_addr, arrays), *map(ctypes.addressof, views))
-        self.addr = ctypes.addressof(self._struct)
+        scratch = asg.circuit._scratch
+        pinned = asg.pinned
+        views = tuple(map(_view, (asg.values, asg.ubuf, asg.upos, asg.nf, asg._meta,
+                                  asg._stamp)))
+        struct = self._struct = _StateStruct.from_buffer_copy(scratch.struct)
+        (struct.val, struct.ulist, struct.upos, struct.nf, struct.meta,
+         struct.stamp) = map(ctypes.addressof, views)
+        struct.pin = ctypes.cast(pinned, _P).value
+        self._keep = (scratch, pinned, views)
+        self.addr = ctypes.addressof(struct)
 
 
 lib = load()

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import chain, compress, count, repeat
-from operator import eq
+from operator import eq, truth
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernel
@@ -92,6 +92,8 @@ class Circuit:
     kept; the package never reads them.  The pure-Python assignment and
     profile passes read ``_lists``, one list copy of the arrays built on
     first use; a search step reads its moves from ``_csr`` on both paths.
+    The kernel's assignments share ``_scratch``, built on first use too and
+    left out of a pickle or copy.
     """
 
     def __init__(self, csr: _kernel.CSR):
@@ -113,6 +115,12 @@ class Circuit:
     def _lists(self) -> _kernel.CSR:
         # CPython indexes a list about three times faster than an array
         return _kernel.CSR(*(a.tolist() for a in self._csr))
+
+    @cached_property
+    def _scratch(self) -> _kernel.Scratch:
+        # the kernel's buffers for this circuit, shared by its assignments
+        # and freed with it
+        return _kernel.Scratch(self)
 
     @cached_property
     def inputs(self) -> tuple:
@@ -146,6 +154,10 @@ class Circuit:
         """True iff g has no parents."""
         off = self._csr.fout_off
         return off[g] == off[g + 1]
+
+    def __getstate__(self):
+        # the kernel's scratch holds raw addresses; a copy builds its own
+        return {name: value for name, value in vars(self).items() if name != "_scratch"}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Circuit) and self._csr.fin_off == other._csr.fin_off
@@ -252,20 +264,29 @@ class ConstrainedCircuit:
                                        or isinstance(const_gate, bool)):
             raise CircuitError(f"constant gate {const_gate!r} is not an int")
         self.circuit = circuit
-        self.constraints = {}
         self.const_gate = const_gate
         n = circuit.num_gates
+        gates = list(constraints)
+        values = list(map(truth, constraints.values()))
+        if not (set(map(type, gates)) <= {int} and 0 <= min(gates, default=0)
+                and max(gates, default=0) < n):
+            # gate by gate, for the diagnostic of the first offender
+            for g in gates:
+                if not isinstance(g, int) or isinstance(g, bool):
+                    raise CircuitError(f"constraint gate {g!r} is not an int")
+                if not 0 <= g < n:
+                    raise DanglingReference(f"constraint on undefined gate {g}")
+                if g != const_gate and not circuit.is_output(g):
+                    raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
+            gates = list(map(int, gates))
         pinned, required = bytearray(n), bytearray(n)
-        for g, v in constraints.items():
-            if not isinstance(g, int) or isinstance(g, bool):
-                raise CircuitError(f"constraint gate {g!r} is not an int")
-            if not 0 <= g < n:
-                raise DanglingReference(f"constraint on undefined gate {g}")
-            if g != const_gate and not circuit.is_output(g):
+        off = circuit._csr.fout_off
+        for g, v in zip(gates, values):
+            if off[g] != off[g + 1] and g != const_gate:
                 raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
-            self.constraints[int(g)] = bool(v)
             pinned[g] = 1
-            required[g] = bool(v)
+            required[g] = v
+        self.constraints = dict(zip(gates, values))
         if const_gate is not None:
             if not 0 <= const_gate < n:
                 raise DanglingReference(f"constant gate {const_gate} is undefined")
@@ -352,8 +373,10 @@ class Assignment:
     reject a gate out of range with IndexError.  C steps on the buffers only
     inside ``aigsls_run``, through ``_state``, which is fixed when the
     assignment is built or unpickled: a ``_kernel.State`` if the kernel is
-    loaded then, else None.  The C and Python steps leave the buffers
-    identical, so ``SearchEngine`` may run either loop on them.
+    loaded then, else None.  ``random_complete_extension`` may build the
+    buffers in C as well, with ``aigsls_start``.  The C and Python steps
+    leave the buffers identical, so ``SearchEngine`` may run either loop on
+    them.
     """
 
     __slots__ = ("circuit", "values", "_pinned", "ubuf", "upos", "nf", "_meta", "_stamp",
@@ -363,20 +386,28 @@ class Assignment:
         n = circuit.num_gates
         if len(values) != n:
             raise CircuitError("value vector length does not match gate count")
-        self.circuit = circuit
-        self.values = bytearray(values)
-        if self.values.translate(None, b"\0\1"):
+        values = bytearray(values)
+        if values.translate(None, b"\0\1"):
             raise CircuitError("every gate value must be 0 or 1")
-        self._pinned = bytes(n) if pinned is None else bytes(pinned)
-        if len(self._pinned) != n:
+        pinned = bytes(n) if pinned is None else bytes(pinned)
+        if len(pinned) != n:
             raise CircuitError("pin vector length does not match gate count")
+        self._on(circuit, values, pinned)
+        self._scan()
+
+    def _on(self, circuit: Circuit, values: bytearray, pinned: bytes):
+        # the buffers around values and pinned, already checked, with the
+        # unjust list still to build
+        n = len(values)
+        self.circuit = circuit
+        self.values = values
+        self._pinned = pinned
         self.ubuf = array("i", [0]) * n
         self.upos = array("i", [-1]) * n
         self.nf = array("i", [-1]) * n
         self._meta = array("i", [0, 0])
         self._stamp = array("i", [0]) * n
         self._attach()
-        self._scan()
 
     @property
     def pinned(self):
@@ -425,7 +456,8 @@ class Assignment:
     # them faster than it copies the row out of the list with a slice.
 
     def _scan(self):
-        # nf and the unjust list, in index order: aigsls_scan, or its twin
+        # nf and the unjust list from an empty list, in index order, upos
+        # cleared for every other gate: aigsls_scan, or its twin
         if self._state is not None:
             self._state.lib.scan(self._state.addr)
             return
@@ -434,6 +466,7 @@ class Assignment:
         values, nf, ubuf, upos = self.values, self.nf, self.ubuf, self.upos
         count = 0
         for g in range(len(values)):
+            upos[g] = -1
             i = fin_off[g]
             end = fin_off[g + 1]
             if i == end:
@@ -633,10 +666,23 @@ def random_complete_extension(cc: ConstrainedCircuit, rng: random.Random) -> Ass
     so none of them reads it.  Where its required value disagrees with its
     children it starts out unjustified, exposing the constraint violations
     the search must repair.
+
+    With the kernel loaded and a plain ``random.Random``, ``aigsls_start``
+    does all of this in one call, on the new assignment's buffers and
+    drawing from ``rng``'s own state in place: it takes the top bit of each
+    32-bit output, which is what ``getrandbits(1)`` returns, so it builds
+    the same assignment and leaves ``rng`` in the same state.  The Python
+    below is the reference, and runs otherwise.
     """
     circuit = cc.circuit
     pinned = cc.pinned
     values = bytearray(cc.required)
+    lib = _kernel.lib
+    if lib is not None and lib.start is not None and type(rng) is random.Random:
+        asg = Assignment.__new__(Assignment)
+        asg._on(circuit, values, pinned)
+        lib.start(asg._state.addr, _kernel.mt_address(lib, rng))
+        return asg
     for g in circuit.inputs:
         if not pinned[g]:
             values[g] = rng.getrandbits(1)

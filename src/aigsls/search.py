@@ -11,9 +11,9 @@ succeeds when the unjustified set empties.
 
 ``SearchEngine`` is one resumable trajectory.  Its ``run`` is a Python loop,
 the reference, and the C kernel's ``aigsls_run``, the loop's twin, which
-runs a whole step budget in one call and draws from a C copy of the
-engine's ``random.Random`` stream; both leave the assignment, the counters
-and the generator in the same state.  The try loop that budgets an engine,
+runs a whole step budget in one call and draws from the engine's
+``random.Random`` in place; both leave the assignment, the counters and
+the generator in the same state.  The try loop that budgets an engine,
 times it and verifies its SAT verdicts lives in ``aigsls.harness``.
 """
 
@@ -163,9 +163,7 @@ class SearchEngine:
         # the settings aigsls_run reads, with the kernel
         self._search = None
         if self.assignment._state is not None:
-            circuit = cc.circuit
-            self._search = _kernel.Search(lo, hi, neg, profile.kernel_walk(measure), wp,
-                                          circuit.num_gates - len(circuit.inputs))
+            self._search = _kernel.Search(lo, hi, neg, profile.kernel_walk(measure), wp)
 
     @property
     def steps(self) -> int:
@@ -242,17 +240,15 @@ class SearchEngine:
                 and type(self.rng) is random.Random)
 
     def _run_kernel(self, budget: int) -> bool:
-        """``run`` in one ``aigsls_run`` call.  The generator's state goes
-        to C as its MT19937 words and comes back to ``rng`` after the call,
-        ``gauss_next`` kept; the counters go and come back the same way."""
+        """``run`` in one ``aigsls_run`` call, which draws from ``rng``'s
+        own MT19937 fields in place, so nothing is copied in or out and
+        ``gauss_next`` is left alone.  The counters go to C as an array and
+        come back to ``stats`` after the call."""
         state = self.assignment._state
-        rng, stats = self.rng, self.stats
-        version, words, gauss = rng.getstate()
-        mt = array("I", words)
+        lib, stats = state.lib, self.stats
         counts = array("q", _counters(stats))
-        found = state.lib.run(state.addr, mt.buffer_info()[0], self._search.addr,
-                              counts.buffer_info()[0], min(budget, _MAX_BUDGET))
-        rng.setstate((version, tuple(mt), gauss))
+        found = lib.run(state.addr, _kernel.mt_address(lib, self.rng), self._search.addr,
+                        counts.buffer_info()[0], min(budget, _MAX_BUDGET))
         for name, count in zip(_COUNTERS, counts):
             setattr(stats, name, count)
         return bool(found)

@@ -727,7 +727,8 @@ for data in corpus:
                         (1, 1, max(room - 1, 0))):
             _kernel.parse_binary(data, pos, i, o, a)
             _kernel.parse_ascii(data, pos, i + a, i, o, a)
-assert _kernel.lib.run is not None     # the searches below run aigsls_run
+# the searches below run aigsls_start and aigsls_run
+assert _kernel.lib.run is not None and _kernel.lib.start is not None
 cc = generate_random_sat_aig(12, 300, random.Random(5))
 profile = build_profile(cc.circuit)
 for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min"):
@@ -735,9 +736,9 @@ for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min
 sys.path.insert(0, sys.argv[3])
 from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 from test_harness import const_reader_instance
-from test_kernel import (X_AT_ZERO, _false_children, _observed_through_big_siblings,
-                         _random_definitions, copy_chain, switch_loops_on_a_dag,
-                         walk_a_shared_profile_in_threads)
+from test_kernel import (X_AT_ZERO, _extension_cases, _false_children,
+                         _observed_through_big_siblings, _random_definitions, copy_chain,
+                         switch_loops_on_a_dag, walk_a_shared_profile_in_threads)
 from test_metrics import fibonacci_chain
 from aigsls.search import SearchEngine
 rng = random.Random(6)
@@ -803,8 +804,13 @@ for k in range(4):
         profile._walk[0] = 0x7FFFFFFF - 5    # the stamps restart midway
     profile.materialize_closures()
 cc = generate_random_sat_aig(32, 2000, random.Random(5))
-profile = walk_a_shared_profile_in_threads(cc, 1)
+profile, _ = walk_a_shared_profile_in_threads(cc, 1)
 assert (profile._tfi, profile._tfo) == (ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit))
+# aigsls_start on every kind of extension, the last drawing nothing
+for cc in _extension_cases(rng):
+    generator = random.Random(3)
+    asg = circuit.random_complete_extension(cc, generator)
+    assert asg._state is not None and asg.nf.tolist() == _false_children(asg)
 # each pass handed back: costs past int64 in both, in co only, and a wide gate
 wide = circuit.build_circuit([circuit.INPUT] * 3 + [[circuit.Literal(g) for g in range(3)]])
 for c, compensated, passes in ((fibonacci_chain(rng, 120), False, 3),
@@ -867,8 +873,8 @@ GOLDEN = """
 import pathlib, sys, tempfile, types
 sys.path.insert(0, sys.argv[1])
 sys.modules["pytest"] = types.ModuleType("pytest")  # the golden tests call none of it
-from aigsls import _kernel
-assert _kernel.lib is not None and _kernel.lib.run is not None, "no kernel loop"
+from aigsls import _kernel, search
+assert search.loop_name() == "c", "no kernel loop"
 import test_harness
 golden = test_harness.TestGoldenTrajectory()
 with tempfile.TemporaryDirectory() as tmp:
@@ -985,6 +991,74 @@ def test_an_assignment_stays_on_the_path_it_was_built_on(monkeypatch):
         assert fast.uses_kernel_loop and not slow.uses_kernel_loop
         assert fast.steps > 50
         assert slow.assignment.unjust == slow.assignment.recompute_unjust()
+
+
+def _buffers(asg) -> tuple:
+    return bytes(asg.values), asg.ulist, list(asg.upos), list(asg.nf), asg.unjust_count
+
+
+def _extension_cases(rng):
+    """Random constrained DAGs of up to 6 children per gate, readers of a
+    pinned constant input, and a circuit whose one input is that constant,
+    so that the extension draws nothing."""
+    for _ in range(30):
+        circuit = random_dag(rng, rng.randint(1, 200), max_arity=rng.randint(1, 6))
+        yield random_constrained(rng, circuit, p_constrain=rng.random())
+    for _ in range(10):
+        yield test_harness.const_reader_instance(rng, rng.randint(1, 6), rng.randint(1, 60))
+    yield ConstrainedCircuit(build_circuit([INPUT, (Literal(0),), (Literal(1), Literal(0, True))]),
+                             {0: True, 2: False}, const_gate=0)
+
+
+@needs_loop
+def test_the_kernel_extension_matches_the_python_one(monkeypatch):
+    # aigsls_start against the Python body, run both with the kernel's
+    # evaluation and scan (a random.Random subclass) and without the kernel:
+    # the same values, counts, list order and generator state after
+    rng = random.Random(96)
+    draws = set()
+    for cc in _extension_cases(rng):
+        seed = rng.randrange(10**6)
+        fast = random.Random(seed)
+        asg = random_complete_extension(cc, fast)
+        assert asg._state is not None
+        for make in (lambda: _Sub(seed), lambda: random.Random(seed)):
+            for lib in (_kernel.lib, None):
+                monkeypatch.setattr(_kernel, "lib", lib)
+                slow = make()
+                twin = random_complete_extension(cc, slow)
+                monkeypatch.undo()
+                assert _buffers(asg) == _buffers(twin)
+                assert fast.getstate() == slow.getstate()
+        draws.add(fast.getstate() != random.Random(seed).getstate())
+        assert asg.nf.tolist() == _false_children(asg)
+    assert draws == {True, False}
+
+
+def test_a_rescan_equals_a_fresh_assignment(monkeypatch):
+    # _scan starts from an empty list and clears upos, on both paths: after
+    # flips have reordered the list, scanning again, twice, gives the
+    # buffers of a new assignment of the same values
+    rng = random.Random(97)
+    for _ in range(20):
+        circuit = random_dag(rng, rng.randint(2, 150), max_arity=rng.randint(1, 5))
+        cc = random_constrained(rng, circuit)
+        free = [g for g in range(circuit.num_gates) if not cc.pinned[g]]
+        flips = [rng.choice(free) for _ in range(rng.randint(1, 20))] if free else []
+        seed = rng.randrange(10**6)
+
+        def rescanned():
+            asg = random_complete_extension(cc, random.Random(seed))
+            for g in flips:
+                asg.flip(g)
+            asg._scan()
+            asg._scan()
+            return asg
+
+        fast, slow = _on_both_paths(monkeypatch, rescanned)
+        assert fast._state is not None and slow._state is None
+        fresh = Assignment(circuit, fast.values, cc.pinned)
+        assert _buffers(fast) == _buffers(slow) == _buffers(fresh)
 
 
 @needs_loop
@@ -1104,12 +1178,12 @@ def _selections(engine) -> list:
     return calls
 
 
-@needs_loop
-def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch):
+def _assert_the_python_loop_runs(monkeypatch, guarded):
+    """Engines built while ``guarded`` is the library, its generator check
+    failed, take the Python extension and loop, on the kernel's buffers,
+    and follow the kernel loop's trajectories."""
     lib = _kernel.lib
-    monkeypatch.setattr(_kernel, "_reference_draws", lambda rng, ns: [0] * len(ns))
-    guarded = _kernel.load()
-    assert guarded.run is None and lib.run is not None
+    assert guarded.run is None and guarded.start is None and lib.run is not None
     cc = generate_random_sat_aig(16, 600, random.Random(88))
     for heuristic in ("rand", "cc-min", "tfi-min"):
         profile = build_profile(cc.circuit)
@@ -1125,6 +1199,27 @@ def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch):
             assert fast.run(k) == slow.run(k)
             assert _snapshot(fast) == _snapshot(slow)
         assert len(selections) == slow.steps > 20
+
+
+@needs_loop
+def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch):
+    monkeypatch.setattr(_kernel, "_reference_draws", lambda rng, ns: [0] * len(ns))
+    guarded = _kernel.load()
+    monkeypatch.undo()
+    _assert_the_python_loop_runs(monkeypatch, guarded)
+
+
+@needs_loop
+@pytest.mark.parametrize("shift", [4, -4])
+def test_a_failed_layout_check_keeps_the_python_loop(monkeypatch, capsys, shift):
+    # the kernel draws in place at MT_OFFSET past the generator's address; a
+    # wrong offset past the object's end is refused before any read, one
+    # inside it by the bytes read there, and neither prints anything
+    monkeypatch.setattr(_kernel, "MT_OFFSET", _kernel.MT_OFFSET + shift)
+    guarded = _kernel.load()
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+    _assert_the_python_loop_runs(monkeypatch, guarded)
 
 
 class _Sub(random.Random):
@@ -1319,34 +1414,80 @@ def test_closure_sizes_walked_by_selection_are_not_walked_again(monkeypatch):
     assert [profile.tfi_size(g) for g in walked] == [tfi[g] for g in walked]
 
 
+#: the heuristics of walk_a_shared_profile_in_threads' engines
+THREADED = ("tfi-min", "tfi-max", "tfi-min", "tfo-min", "rand", "depth-max")
+
+
+def _threaded_run(cc, profile, heuristic, seed):
+    engine = SearchEngine(cc, profile, heuristic, 0.2, seed)
+    engine.run(300)
+    return engine
+
+
 def walk_a_shared_profile_in_threads(cc, seed):
-    """Four engines and a bulk walk in five threads, on one new profile of
-    ``cc``; the profile once all are done."""
+    """Six engines, each built and run for 300 steps in a thread of its
+    own, and a bulk walk in a seventh, on one new profile of ``cc``: all
+    share the profile's walk scratch and the circuit's kernel scratch.
+    Returns the profile and the engines once all are done."""
     profile = build_profile(cc.circuit)
-    runs = [SearchEngine(cc, profile, heuristic, 0.2, seed).run
-            for heuristic in ("tfi-min", "tfi-max", "tfi-min", "tfo-min")]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(len(runs) + 1) as pool:
-            futures = [pool.submit(run, 300) for run in runs]
+        with ThreadPoolExecutor(len(THREADED) + 1) as pool:
+            futures = [pool.submit(_threaded_run, cc, profile, heuristic, seed)
+                       for heuristic in THREADED]
             futures.append(pool.submit(profile.materialize_closures))
-            for future in futures:
-                future.result(timeout=120)
+            done = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    return profile
+    return profile, done[:-1]
 
 
 @needs_kernel
 def test_a_shared_profile_walks_closures_right_under_threads():
-    # selection and closure walks share the profile's walk scratch, so only
-    # one thread at a time may walk
+    # selection and closure walks share the profile's walk scratch, and
+    # extensions and searches the circuit's, so only one thread at a time
+    # may use either: each engine then ends as it does run alone
     cc = generate_random_sat_aig(64, 5000, random.Random(5))
     tfi, tfo = ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit)
     for seed in range(5):
-        profile = walk_a_shared_profile_in_threads(cc, seed)
+        profile, engines = walk_a_shared_profile_in_threads(cc, seed)
         assert (profile._tfi, profile._tfo) == (tfi, tfo)
+        alone = [_threaded_run(cc, build_profile(cc.circuit), heuristic, seed)
+                 for heuristic in THREADED]
+        assert list(map(_snapshot, engines)) == list(map(_snapshot, alone))
+
+
+@needs_loop
+def test_engines_on_one_circuit_keep_their_own_trajectories():
+    # engines on one circuit share its kernel scratch: stepped in turns,
+    # one chunk each, kernel loops and a Python loop among them, each
+    # follows the trajectory it follows alone
+    rng = random.Random(98)
+    cc = random_constrained(rng, random_dag(rng, 300))
+    profile = build_profile(cc.circuit)
+    settings = [(heuristic, seed) for heuristic in ("rand", "cc-min", "tfi-min", "depth-max")
+                for seed in (1, 2)]
+
+    def engines():
+        made = [SearchEngine(cc, profile, heuristic, 0.3, seed) for heuristic, seed in settings]
+        rng = _Sub()
+        rng.setstate(made[-1].rng.getstate())
+        made[-1].rng = rng                  # the last runs the Python loop
+        return made
+
+    chunks = (1, 7, 1, 40, 200)
+    alone = engines()
+    for engine in alone:
+        for budget in chunks:
+            engine.run(budget)
+    turns = engines()
+    assert [engine.uses_kernel_loop for engine in turns] == [True] * 7 + [False]
+    for budget in chunks:
+        for engine in turns:
+            engine.run(budget)
+    assert list(map(_snapshot, turns)) == list(map(_snapshot, alone))
+    assert sum(engine.steps > 200 for engine in turns) >= 4
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
