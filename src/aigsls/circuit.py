@@ -266,8 +266,7 @@ class ConstrainedCircuit:
         self.circuit = circuit
         self.const_gate = const_gate
         n = circuit.num_gates
-        gates = list(constraints)
-        values = list(map(truth, constraints.values()))
+        gates = constraints.keys()
         if not (set(map(type, gates)) <= {int} and 0 <= min(gates, default=0)
                 and max(gates, default=0) < n):
             # gate by gate, for the diagnostic of the first offender
@@ -278,15 +277,15 @@ class ConstrainedCircuit:
                     raise DanglingReference(f"constraint on undefined gate {g}")
                 if g != const_gate and not circuit.is_output(g):
                     raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
-            gates = list(map(int, gates))
+            gates = map(int, gates)
+        self.constraints = dict(zip(gates, map(truth, constraints.values())))
         pinned, required = bytearray(n), bytearray(n)
         off = circuit._csr.fout_off
-        for g, v in zip(gates, values):
+        for g, v in self.constraints.items():
             if off[g] != off[g + 1] and g != const_gate:
                 raise ConstraintNotOnOutput(f"gate {g} is not an output gate")
             pinned[g] = 1
             required[g] = v
-        self.constraints = dict(zip(gates, values))
         if const_gate is not None:
             if not 0 <= const_gate < n:
                 raise DanglingReference(f"constant gate {const_gate} is undefined")

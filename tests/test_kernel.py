@@ -808,8 +808,7 @@ profile, _ = walk_a_shared_profile_in_threads(cc, 1)
 assert (profile._tfi, profile._tfo) == (ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit))
 # aigsls_start on every kind of extension, the last drawing nothing
 for cc in _extension_cases(rng):
-    generator = random.Random(3)
-    asg = circuit.random_complete_extension(cc, generator)
+    asg = circuit.random_complete_extension(cc, random.Random(3))
     assert asg._state is not None and asg.nf.tolist() == _false_children(asg)
 # each pass handed back: costs past int64 in both, in co only, and a wide gate
 wide = circuit.build_circuit([circuit.INPUT] * 3 + [[circuit.Literal(g) for g in range(3)]])
