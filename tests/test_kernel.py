@@ -1021,14 +1021,14 @@ def test_the_kernel_extension_matches_the_python_one(monkeypatch):
         fast = random.Random(seed)
         asg = random_complete_extension(cc, fast)
         assert asg._state is not None
-        for make in (lambda: _Sub(seed), lambda: random.Random(seed)):
-            for lib in (_kernel.lib, None):
-                monkeypatch.setattr(_kernel, "lib", lib)
-                slow = make()
-                twin = random_complete_extension(cc, slow)
-                monkeypatch.undo()
-                assert _buffers(asg) == _buffers(twin)
-                assert fast.getstate() == slow.getstate()
+        for make, lib in ((_Sub, _kernel.lib), (random.Random, None)):
+            monkeypatch.setattr(_kernel, "lib", lib)
+            slow = make(seed)
+            twin = random_complete_extension(cc, slow)
+            monkeypatch.undo()
+            assert (twin._state is None) == (lib is None)
+            assert _buffers(asg) == _buffers(twin)
+            assert fast.getstate() == slow.getstate()
         draws.add(fast.getstate() != random.Random(seed).getstate())
         assert asg.nf.tolist() == _false_children(asg)
     assert draws == {True, False}
