@@ -21,19 +21,18 @@ while ``lib`` is loaded keeps a ``State`` on them, a copy of its circuit's
 ``Scratch`` with the assignment's buffers filled in: the scratch, which
 the circuit's assignments share, holds the CSR's addresses and the buffers
 that ``aigsls_start`` and ``aigsls_run`` use only during a call.
-``aigsls_scan`` fills the buffers, or ``aigsls_start`` builds a random
-complete extension in them, and ``aigsls_run`` flips, propagates and rolls
-back in C, only inside its loop.  Every other flip and propagation runs in
-Python (``Assignment._flip`` and ``_propagate``), on either kind of
-assignment.  Both flip the same gates in the same order, and a flip reads
-no fanin row: it moves each parent's count by the parent's sign in the
-flipped gate's fanout row, then decides from the counts whether the gate
-and its parents are unjustified.  ``aigsls_scan`` and ``aigsls_start``
-build the counts with the unjustified list, and only ``aigsls_evaluate``
-and ``aigsls_first_unjust`` apply ``unjust``, the definition, literal by
-literal.  Forward propagation keeps its pending gates in a bitmap over
-topological positions in C, where Python keeps a ``heapq``, and both pop
-them in rising position.
+``aigsls_scan`` fills the buffers from given values, ``aigsls_start``
+builds every extended assignment in them, and ``aigsls_run`` flips,
+propagates and rolls back in C, only inside its loop.  Every other flip
+and propagation runs in Python (``Assignment._flip`` and ``_propagate``),
+on either kind of assignment.  Both flip the same gates in the same order,
+and a flip reads no fanin row: it moves each parent's count by the
+parent's sign in the flipped gate's fanout row, then decides from the
+counts whether the gate and its parents are unjustified.  ``aigsls_scan``
+and ``aigsls_start`` build the counts with the unjustified list; only
+``aigsls_first_unjust`` reads the definition literal by literal.  Forward
+propagation keeps its pending gates in a bitmap over topological positions
+in C, where Python keeps a ``heapq``, and both pop them in rising position.
 
 ``aigsls_run`` is ``SearchEngine.run``'s loop, step for step: selection,
 the moves read from the gate's CSR rows as ``search._moves`` reads them, the
@@ -54,17 +53,16 @@ the same stream and follow the same trajectory, and nothing is copied in
 or out.  ``_bind`` checks that layout and the generator at load time: the
 bytes at that offset, read without writing, must be ``getstate()``'s, and
 a fixed draw sequence run in place must leave the draws and the state of a
-twin.  When either check fails it leaves ``run`` and ``start`` None;
-``SearchEngine`` then runs its Python loop over the Python steps, which
-work on the same buffers, and ``random_complete_extension`` its Python
-body.  No other entry point flips, propagates or rolls back in C.
-``verify_satisfying`` scans the whole circuit with ``aigsls_first_unjust``.
+twin.  When either check fails, no part of the library is used.  No other
+entry point flips, propagates or rolls back in C.  ``verify_satisfying``
+scans the whole circuit with ``aigsls_first_unjust``.
 
 The library is compiled with ``cc`` when this module is first imported and
 cached under ``$XDG_CACHE_HOME/aigsls`` (default ``~/.cache/aigsls``), keyed
 by the source, the flags and the machine.  ``lib`` is None when no compiler
-works or the library cannot be loaded; every operation then runs its
-pure-Python twin, which is also the reference the tests compare against.
+works, the library cannot be loaded or it fails the check; every operation
+then runs its pure-Python twin, which is also the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -130,22 +128,6 @@ typedef struct {
        aigsls_run runs a measure heuristic, else NULL */
 } State;
 
-/* 1 iff g is an AND gate whose value differs from the AND of its child
-   literals, read from the literals themselves: the definition, which
-   aigsls_evaluate and aigsls_first_unjust apply */
-static int unjust(const int *fin_off, const int *fin, const unsigned char *val, int g)
-{
-    int i = fin_off[g], end = fin_off[g + 1], v = 1;
-    if (i == end)
-        return 0;
-    for (; i < end; i++)
-        if (!(val[fin[i] >> 1] ^ (fin[i] & 1))) {
-            v = 0;
-            break;
-        }
-    return val[g] != v;
-}
-
 /* g's score under p: hi[g] while g is at 1, else lo[g]; selection takes
    the least, or the greatest when neg */
 static int score(const Search *p, const unsigned char *val, int g)
@@ -153,8 +135,8 @@ static int score(const Search *p, const unsigned char *val, int g)
     return val[g] ? p->hi[g] : p->lo[g];
 }
 
-/* unjust(g) read from nf[g]: g is at 1 with a child literal at 0, or at 0
-   with none, which an input, at the sentinel -1, never is */
+/* whether g is unjustified, read from nf[g]: g is at 1 with a child
+   literal at 0, or at 0 with none, which an input, at -1, never is */
 static inline int counted_unjust(const State *s, int g)
 {
     return s->val[g] ? s->nf[g] > 0 : s->nf[g] == 0;
@@ -492,7 +474,7 @@ int aigsls_run(State *s, unsigned *mt, const Search *p, long long *stats, long l
 }
 
 /* k draws from mt into out: random() where n[i] is 0, else randrange(n[i]);
-   the kernel's side of the load-time check of the copied generator */
+   the kernel's side of the load-time check of its in-place draws */
 void aigsls_draws(unsigned *mt, const int *n, int k, double *out)
 {
     for (int i = 0; i < k; i++)
@@ -511,16 +493,6 @@ int aigsls_closures(int n, const int *off, const int *adj, int *walk, int *size,
         if (size[gates[i]] < 0)
             size[gates[i]] = reach(off, adj, n, walk, gates[i]);
     return 0;
-}
-
-/* sets each AND gate not set in pin, in topological order, to the AND of
-   its child literals: _evaluate_ands */
-void aigsls_evaluate(int n, const int *order, const int *fin_off, const int *fin,
-                     const unsigned char *pin, unsigned char *val)
-{
-    for (int i = 0; i < n; i++)
-        if (!pin[order[i]] && unjust(fin_off, fin, val, order[i]))
-            val[order[i]] ^= 1;
 }
 
 /* nf[g]: the number of g's child literals that read 0, -1 for an input */
@@ -554,17 +526,19 @@ void aigsls_scan(State *s)
     list_unjust(s);
 }
 
-/* random_complete_extension in place, drawing from mt as the random.Random
-   would: each input not pinned, in index order, takes the top bit of one
-   output, as getrandbits(1) returns it.  Then one pass in topological
-   order counts each gate's child literals at 0, its children final, and
-   sets an AND gate not pinned to 1 exactly when none is, which is
-   aigsls_evaluate; the unjustified list is read from the counts. */
+/* an extended assignment in place, circuit._extend: with mt, each input
+   not pinned, in index order, first takes the top bit of one output drawn
+   as the random.Random would, as getrandbits(1) returns it; with mt NULL
+   the inputs keep their values and nothing is drawn.  Then one pass in
+   topological order counts each gate's child literals at 0, its children
+   final, and sets an AND gate not pinned to 1 exactly when none is, which
+   is _evaluate_ands; the unjustified list is read from the counts. */
 void aigsls_start(State *s, unsigned *mt)
 {
-    for (int g = 0; g < s->n; g++)
-        if (s->fin_off[g] == s->fin_off[g + 1] && !s->pin[g])
-            s->val[g] = (unsigned char)(genrand(mt) >> 31);
+    if (mt)
+        for (int g = 0; g < s->n; g++)
+            if (s->fin_off[g] == s->fin_off[g + 1] && !s->pin[g])
+                s->val[g] = (unsigned char)(genrand(mt) >> 31);
     for (int i = 0; i < s->n; i++) {
         int g = s->order[i], k = false_children(s, g);
         s->nf[g] = k;
@@ -574,13 +548,18 @@ void aigsls_start(State *s, unsigned *mt)
     list_unjust(s);
 }
 
-/* verify_satisfying's full scan: the first gate, in index order, whose value
-   differs from the AND of its child literals, or -1 */
+/* verify_satisfying's full scan: the first AND gate, in index order, whose
+   value differs from the AND of its child literals, read from the literals
+   themselves, or -1 */
 int aigsls_first_unjust(int n, const int *fin_off, const int *fin, const unsigned char *val)
 {
-    for (int g = 0; g < n; g++)
-        if (unjust(fin_off, fin, val, g))
+    for (int g = 0; g < n; g++) {
+        int v = 1;
+        for (int i = fin_off[g]; v && i < fin_off[g + 1]; i++)
+            v = val[fin[i] >> 1] ^ (fin[i] & 1);
+        if (fin_off[g] < fin_off[g + 1] && val[g] != v)
             return g;
+    }
     return -1;
 }
 
@@ -887,7 +866,6 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 
 _P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_longlong
 _SIGNATURES = {
-    "evaluate": (None, [_I] + [_P] * 5),
     "scan": (None, [_P]),
     "start": (None, [_P, _P]),
     "run": (_I, [_P, _P, _P, _P, _L]),
@@ -1038,6 +1016,8 @@ def _draws_in_place(draws, offset: int) -> bool:
 
 
 def _bind(path: str):
+    """The library at ``path``, every export bound; None, so that no part
+    of it is used, unless its in-place draws pass ``_draws_in_place``."""
     # every call keeps the GIL through PyDLL: run and closures walk on a
     # profile's one walk scratch, and start and run share their circuit's
     # scratch, so threads can share a profile and a circuit
@@ -1049,17 +1029,17 @@ def _bind(path: str):
         fn.argtypes = argtypes
         functions[name] = fn
     if not _draws_in_place(functions["draws"], MT_OFFSET):
-        # SearchEngine.run keeps its Python loop, random_complete_extension its Python body
-        functions["run"] = functions["start"] = None
-    return types.SimpleNamespace(mt_offset=MT_OFFSET, **functions)
+        return None
+    return types.SimpleNamespace(**functions)
 
 
 def load():
-    """The bound library, compiled first if the cache lacks it; None if that fails.
+    """The bound library, compiled first if the cache lacks it; None if that
+    fails or ``_bind``'s check does.
 
-    A cached file that does not load is compiled again, and a build prunes
-    the stale libraries of other sources (``_prune``).  Nothing is printed:
-    the compiler's output is captured and dropped.
+    A cached file that does not load is compiled again, one that fails the
+    check is not, and a build prunes the stale libraries of other sources
+    (``_prune``).  Nothing is printed: the compiler's output is dropped.
     """
     try:
         path = _library_path()
@@ -1170,14 +1150,6 @@ def _view(buf):
     return _NO_BYTES.from_buffer(buf)
 
 
-def evaluate(circuit, values: bytearray, pinned: bytes):
-    """Set every AND gate of ``values`` not set in ``pinned`` to the AND of
-    its child literals."""
-    arrays = circuit._csr
-    lib.evaluate(circuit.num_gates, _addr(arrays.order), _addr(arrays.fin_off),
-                 _addr(arrays.fin), pinned, _view(values))
-
-
 def first_unjust(circuit, values: bytearray) -> int:
     """The first gate whose value in ``values`` differs from the AND of its
     child literals, or -1; ``values`` holds one entry per gate."""
@@ -1186,11 +1158,10 @@ def first_unjust(circuit, values: bytearray) -> int:
                             _view(values))
 
 
-def mt_address(lib, rng: random.Random) -> int:
-    """The address of ``rng``'s MT19937 fields, which ``lib``'s ``start``
-    and ``run`` draw from in place; only for a plain ``random.Random``, and
-    only when they passed ``lib``'s load-time check."""
-    return id(rng) + lib.mt_offset
+def mt_address(rng: random.Random) -> int:
+    """The address of ``rng``'s MT19937 fields, which ``aigsls_start`` and
+    ``aigsls_run`` draw from in place; only for a plain ``random.Random``."""
+    return id(rng) + MT_OFFSET
 
 
 class Search:
@@ -1231,8 +1202,9 @@ class Scratch:
 
 class State:
     """The kernel's handle on one assignment's buffers, at ``addr``, for the
-    calls that read or write them: ``aigsls_scan``, ``aigsls_start`` and
-    ``aigsls_run``, the only call that steps on them in C.
+    calls that read or write them: ``aigsls_scan``, ``aigsls_start``, which
+    builds every extended assignment, and ``aigsls_run``, the only call that
+    steps on them in C.
 
     The calls are made through ``lib``, the library loaded when the state
     was built.  The struct is a copy of the circuit's ``Scratch`` struct

@@ -308,8 +308,8 @@ class ConstrainedCircuit:
 
 def _unjust(fin_off, fin, values, g: int) -> bool:
     """True iff g is an AND gate whose value differs from the AND of its
-    child literals, read from the CSR rows (``fin_off``, ``fin``); the
-    kernel's ``unjust``."""
+    child literals, read from the CSR rows (``fin_off``, ``fin``); the test
+    ``aigsls_first_unjust`` makes of each gate."""
     i = fin_off[g]
     end = fin_off[g + 1]
     if i == end:
@@ -332,10 +332,8 @@ def _unjustified(csr: _kernel.CSR, values):
 
 def _evaluate_ands(circuit: Circuit, values: bytearray, pinned: bytes):
     """Set each AND gate of 0/1 ``values`` not set in ``pinned`` to the AND
-    of its children, in topological order."""
-    if _kernel.lib is not None:
-        _kernel.evaluate(circuit, values, pinned)
-        return
+    of its children, in topological order: the reference of
+    ``aigsls_start``'s evaluation."""
     csr = circuit._lists
     for g in csr.order:
         if not pinned[g] and _unjust(csr.fin_off, csr.fin, values, g):
@@ -372,8 +370,8 @@ class Assignment:
     reject a gate out of range with IndexError.  C steps on the buffers only
     inside ``aigsls_run``, through ``_state``, which is fixed when the
     assignment is built or unpickled: a ``_kernel.State`` if the kernel is
-    loaded then, else None.  ``random_complete_extension`` may build the
-    buffers in C as well, with ``aigsls_start``.  The C and Python steps
+    loaded then, else None.  ``evaluate`` and ``random_complete_extension``
+    build them in C too, with ``aigsls_start``.  The C and Python steps
     leave the buffers identical, so ``SearchEngine`` may run either loop on
     them.
     """
@@ -609,18 +607,31 @@ class Assignment:
         return frozenset(_unjustified(self.circuit._csr, self.values))
 
 
+def _extend(circuit: Circuit, values: bytearray, pinned: bytes, mt: Optional[int] = None):
+    """``values`` extended: each AND gate not set in ``pinned`` takes the
+    AND of its children.  ``aigsls_start`` builds it in one pass, first
+    drawing the unpinned inputs from the MT19937 fields at ``mt`` if given;
+    the reference, without the kernel, is ``_evaluate_ands``."""
+    if _kernel.lib is None:
+        _evaluate_ands(circuit, values, pinned)
+        return Assignment(circuit, values, pinned)
+    asg = Assignment.__new__(Assignment)
+    asg._on(circuit, values, pinned)
+    asg._state.lib.start(asg._state.addr, mt)
+    return asg
+
+
 def evaluate(circuit: Circuit, input_values: Mapping[int, int]) -> Assignment:
     """Deterministically extend input values to a consistent full assignment.
 
     ``input_values`` must assign every input gate.  Every AND gate receives
-    the conjunction of its child literal values, so the result has an empty
-    unjust set.
+    the conjunction of its child literal values (``_extend``, drawing
+    nothing), so the result has an empty unjust set.
     """
     values = bytearray(circuit.num_gates)
     for g in circuit.inputs:
         values[g] = 1 if input_values[g] else 0
-    _evaluate_ands(circuit, values, bytes(circuit.num_gates))
-    return Assignment(circuit, values)
+    return _extend(circuit, values, bytes(circuit.num_gates))
 
 
 def is_justified(circuit: Circuit, assignment: Assignment, g: int) -> bool:
@@ -666,24 +677,18 @@ def random_complete_extension(cc: ConstrainedCircuit, rng: random.Random) -> Ass
     children it starts out unjustified, exposing the constraint violations
     the search must repair.
 
-    With the kernel loaded and a plain ``random.Random``, ``aigsls_start``
-    does all of this in one call, on the new assignment's buffers and
-    drawing from ``rng``'s own state in place: it takes the top bit of each
-    32-bit output, which is what ``getrandbits(1)`` returns, so it builds
-    the same assignment and leaves ``rng`` in the same state.  The Python
-    below is the reference, and runs otherwise.
+    With the kernel and a plain ``random.Random``, ``aigsls_start`` does
+    all of this in one call, drawing from ``rng``'s own state in place: the
+    top bit of each 32-bit output, which ``getrandbits(1)`` returns, so the
+    assignment and ``rng``'s state come out the same.  Otherwise the inputs
+    draw below, the reference, and ``_extend`` evaluates the rest.
     """
     circuit = cc.circuit
     pinned = cc.pinned
     values = bytearray(cc.required)
-    lib = _kernel.lib
-    if lib is not None and lib.start is not None and type(rng) is random.Random:
-        asg = Assignment.__new__(Assignment)
-        asg._on(circuit, values, pinned)
-        lib.start(asg._state.addr, _kernel.mt_address(lib, rng))
-        return asg
+    if _kernel.lib is not None and type(rng) is random.Random:
+        return _extend(circuit, values, pinned, _kernel.mt_address(rng))
     for g in circuit.inputs:
         if not pinned[g]:
             values[g] = rng.getrandbits(1)
-    _evaluate_ands(circuit, values, pinned)
-    return Assignment(circuit, values, pinned)
+    return _extend(circuit, values, pinned)

@@ -83,8 +83,7 @@ _MAX_BUDGET = 1 << 62
 def loop_name() -> str:
     """The loop ``SearchEngine.run`` takes for an engine built now, drawing
     from its own ``random.Random``: "c" for ``aigsls_run``, else "python"."""
-    lib = _kernel.lib
-    return "c" if lib is not None and lib.run is not None else "python"
+    return "c" if _kernel.lib is not None else "python"
 
 
 def check_settings(heuristic: str, wp: float):
@@ -232,12 +231,10 @@ class SearchEngine:
     @property
     def uses_kernel_loop(self) -> bool:
         """Whether ``run`` takes ``aigsls_run``: the assignment is on the
-        kernel, whose copy of the random stream passed its load-time check,
-        and the engine draws from a plain ``random.Random``, whose stream
-        that copy reproduces."""
-        state = self.assignment._state
-        return (state is not None and state.lib.run is not None
-                and type(self.rng) is random.Random)
+        kernel, and the engine draws from a plain ``random.Random``, whose
+        own MT19937 fields the kernel's load-time check says it draws from
+        in place."""
+        return self.assignment._state is not None and type(self.rng) is random.Random
 
     def _run_kernel(self, budget: int) -> bool:
         """``run`` in one ``aigsls_run`` call, which draws from ``rng``'s
@@ -247,7 +244,7 @@ class SearchEngine:
         state = self.assignment._state
         lib, stats = state.lib, self.stats
         counts = array("q", _counters(stats))
-        found = lib.run(state.addr, _kernel.mt_address(lib, self.rng), self._search.addr,
+        found = lib.run(state.addr, _kernel.mt_address(self.rng), self._search.addr,
                         counts.buffer_info()[0], min(budget, _MAX_BUDGET))
         for name, count in zip(_COUNTERS, counts):
             setattr(stats, name, count)

@@ -102,9 +102,12 @@ class TestSolve:
         elif _kernel.lib is None:
             pytest.skip("no working C compiler")
         else:
-            # the kernel's copy of random.Random fails its load-time check
+            # the kernel's in-place draws fail their load-time check, which
+            # turns the whole library off
             monkeypatch.setattr(_kernel, "_reference_draws", lambda rng, ns: [0] * len(ns))
-            monkeypatch.setattr(_kernel, "lib", _kernel.load())
+            lib = _kernel.load()
+            assert lib is None
+            monkeypatch.setattr(_kernel, "lib", lib)
         assert _loop() == "python"
         assert run_cli(["solve", aag("bad.aag", VIOLATED), "--cutoff", "50"]) == EXIT_UNKNOWN
         search = capsys.readouterr().err.splitlines()[1]

@@ -1,13 +1,17 @@
 """The C kernel against the pure-Python reference.
 
 An ``Assignment`` (and so a ``SearchEngine``) stays on the path it was built
-on; ``_kernel.lib`` is None on the pure-Python path.  The classes below
-rerun the AIGER-parsing, circuit-building, verification, metric, flip,
-rollback, unjust-set, propagation, trial and golden-hash tests with the
-kernel turned off; their originals run on the kernel wherever it builds.
-C flips, propagates and rolls back only inside ``aigsls_run``, so the
-tests of those steps in C run the kernel's search loop, often one step a
-call, against the Python loop or the reference propagator.
+on; ``_kernel.lib`` is None on the pure-Python path, which is also what a
+library that fails its load-time check loads as.  The classes below rerun
+the AIGER-parsing, circuit-building, verification, metric, flip, rollback,
+unjust-set, propagation, trial and golden-hash tests with the kernel
+turned off; their originals run on the kernel wherever it builds.  C
+flips, propagates and rolls back only inside ``aigsls_run``, so the tests
+of those steps in C run the kernel's search loop, often one step a call,
+against the Python loop or the reference propagator.  ``aigsls_start``
+builds every extended assignment, drawing the inputs or not, and is
+compared with ``random_complete_extension``'s and ``evaluate``'s Python
+bodies.
 """
 
 import copy
@@ -72,8 +76,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 needs_kernel = pytest.mark.skipif(_kernel.lib is None, reason="no working C compiler")
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-needs_loop = pytest.mark.skipif(_kernel.lib is None or _kernel.lib.run is None,
-                                reason="no kernel search loop")
 
 
 @pytest.fixture
@@ -568,6 +570,8 @@ def test_search_from_a_file_builds_no_tuples(tmp_path):
         profile.materialize_closures()
         unbuilt = set(VIEWS) if _kernel.lib is None else {*VIEWS, "_lists"}
         assert not unbuilt & set(vars(loaded.circuit))
+    # the generator evaluates its hidden pattern with aigsls_start
+    assert not unbuilt & set(vars(cc.circuit))
 
 
 @pytest.mark.usefixtures("python_path")
@@ -727,8 +731,9 @@ for data in corpus:
                         (1, 1, max(room - 1, 0))):
             _kernel.parse_binary(data, pos, i, o, a)
             _kernel.parse_ascii(data, pos, i + a, i, o, a)
-# the searches below run aigsls_start and aigsls_run
-assert _kernel.lib.run is not None and _kernel.lib.start is not None
+# the library passed its load-time check: the searches below run
+# aigsls_start and aigsls_run
+assert _kernel.lib is not None
 cc = generate_random_sat_aig(12, 300, random.Random(5))
 profile = build_profile(cc.circuit)
 for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min"):
@@ -736,7 +741,7 @@ for heuristic in ("rand", "depth-max", "cc-min", "tfi-min", "tfo-max", "flow-min
 sys.path.insert(0, sys.argv[3])
 from oracles import random_constrained, random_dag, ref_tfi_sizes, ref_tfo_sizes
 from test_harness import const_reader_instance
-from test_kernel import (X_AT_ZERO, _extension_cases, _false_children,
+from test_kernel import (X_AT_ZERO, _Sub, _extension_cases, _false_children,
                          _observed_through_big_siblings, _random_definitions, copy_chain,
                          switch_loops_on_a_dag, walk_a_shared_profile_in_threads)
 from test_metrics import fibonacci_chain
@@ -806,10 +811,14 @@ for k in range(4):
 cc = generate_random_sat_aig(32, 2000, random.Random(5))
 profile, _ = walk_a_shared_profile_in_threads(cc, 1)
 assert (profile._tfi, profile._tfo) == (ref_tfi_sizes(cc.circuit), ref_tfo_sizes(cc.circuit))
-# aigsls_start on every kind of extension, the last drawing nothing
+# aigsls_start on every kind of extension, the last drawing nothing, and
+# with no generator: under a random.Random subclass, and for evaluate
 for cc in _extension_cases(rng):
-    asg = circuit.random_complete_extension(cc, random.Random(3))
-    assert asg._state is not None and asg.nf.tolist() == _false_children(asg)
+    inputs = {g: rng.getrandbits(1) for g in cc.circuit.inputs}
+    for asg in (circuit.random_complete_extension(cc, random.Random(3)),
+                circuit.random_complete_extension(cc, _Sub(3)),
+                circuit.evaluate(cc.circuit, inputs)):
+        assert asg._state is not None and asg.nf.tolist() == _false_children(asg)
 # each pass handed back: costs past int64 in both, in co only, and a wide gate
 wide = circuit.build_circuit([circuit.INPUT] * 3 + [[circuit.Literal(g) for g in range(3)]])
 for c, compensated, passes in ((fibonacci_chain(rng, 120), False, 3),
@@ -901,8 +910,8 @@ def _answering_interpreters() -> list:
 
 @needs_cc
 def test_every_interpreter_runs_the_kernel_loop_on_the_golden_trajectories(tmp_path):
-    # the kernel's copy of random.Random must pass its check, and reproduce
-    # the recorded trajectories, on each interpreter found, not only this one;
+    # the kernel's in-place draws must pass their check, and reproduce the
+    # recorded trajectories, on each interpreter found, not only this one;
     # the cache is absolute, so no inherited XDG_CACHE_HOME can refuse it
     interpreters = _answering_interpreters()
     if not interpreters:
@@ -965,7 +974,7 @@ def copy_chain(num_gates):
                               {num_gates - 1: True} if num_gates > 1 else {})
 
 
-@needs_loop
+@needs_kernel
 def test_an_assignment_stays_on_the_path_it_was_built_on(monkeypatch):
     # each engine runs with the module's library set for the other path:
     # the one built on the kernel keeps aigsls_run, the other its Python
@@ -1009,11 +1018,13 @@ def _extension_cases(rng):
                              {0: True, 2: False}, const_gate=0)
 
 
-@needs_loop
+@needs_kernel
 def test_the_kernel_extension_matches_the_python_one(monkeypatch):
-    # aigsls_start against the Python body, run both with the kernel's
-    # evaluation and scan (a random.Random subclass) and without the kernel:
-    # the same values, counts, list order and generator state after
+    # aigsls_start drawing in place against the Python body, run both with
+    # aigsls_start given no generator (a random.Random subclass draws in
+    # Python) and without the kernel: the same values, counts, list order
+    # and generator state after.  evaluate, whose aigsls_start draws
+    # nothing, leaves the same buffers as its Python body too
     rng = random.Random(96)
     draws = set()
     for cc in _extension_cases(rng):
@@ -1031,6 +1042,12 @@ def test_the_kernel_extension_matches_the_python_one(monkeypatch):
             assert fast.getstate() == slow.getstate()
         draws.add(fast.getstate() != random.Random(seed).getstate())
         assert asg.nf.tolist() == _false_children(asg)
+        inputs = random.Random(seed)
+        inputs = {g: inputs.getrandbits(1) for g in cc.circuit.inputs}
+        built, reference = _on_both_paths(monkeypatch, lambda: evaluate(cc.circuit, inputs))
+        assert built._state is not None and reference._state is None
+        assert _buffers(built) == _buffers(reference)
+        assert built.unjust_count == 0 and built.nf.tolist() == _false_children(built)
     assert draws == {True, False}
 
 
@@ -1060,7 +1077,7 @@ def test_a_rescan_equals_a_fresh_assignment(monkeypatch):
         assert _buffers(fast) == _buffers(slow) == _buffers(fresh)
 
 
-@needs_loop
+@needs_kernel
 @pytest.mark.parametrize("num_gates", [1, 2, 31, 32, 33, 63, 64, 65, 150])
 def test_propagation_matches_at_the_bitmap_word_edges(monkeypatch, num_gates):
     # aigsls_run keeps the pending gates as bits over topological positions,
@@ -1075,7 +1092,7 @@ def test_propagation_matches_at_the_bitmap_word_edges(monkeypatch, num_gates):
         _run_both(monkeypatch, cc, heuristic, 0.3, rng.randrange(10**6), [1] * 80)
 
 
-@needs_loop
+@needs_kernel
 def test_the_kernel_loops_first_step_matches_the_reference_propagator():
     # a fresh extension is consistent but at the constrained gates, where
     # the propagation oracle holds: after the first step, every gate but
@@ -1177,12 +1194,19 @@ def _selections(engine) -> list:
     return calls
 
 
-def _assert_the_python_loop_runs(monkeypatch, guarded):
-    """Engines built while ``guarded`` is the library, its generator check
-    failed, take the Python extension and loop, on the kernel's buffers,
-    and follow the kernel loop's trajectories."""
+def _assert_the_python_loop_runs(monkeypatch, capsys):
+    """With a load-time check made to fail, ``load()`` on the warm cache
+    returns None, silently and without compiling again; engines built while
+    that is the library run the Python extension and loop on Python
+    buffers, and follow the kernel loop's trajectories."""
+    compiled = []
+    monkeypatch.setattr(_kernel, "_compile", compiled.append)
+    assert os.path.exists(_kernel._library_path())
+    guarded = _kernel.load()
+    monkeypatch.undo()
+    assert guarded is None and compiled == []
+    assert capsys.readouterr() == ("", "")
     lib = _kernel.lib
-    assert guarded.run is None and guarded.start is None and lib.run is not None
     cc = generate_random_sat_aig(16, 600, random.Random(88))
     for heuristic in ("rand", "cc-min", "tfi-min"):
         profile = build_profile(cc.circuit)
@@ -1190,8 +1214,7 @@ def _assert_the_python_loop_runs(monkeypatch, guarded):
         monkeypatch.setattr(_kernel, "lib", guarded)
         slow = SearchEngine(cc, profile, heuristic, 0.3, 6)
         monkeypatch.setattr(_kernel, "lib", lib)
-        # the slow engine's assignment is still on the kernel; only its loop is Python
-        assert isinstance(slow.assignment._state, _kernel.State)
+        assert slow.assignment._state is None
         assert fast.uses_kernel_loop and not slow.uses_kernel_loop
         selections = _selections(slow)
         for k in (1, 1, 30, 200):
@@ -1200,25 +1223,20 @@ def _assert_the_python_loop_runs(monkeypatch, guarded):
         assert len(selections) == slow.steps > 20
 
 
-@needs_loop
-def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch):
+@needs_kernel
+def test_a_failed_generator_check_keeps_the_python_loop(monkeypatch, capsys):
     monkeypatch.setattr(_kernel, "_reference_draws", lambda rng, ns: [0] * len(ns))
-    guarded = _kernel.load()
-    monkeypatch.undo()
-    _assert_the_python_loop_runs(monkeypatch, guarded)
+    _assert_the_python_loop_runs(monkeypatch, capsys)
 
 
-@needs_loop
+@needs_kernel
 @pytest.mark.parametrize("shift", [4, -4])
 def test_a_failed_layout_check_keeps_the_python_loop(monkeypatch, capsys, shift):
     # the kernel draws in place at MT_OFFSET past the generator's address; a
     # wrong offset past the object's end is refused before any read, one
-    # inside it by the bytes read there, and neither prints anything
+    # inside it by the bytes read there
     monkeypatch.setattr(_kernel, "MT_OFFSET", _kernel.MT_OFFSET + shift)
-    guarded = _kernel.load()
-    monkeypatch.undo()
-    assert capsys.readouterr() == ("", "")
-    _assert_the_python_loop_runs(monkeypatch, guarded)
+    _assert_the_python_loop_runs(monkeypatch, capsys)
 
 
 class _Sub(random.Random):
@@ -1282,7 +1300,7 @@ def switch_loops_on_a_dag():
         switch_loops(cc, heuristic, 5, chunks)
 
 
-@needs_loop
+@needs_kernel
 @pytest.mark.parametrize("heuristic", ["tfi-min", "tfi-max", "tfo-min", "tfo-max"])
 def test_both_search_loops_leave_the_same_closure_caches(heuristic):
     # each loop walks closure sizes into a profile of its own: the C loop
@@ -1309,7 +1327,7 @@ def test_both_search_loops_leave_the_same_closure_caches(heuristic):
     assert fast.steps > 40 and fast.profile._walk[0] > 20
 
 
-@needs_loop
+@needs_kernel
 def test_an_rng_subclass_keeps_the_python_loop():
     switch_loops(generate_random_sat_aig(16, 600, random.Random(89)), "depth-max", 4,
                  ((1, True), (50, True), (200, True)))
@@ -1457,7 +1475,7 @@ def test_a_shared_profile_walks_closures_right_under_threads():
         assert list(map(_snapshot, engines)) == list(map(_snapshot, alone))
 
 
-@needs_loop
+@needs_kernel
 def test_engines_on_one_circuit_keep_their_own_trajectories():
     # engines on one circuit share its kernel scratch: stepped in turns,
     # one chunk each, kernel loops and a Python loop among them, each
@@ -1489,7 +1507,7 @@ def test_engines_on_one_circuit_keep_their_own_trajectories():
     assert sum(engine.steps > 200 for engine in turns) >= 4
 
 
-@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("kernel", [pytest.param("c", marks=needs_kernel), "python"])
 def test_stamps_restart_before_the_generation_overflows(kernel, monkeypatch):
     # one engine starts with its generation and every stamp two short of
     # the limit, its twin at 0: the first propagation restarts the stamps,
@@ -1497,8 +1515,6 @@ def test_stamps_restart_before_the_generation_overflows(kernel, monkeypatch):
     # propagates in aigsls_run
     if kernel == "python":
         monkeypatch.setattr(_kernel, "lib", None)
-    elif _kernel.lib is None or _kernel.lib.run is None:
-        pytest.skip("no kernel search loop")
     rng = random.Random(73)
     cc = random_constrained(rng, random_dag(rng, 80))
     profile = build_profile(cc.circuit)
@@ -1579,7 +1595,7 @@ def test_pickled_and_copied_assignments_stay_independent():
         assert (bytes(asg.values), asg.ulist) == before
 
 
-@needs_loop
+@needs_kernel
 def test_false_child_counts_follow_their_definition(monkeypatch):
     # nf is built with the unjust list and kept by every flip, on either
     # path: through run chunks of both loops, copies and pickles, and an
